@@ -30,8 +30,10 @@ from .dataset import (
     NUMERIC,
     ORDINAL,
     class_stats,
+    csv_rows,
     load_csv,
     load_sparse,
+    read_lines,
     split_indices,
 )
 from .errors import ComultiError, ConfigError, DataError
@@ -217,7 +219,11 @@ def parse_config_text(text: str, base: Optional[dict] = None) -> dict:
 
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Read a config file, apply overrides (CLI flags win), build the config."""
-    kwargs = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8") from None
+    kwargs = parse_config_text(text)
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
     if "dataset_path" not in kwargs:
@@ -230,49 +236,57 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
 
 
 def load_schema_json(path) -> FeatureSchema:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """A JSON list of ``{"name", "kind", "categories"}`` feature objects."""
+    try:
+        doc = json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, list):
+        raise DataError(f"{path}: schema must be a JSON list of features")
     feats = []
-    for item in doc:
+    for i, item in enumerate(doc):
+        if not isinstance(item, dict) or not isinstance(item.get("name"), str):
+            raise DataError(f"{path}: feature {i} is not an object with a "
+                            "string 'name'")
         kind = item.get("kind", NUMERIC)
-        cats = tuple(item["categories"]) if kind == ORDINAL else None
-        feats.append(FeatureSpec(item["name"], kind, cats))
+        cats = item.get("categories")
+        if kind == ORDINAL and not (isinstance(cats, list) and all(
+                isinstance(c, str) for c in cats)):
+            raise DataError(f"{path}: ordinal feature {item['name']!r} needs "
+                            "a 'categories' list of strings")
+        feats.append(FeatureSpec(item["name"], kind,
+                                 tuple(cats) if kind == ORDINAL else None))
     return FeatureSchema(tuple(feats))
 
 
 def infer_csv_schema(path, label_column: str) -> FeatureSchema:
     """Columns where every value parses as a number are numeric; the rest are
     ordinal-nominal with categories in first-appearance order."""
-    import csv as _csv
-
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(str(exc)) from None
-    with fh:
-        reader = _csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise DataError(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-        numeric = {i: True for i in feat_idx}
-        cats: dict[int, list[str]] = {i: [] for i in feat_idx}
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            for i in feat_idx:
-                val = row[i].strip()
-                if numeric[i]:
-                    try:
-                        float(val)
-                    except ValueError:
-                        numeric[i] = False
-                if val not in cats[i]:
-                    cats[i].append(val)
+    reader = csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise DataError(f"{path}: no column named {label_column!r}")
+    label_idx = header.index(label_column)
+    feat_idx = [i for i in range(len(header)) if i != label_idx]
+    numeric = {i: True for i in feat_idx}
+    cats: dict[int, list[str]] = {i: [] for i in feat_idx}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+        for i in feat_idx:
+            val = row[i].strip()
+            if numeric[i]:
+                try:
+                    float(val)
+                except ValueError:
+                    numeric[i] = False
+            if val not in cats[i]:
+                cats[i].append(val)
     feats = []
     for i in feat_idx:
         if numeric[i]:

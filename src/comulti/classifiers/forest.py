@@ -7,6 +7,38 @@ not consume candidate slots (otherwise purity growth could stall on nodes
 whose sampled candidates happen to be constant).  The forest predicts by
 majority vote: class probabilities are vote fractions, so every probability
 is a multiple of ``1/trees``.
+
+How a tree is grown.  The training matrix is copied once per forest into a
+feature-major ``(n_features, n)`` array, so the values of one feature over a
+node's rows are gathered from one contiguous row.  A node is a list of row
+indices (the bootstrap sample at the root, duplicates included).  It draws a
+permutation of all features, skips the features already known to be
+constant in it (a feature constant in a node stays constant in its
+children, so the set is inherited down the tree), and gathers the next block
+of drawn features over its rows.  One ``argsort`` and one ``sort`` call
+order the whole block; a feature whose sorted values never increase is
+constant and joins the inherited set.  More blocks are fetched only while
+fewer than ``floor(sqrt(n_features))`` varying features have been found, and
+the first that many, in draw order, are the candidates.  One split search
+then scores all their cuts together: one ``cumsum`` yields the class counts
+left of every cut (over one-hot class rows in small blocks, over the class
+counts of each run of equal values, from one ``bincount``, in large ones),
+the weighted Gini impurity is evaluated at every cut, and one ``argmin``
+picks the split.  The node's class counts split with its rows, so children
+never recount them.
+
+Why the sort need not be stable.  A cut lies between two different sorted
+values; its score depends only on how many rows of each class lie on either
+side, and its threshold only on the two values.  Rows with equal values
+always fall on the same side, so the order inside a tie changes neither, nor
+which rows go to each child.  The grower therefore picks its sort kind for
+speed alone (quicksort, or the stable sort on mostly-zero data, where
+quicksort is several times slower) and produces the same trees (the same
+arrays, hence the same model JSON) as a grower that sorts one feature at a
+time with a stable sort: the random draws happen in the same order, the
+Gini arithmetic is the same per cut, and ``argmin`` keeps the earliest of
+equal scores, which is the first feature in draw order and then its lowest
+cut.
 """
 
 from __future__ import annotations
@@ -17,38 +49,48 @@ import scipy.sparse as sp
 from ..errors import DataError
 from .base import Classifier, ForestSpec
 
-# Densify sparse training matrices below this element count; larger ones are
-# accessed column-by-column through CSC.
+# Densify sparse training matrices below this element count; larger ones stay
+# sparse and are densified one block of columns at a time.
 _DENSIFY_ELEMS = 30_000_000
+# Class counts left of every cut come from a cumsum over one-hot class rows
+# while a node's block has at most this many (rows x columns x classes)
+# cells: few numpy calls, so fastest on small nodes and narrow data.  Larger
+# blocks count classes per run of equal values instead, whose cost follows
+# the number of runs, far below the cell count on tie-heavy data.
+_ONEHOT_CELLS = 1 << 15
 
 
 class _Columns:
-    """Column accessor over a dense matrix or a CSC sparse matrix."""
+    """The training matrix, feature-major: ``xt[f]`` holds feature ``f``.
+
+    ``xt`` is a C-contiguous ``(n_features, n)`` array, or a CSR matrix of
+    that shape for inputs too large to densify.
+    """
 
     def __init__(self, x):
-        if sp.issparse(x):
-            if x.shape[0] * x.shape[1] <= _DENSIFY_ELEMS:
-                self.dense = np.asarray(x.todense(), dtype=np.float64)
-                self.csc = None
-            else:
-                self.dense = None
-                self.csc = x.tocsc()
-                self._buf = np.zeros(x.shape[0], dtype=np.float64)
+        if sp.issparse(x) and x.shape[0] * x.shape[1] > _DENSIFY_ELEMS:
+            self.xt = sp.csr_matrix(x.T, dtype=np.float64)
+        elif sp.issparse(x):
+            self.xt = x.T.toarray(order="C").astype(np.float64, copy=False)
         else:
-            self.dense = np.asarray(x, dtype=np.float64)
-            self.csc = None
-        self.shape = x.shape
+            self.xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+        self.n_features = x.shape[1]
+        # Any sort kind gives the same trees (see the module docstring).
+        # Quicksort is the fastest on most data, but several times slower
+        # than the stable sort on mostly-zero data such as word counts.
+        nonzero = self.xt.nnz if sp.issparse(self.xt) \
+            else np.count_nonzero(self.xt)
+        mostly_zero = 2 * nonzero < x.shape[0] * x.shape[1]
+        self.sort_kind = "stable" if mostly_zero else "quicksort"
 
-    def get(self, rows: np.ndarray, col: int) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense[rows, col]
-        lo, hi = self.csc.indptr[col], self.csc.indptr[col + 1]
-        buf = self._buf
-        idx = self.csc.indices[lo:hi]
-        buf[idx] = self.csc.data[lo:hi]
-        out = buf[rows].copy()
-        buf[idx] = 0.0
-        return out
+    def block(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """C-contiguous ``(len(cols), len(rows))`` values."""
+        xt = self.xt
+        if sp.issparse(xt):
+            return xt[cols][:, rows].toarray()
+        if 4 * rows.size < xt.shape[1]:  # small node: gather just its cells
+            return xt.ravel().take((cols * xt.shape[1])[:, None] + rows)
+        return xt.take(cols, axis=0).take(rows, axis=1)
 
 
 class _Tree:
@@ -77,41 +119,107 @@ class _Tree:
         return self.vote[node]
 
 
-def _best_split_of_column(values: np.ndarray, y: np.ndarray, n_classes: int):
-    """Best Gini split of one feature column, or None if constant.
+def _screen(cols: _Columns, rows: np.ndarray, drawn: np.ndarray,
+            n_candidates: int):
+    """Sort the first ``n_candidates`` columns of ``drawn`` that vary over
+    ``rows``.
 
-    Returns (weighted_gini, threshold).  Ties between cut points resolve to
-    the lowest threshold, keeping the grower deterministic.
+    Returns the kept columns, the argsort and the sorted values of each over
+    ``rows``, where each sorted value is below the next (the cuts), and a
+    list of arrays of columns found constant.  Blocks of drawn columns are
+    fetched and sorted only while too few varying ones have been found.
     """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    boundaries = np.nonzero(v[:-1] < v[1:])[0]
-    if boundaries.size == 0:
-        return None
-    ys = y[order]
-    n = v.size
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    onehot[np.arange(n), ys] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    left = cum[boundaries]
-    total = cum[-1]
-    right = total - left
-    n_left = boundaries + 1.0
+    kept, orders, values, steps, constant = [], [], [], [], []
+    need, pos = n_candidates, 0
+    while need > 0 and pos < drawn.size:
+        if pos == 0:
+            size = need  # just big enough if every column varies
+        else:  # sized by the share of columns that varied so far
+            size = need * pos // (n_candidates - need + 1) + 1
+        take = drawn[pos:pos + size]
+        pos += take.size
+        block = cols.block(take, rows)
+        order = np.argsort(block, axis=1, kind=cols.sort_kind)
+        v = np.sort(block, axis=1)
+        step = v[:, :-1] < v[:, 1:]
+        varies = step.any(axis=1)
+        if take.size > need or not varies.all():
+            idx = np.flatnonzero(varies)
+            if idx.size < take.size:
+                constant.append(take[~varies])
+            idx = idx[:need]
+            take, order, v, step = take[idx], order[idx], v[idx], step[idx]
+        kept.append(take)
+        orders.append(order)
+        values.append(v)
+        steps.append(step)
+        need -= take.size
+    if len(kept) == 1:
+        return kept[0], orders[0], values[0], steps[0], constant
+    if not kept:  # no feature to draw
+        return drawn, None, None, None, constant
+    return (np.concatenate(kept), np.concatenate(orders),
+            np.concatenate(values), np.concatenate(steps), constant)
+
+
+def _left_counts_by_run(step: np.ndarray, col: np.ndarray, ys: np.ndarray,
+                        counts: np.ndarray) -> np.ndarray:
+    """Class counts left of every cut (where ``step``, in row-major order;
+    ``col`` holds each cut's column) of sorted columns with classes ``ys``
+    and class totals ``counts``."""
+    k, n = ys.shape
+    n_classes = counts.size
+    new_run = np.ones((k, n), dtype=bool)
+    new_run[:, 1:] = step
+    run = np.cumsum(new_run) - 1
+    per_run = np.bincount(run * n_classes + ys.ravel(),
+                          minlength=(run[-1] + 1) * n_classes)
+    per_run = per_run.reshape(-1, n_classes)
+    # Take the previous columns' totals off each column's first run, so the
+    # running total restarts at every column.
+    per_run[run[n::n]] -= counts
+    cum = np.cumsum(per_run, axis=0)
+    # Every column's last run ends at no cut, so cut j ends run j + col[j].
+    return cum[np.arange(col.size) + col]
+
+
+def _best_split(order: np.ndarray, v: np.ndarray, step: np.ndarray,
+                y_node: np.ndarray, counts: np.ndarray):
+    """Best Gini split over sorted columns ``v`` (argsort ``order``, cuts
+    where ``step``).
+
+    Returns (column index into ``v``, cut position, threshold, class counts
+    left of the cut): sorted positions ``<= cut`` go left.  The winner is
+    the lowest weighted Gini; ties go to the earliest column, then to its
+    lowest cut.
+    """
+    k, n = v.shape
+    n_classes = counts.size
+    col, cut = np.nonzero(step)
+    ys = y_node[order]
+    if k * n * n_classes <= _ONEHOT_CELLS:
+        onehot = np.eye(n_classes, dtype=np.int8)[ys]
+        left_counts = onehot.cumsum(axis=1, dtype=np.int32)[col, cut]
+    else:
+        left_counts = _left_counts_by_run(step, col, ys, counts)
+    left = left_counts.astype(np.float64)
+    right = counts - left
+    n_left = cut + 1.0
     n_right = n - n_left
     gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
     gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
     weighted = (n_left * gini_left + n_right * gini_right) / n
     best = int(np.argmin(weighted))
-    cut = boundaries[best]
-    thr = 0.5 * (v[cut] + v[cut + 1])
-    if not v[cut] <= thr < v[cut + 1]:  # guard against midpoint rounding up
-        thr = v[cut]
-    return float(weighted[best]), float(thr)
+    c, i = int(col[best]), int(cut[best])
+    thr = 0.5 * (v[c, i] + v[c, i + 1])
+    if not v[c, i] <= thr < v[c, i + 1]:  # guard against midpoint rounding up
+        thr = v[c, i]
+    return c, i, float(thr), left_counts[best]
 
 
-def _grow_tree(cols: _Columns, y: np.ndarray, n_classes: int,
-               rng: np.random.Generator) -> _Tree:
-    n_features = cols.shape[1]
+def _grow_tree(cols: _Columns, boot: np.ndarray, y: np.ndarray,
+               n_classes: int, rng: np.random.Generator) -> _Tree:
+    n_features = cols.n_features
     n_candidates = max(1, int(np.floor(np.sqrt(n_features))))
     feature, threshold, left, right, vote = [], [], [], [], []
 
@@ -124,39 +232,35 @@ def _grow_tree(cols: _Columns, y: np.ndarray, n_classes: int,
         return len(feature) - 1
 
     root = new_node()
-    stack = [(root, np.arange(y.size, dtype=np.intp))]
+    stack = [(root, boot, np.bincount(y[boot], minlength=n_classes),
+              np.zeros(n_features, dtype=bool))]
     while stack:
-        node_id, rows = stack.pop()
-        y_node = y[rows]
-        counts = np.bincount(y_node, minlength=n_classes)
+        node_id, rows, counts, known_constant = stack.pop()
         if rows.size < 2 or counts.max() == rows.size:
             vote[node_id] = int(np.argmax(counts))
             continue
-        best = None
-        tried_valid = 0
-        for f in rng.permutation(n_features):
-            found = _best_split_of_column(cols.get(rows, f), y_node, n_classes)
-            if found is None:
-                continue
-            tried_valid += 1
-            score, thr = found
-            if best is None or score < best[0]:
-                best = (score, thr, int(f))
-            if tried_valid >= n_candidates:
-                break
-        if best is None:  # impure but no feature separates the rows
+        drawn = rng.permutation(n_features)
+        kept, order, v, step, constant = _screen(
+            cols, rows, drawn[~known_constant[drawn]], n_candidates)
+        if constant:
+            known_constant = known_constant.copy()
+            for found in constant:
+                known_constant[found] = True
+        if kept.size == 0:  # impure but no feature separates the rows
             vote[node_id] = int(np.argmax(counts))
             continue
-        _, thr, f = best
-        mask = cols.get(rows, f) <= thr
-        feature[node_id] = f
+        c, i, thr, left_counts = _best_split(order, v, step, y[rows],
+                                              counts)
+        feature[node_id] = int(kept[c])
         threshold[node_id] = thr
         left_id = new_node()
         right_id = new_node()
         left[node_id] = left_id
         right[node_id] = right_id
-        stack.append((right_id, rows[~mask]))
-        stack.append((left_id, rows[mask]))
+        stack.append((right_id, rows[order[c, i + 1:]], counts - left_counts,
+                      known_constant))
+        stack.append((left_id, rows[order[c, :i + 1]], left_counts,
+                      known_constant))
     return _Tree(feature, threshold, left, right, vote)
 
 
@@ -227,19 +331,10 @@ def fit_forest(spec: ForestSpec, x, y: np.ndarray, space: tuple[str, ...],
     not depend on training order or parallel schedule.
     """
     n = x.shape[0]
-    n_classes = len(space)
-    dense_all = None
-    csr_all = None
-    if sp.issparse(x) and x.shape[0] * x.shape[1] > _DENSIFY_ELEMS:
-        csr_all = x.tocsr()
-    elif sp.issparse(x):
-        dense_all = np.asarray(x.todense(), dtype=np.float64)
-    else:
-        dense_all = np.asarray(x, dtype=np.float64)
+    cols = _Columns(x)
     trees = []
     for child in np.random.SeedSequence(seed).spawn(spec.trees):
         rng = np.random.default_rng(child)
         boot = rng.integers(0, n, size=n)
-        sub = _Columns(dense_all[boot] if dense_all is not None else csr_all[boot])
-        trees.append(_grow_tree(sub, y[boot], n_classes, rng))
+        trees.append(_grow_tree(cols, boot, y, len(space), rng))
     return TrainedForest(spec, space, trees, x.shape[1])

@@ -177,68 +177,82 @@ class Dataset:
 # Loading
 
 
+def read_lines(path, newline=None):
+    """Lines of a UTF-8 text file, read as they are consumed; an unreadable
+    or undecodable file is a data error."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield from fh
+    except OSError as exc:
+        raise DataError(str(exc)) from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not valid UTF-8") from None
+
+
+def csv_rows(path):
+    """Rows of a UTF-8 CSV file (quoted fields may span lines)."""
+    try:
+        yield from csv.reader(read_lines(path, newline=""))
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def load_csv(path, label_column: str, schema: FeatureSchema) -> Dataset:
     """Load a header-first CSV, encoding features per ``schema``.
 
     Ordinal-nominal features are encoded as their category index; labels are
     collected in first-appearance order.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(str(exc)) from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        wanted = set(schema.names) | {label_column}
-        missing = wanted - set(header)
-        if missing:
-            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-        extra = set(header) - wanted
-        if extra:
-            raise DataError(f"{path}: unexpected column(s) {sorted(extra)}")
-        col_of = {name: header.index(name) for name in header}
-        label_col = col_of[label_column]
-        feat_cols = [col_of[f.name] for f in schema.features]
+    reader = csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    wanted = set(schema.names) | {label_column}
+    missing = wanted - set(header)
+    if missing:
+        raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+    extra = set(header) - wanted
+    if extra:
+        raise DataError(f"{path}: unexpected column(s) {sorted(extra)}")
+    col_of = {name: header.index(name) for name in header}
+    label_col = col_of[label_column]
+    feat_cols = [col_of[f.name] for f in schema.features]
 
-        rows: list[list[float]] = []
-        y: list[int] = []
-        labels: list[str] = []
-        label_ids: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore blank lines
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-            encoded = []
-            for spec, col in zip(schema.features, feat_cols):
-                raw = row[col].strip()
-                if spec.kind == ORDINAL:
-                    try:
-                        encoded.append(float(spec.categories.index(raw)))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: unknown category {raw!r} "
-                            f"for feature {spec.name!r}"
-                        ) from None
-                else:
-                    try:
-                        encoded.append(float(raw))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: non-numeric value {raw!r} "
-                            f"for feature {spec.name!r}"
-                        ) from None
-            name = row[label_col].strip()
-            if name not in label_ids:
-                label_ids[name] = len(labels)
-                labels.append(name)
-            y.append(label_ids[name])
-            rows.append(encoded)
+    rows: list[list[float]] = []
+    y: list[int] = []
+    labels: list[str] = []
+    label_ids: dict[str, int] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # ignore blank lines
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+        encoded = []
+        for spec, col in zip(schema.features, feat_cols):
+            raw = row[col].strip()
+            if spec.kind == ORDINAL:
+                try:
+                    encoded.append(float(spec.categories.index(raw)))
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: unknown category {raw!r} "
+                        f"for feature {spec.name!r}"
+                    ) from None
+            else:
+                try:
+                    encoded.append(float(raw))
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: non-numeric value {raw!r} "
+                        f"for feature {spec.name!r}"
+                    ) from None
+        name = row[label_col].strip()
+        if name not in label_ids:
+            label_ids[name] = len(labels)
+            labels.append(name)
+        y.append(label_ids[name])
+        rows.append(encoded)
 
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -250,11 +264,7 @@ def load_sparse(matrix_path, labels_path) -> Dataset:
     """Load the sparse text format: ``nrows ncols nnz`` header, then one line
     per row of space-separated 1-based ``col value`` pairs, with a companion
     labels file holding one label string per row."""
-    try:
-        with open(matrix_path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as exc:
-        raise DataError(str(exc)) from None
+    lines = [ln.strip() for ln in read_lines(matrix_path)]
     lines = [ln for ln in lines if ln != ""]
     if not lines:
         raise DataError(f"{matrix_path}: empty file")
@@ -295,11 +305,7 @@ def load_sparse(matrix_path, labels_path) -> Dataset:
         raise DataError(f"{matrix_path}: header declares {nnz} nonzeros, "
                         f"found {len(data)}")
 
-    try:
-        with open(labels_path, encoding="utf-8") as fh:
-            names = [ln.strip() for ln in fh if ln.strip() != ""]
-    except OSError as exc:
-        raise DataError(str(exc)) from None
+    names = [ln.strip() for ln in read_lines(labels_path) if ln.strip() != ""]
     if len(names) != nrows:
         raise DataError(
             f"{labels_path}: {len(names)} labels for {nrows} matrix rows"

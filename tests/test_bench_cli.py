@@ -307,3 +307,53 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout
+
+
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_cli_malformed_schema_is_data_error(blobs_csv, tmp_path, capsys):
+    for i, text in enumerate(['[{"name": "f0"', "[1, 2]", '{"name": "f0"}',
+                              '[{"kind": "numeric"}]',
+                              '[{"name": "f0", "kind": "ordinal"}]']):
+        schema = tmp_path / f"schema{i}.json"
+        schema.write_text(text)
+        assert main(["profile", "--dataset", str(blobs_csv),
+                     "--schema", str(schema)]) == 2, text
+        _one_line_error(capsys, "data error:")
+
+
+def test_cli_non_utf8_csv_is_data_error(blobs_csv, tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(blobs_csv.read_bytes() + b"caf\xe9,1,2,3,4,5\n")
+    assert main(["profile", "--dataset", str(bad)]) == 2  # schema inference
+    _one_line_error(capsys, "data error:")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"name": f"f{i}"} for i in range(5)]))
+    assert main(["profile", "--dataset", str(bad), "--schema",
+                 str(schema)]) == 2  # load_csv
+    _one_line_error(capsys, "data error:")
+
+
+def test_cli_short_csv_row_is_data_error(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("f0,f1,label\n1,2,a\n3\n")  # fails in schema inference
+    assert main(["profile", "--dataset", str(short)]) == 2
+    _one_line_error(capsys, "data error:")
+
+
+def test_cli_non_utf8_sparse_and_config(tmp_path, capsys):
+    matrix = tmp_path / "d.sparse"
+    matrix.write_bytes(b"1 2 1\n1 \xff\n")
+    labels = tmp_path / "d.labels"
+    labels.write_text("a\n")
+    assert main(["profile", "--dataset", str(matrix), "--format", "sparse",
+                 "--labels", str(labels)]) == 2
+    _one_line_error(capsys, "data error:")
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"model = cmc\xff\n")
+    assert main(["run", "--config", str(conf)]) == 1
+    _one_line_error(capsys, "config error:")

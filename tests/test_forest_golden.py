@@ -4,7 +4,9 @@ Each case fits a small forest and pins the SHA-256 of its canonical model
 JSON (``TrainedForest.to_dict()``, sorted keys).  Any change to the grower
 that alters a split, a threshold, a vote, the node order or the random
 stream changes a fingerprint, so a rewrite of the grower that keeps them
-all is bit-identical on these inputs.
+all is bit-identical on these inputs.  The second half keeps the grower as
+it was first written, one feature at a time, as a reference, and compares
+whole trees with it on random matrices.
 """
 
 import hashlib
@@ -114,3 +116,120 @@ def test_forest_fingerprint_csc_fallback(monkeypatch, name):
     monkeypatch.setattr(forest_mod, "_DENSIFY_ELEMS", 1)
     assert _fingerprint(fit(ForestSpec(trees=trees), ds, seed=seed)) \
         == GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# Reference grower: the same trees, one feature at a time
+
+
+def _reference_split(values, y, n_classes):
+    """Best (weighted Gini, threshold) of one feature, or None if constant."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    boundaries = np.nonzero(v[:-1] < v[1:])[0]
+    if boundaries.size == 0:
+        return None
+    n = v.size
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y[order]] = 1.0
+    cum = np.cumsum(onehot, axis=0)
+    left = cum[boundaries]
+    right = cum[-1] - left
+    n_left = boundaries + 1.0
+    n_right = n - n_left
+    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    best = int(np.argmin(weighted))
+    cut = boundaries[best]
+    thr = 0.5 * (v[cut] + v[cut + 1])
+    if not v[cut] <= thr < v[cut + 1]:
+        thr = v[cut]
+    return float(weighted[best]), float(thr)
+
+
+def _reference_tree(dense, y, n_classes, rng):
+    n_features = dense.shape[1]
+    n_candidates = max(1, int(np.floor(np.sqrt(n_features))))
+    nodes = []  # [feature, threshold, left, right, vote]
+
+    def new_node():
+        nodes.append([-1, 0.0, -1, -1, -1])
+        return len(nodes) - 1
+
+    stack = [(new_node(), np.arange(y.size))]
+    while stack:
+        node, rows = stack.pop()
+        counts = np.bincount(y[rows], minlength=n_classes)
+        if rows.size < 2 or counts.max() == rows.size:
+            nodes[node][4] = int(np.argmax(counts))
+            continue
+        best, tried = None, 0
+        for f in rng.permutation(n_features):
+            found = _reference_split(dense[rows, f], y[rows], n_classes)
+            if found is None:
+                continue
+            tried += 1
+            if best is None or found[0] < best[0]:
+                best = (*found, int(f))
+            if tried >= n_candidates:
+                break
+        if best is None:
+            nodes[node][4] = int(np.argmax(counts))
+            continue
+        _, thr, f = best
+        mask = dense[rows, f] <= thr
+        left, right = new_node(), new_node()
+        nodes[node][:4] = [f, thr, left, right]
+        stack.append((right, rows[~mask]))
+        stack.append((left, rows[mask]))
+    return [list(field) for field in zip(*nodes)]
+
+
+def _reference_forest(x, y, n_classes, trees, seed):
+    dense = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(trees):
+        rng = np.random.default_rng(child)
+        boot = rng.integers(0, y.size, size=y.size)
+        out.append(_reference_tree(dense[boot], y[boot], n_classes, rng))
+    return out
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    n, width = int(rng.integers(20, 160)), int(rng.integers(1, 60))
+    x = rng.integers(0, int(rng.integers(2, 6)), size=(n, width)) \
+        * rng.choice([1.0, 0.5, -3.0], size=width)
+    x[:, rng.random(width) < 0.4] = 0.0  # constant columns
+    if seed % 2:
+        x[:, : width // 2] = rng.normal(size=(n, width // 2))
+    y = rng.integers(0, int(rng.integers(2, 9)), n)
+    return x, np.unique(y, return_inverse=True)[1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_grower_matches_per_feature_reference(seed):
+    x, y = _random_case(seed)
+    n_classes = int(y.max()) + 1
+    model = forest_mod.fit_forest(ForestSpec(trees=3), x, y,
+                                  tuple(f"c{i}" for i in range(n_classes)),
+                                  seed)
+    got = [[t.feature.tolist(), t.threshold.tolist(), t.left.tolist(),
+            t.right.tolist(), t.vote.tolist()] for t in model.trees]
+    assert got == _reference_forest(x, y, n_classes, 3, seed)
+
+
+@pytest.mark.parametrize("n,width,n_classes", [(300, 400, 10), (10, 0, 2)])
+def test_grower_matches_reference_on_edge_shapes(n, width, n_classes):
+    # 400 columns and 10 classes: large nodes count classes per run of
+    # equal values, small ones through one-hot rows.  No columns: every
+    # tree is one leaf.
+    rng = np.random.default_rng(99)
+    x = rng.poisson(0.3, size=(n, width)).astype(float)
+    y = rng.integers(0, n_classes, n)
+    labels = tuple(f"c{i}" for i in range(n_classes))
+    model = forest_mod.fit_forest(ForestSpec(trees=2), x, y, labels, 5)
+    got = [[t.feature.tolist(), t.threshold.tolist(), t.left.tolist(),
+            t.right.tolist(), t.vote.tolist()] for t in model.trees]
+    assert got == _reference_forest(x, y, n_classes, 2, 5)
