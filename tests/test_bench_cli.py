@@ -8,6 +8,7 @@ import pytest
 from comulti.bench import (
     ExperimentConfig,
     auto_select,
+    canonical_json,
     infer_csv_schema,
     load_config,
     parse_config_text,
@@ -76,6 +77,65 @@ def test_parse_config_text_full():
     assert cfg.undersample_fraction == 0.8
     assert cfg.trees == 50 and cfg.degree == 2
     assert cfg.thresholds["binary"] == (0.9, 1.0, 1.0)
+
+
+EVERY_KEY = """
+name = every key
+dataset.path = d.sparse
+dataset.format = sparse
+dataset.label_column = grade
+dataset.labels_path = d.labels
+dataset.schema = schema.json
+model = cmcm
+sampling = over-under
+split = 0.75
+seed = 9
+seeds = 3
+majority = a, b
+delta = 0.01
+delta_per_factor = yes
+smote.k_neighbors = 4
+smote.rate = 2.5
+undersample.fraction = 0.8
+forest.trees = 50
+smo.degree = 2
+smo.c = 0.5
+smo.tol = 0.0001
+smo.max_iter = 1000
+thresholds.binary = 0.9, 1.0, 1.0
+thresholds.multi = 0.8, 1.0, 1.0
+thresholds.b = 1.0, 1.0, 1.0
+thresholds.m1 = 0.7, 1.0, 1.0
+thresholds.m2 = 0.6, 1.0, 1.0
+thresholds.m3 = 0.5, 1.0, 1.0
+"""
+
+
+def test_config_to_dict_golden_default():
+    cfg = ExperimentConfig(dataset_path="data.csv")
+    assert canonical_json(cfg.to_dict()) == (
+        '{"c":1.0,"dataset_format":"csv","dataset_path":"data.csv",'
+        '"degree":1,"delta":0.001,"label_column":"label","labels_path":null,'
+        '"majority_override":null,"max_iter":200000,"model":"auto",'
+        '"name":null,"per_factor_delta":false,"sampling":"none",'
+        '"schema_path":null,"seed":0,"seeds":1,"smote_k":5,"smote_rate":1.0,'
+        '"split_fraction":0.8,"thresholds":{},"tol":0.001,"trees":100,'
+        '"undersample_fraction":0.9}\n')
+
+
+def test_config_to_dict_golden_every_key():
+    cfg = ExperimentConfig(**parse_config_text(EVERY_KEY))
+    assert canonical_json(cfg.to_dict()) == (
+        '{"c":0.5,"dataset_format":"sparse","dataset_path":"d.sparse",'
+        '"degree":2,"delta":0.01,"label_column":"grade",'
+        '"labels_path":"d.labels","majority_override":["a","b"],'
+        '"max_iter":1000,"model":"cmcm","name":"every key",'
+        '"per_factor_delta":true,"sampling":"over-under",'
+        '"schema_path":"schema.json","seed":9,"seeds":3,"smote_k":4,'
+        '"smote_rate":2.5,"split_fraction":0.75,"thresholds":{'
+        '"b":[1.0,1.0,1.0],"binary":[0.9,1.0,1.0],"m1":[0.7,1.0,1.0],'
+        '"m2":[0.6,1.0,1.0],"m3":[0.5,1.0,1.0],"multi":[0.8,1.0,1.0]},'
+        '"tol":0.0001,"trees":50,"undersample_fraction":0.8}\n')
 
 
 @pytest.mark.parametrize("line,err", [
