@@ -12,7 +12,6 @@ from .classifiers import (
     ForestSpec,
     ProbDist,
     SmoSpec,
-    combine_max_confidence,
     default_stage_specs,
     load_model,
     save_model,

@@ -11,9 +11,11 @@ human-readable output only).
 from __future__ import annotations
 
 import json
+import math
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,17 +45,24 @@ from .sampling import SmoteConfig, UndersampleConfig, smote, undersample
 
 MODELS = ("auto", "cmc", "cmcm", "baseline-rf", "baseline-smo")
 SAMPLINGS = ("none", "over", "under", "over-under")
+FORMATS = ("csv", "sparse")
 
 _THRESHOLD_LAYERS = ("binary", "multi", "b", "m1", "m2", "m3")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs; every field has a config-file key and a
-    CLI flag, with flags winning."""
+    """Everything one run needs.
+
+    Each field has one config-file key, its name unless ``_KEYS`` renames
+    it; ``thresholds`` is filled by ``thresholds.<layer>`` lines.  The CLI has flags for the
+    dataset fields, ``model``, ``sampling``, ``seed``, ``seeds``, ``split``,
+    ``majority`` and ``delta``, and they win over the file; the other keys
+    are set in a config file only.
+    """
 
     dataset_path: str
-    dataset_format: str = "csv"  # csv | sparse
+    dataset_format: str = "csv"  # one of FORMATS
     label_column: str = "label"
     labels_path: Optional[str] = None
     schema_path: Optional[str] = None
@@ -77,7 +86,13 @@ class ExperimentConfig:
     name: Optional[str] = None
 
     def __post_init__(self):
-        if self.dataset_format not in ("csv", "sparse"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and not (math.isfinite(value) and value >= 0)):
+                raise ConfigError(f"{_config_key(f.name)} must be a finite "
+                                  f"number >= 0, got {value}")
+        if self.dataset_format not in FORMATS:
             raise ConfigError(f"unknown dataset format {self.dataset_format!r}")
         if self.dataset_format == "sparse" and not self.labels_path:
             raise ConfigError("sparse datasets need a labels file")
@@ -93,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be >= 1")
         if self.delta <= 0:
             raise ConfigError("delta must be > 0")
+        if self.majority_override is not None and not self.majority_override:
+            raise ConfigError("the majority override names no class")
         for layer in self.thresholds:
             if layer not in _THRESHOLD_LAYERS:
                 raise ConfigError(f"unknown threshold layer {layer!r}")
@@ -106,85 +123,69 @@ class ExperimentConfig:
         return f"{self.model}{tag}"
 
     def to_dict(self) -> dict:
-        doc = {
-            "dataset_path": self.dataset_path,
-            "dataset_format": self.dataset_format,
-            "label_column": self.label_column,
-            "labels_path": self.labels_path,
-            "schema_path": self.schema_path,
-            "model": self.model,
-            "sampling": self.sampling,
-            "split_fraction": self.split_fraction,
-            "seed": self.seed,
-            "seeds": self.seeds,
-            "majority_override": list(self.majority_override)
-            if self.majority_override else None,
-            "thresholds": {k: list(v) for k, v in sorted(self.thresholds.items())},
-            "delta": self.delta,
-            "per_factor_delta": self.per_factor_delta,
-            "smote_k": self.smote_k,
-            "smote_rate": self.smote_rate,
-            "undersample_fraction": self.undersample_fraction,
-            "trees": self.trees,
-            "degree": self.degree,
-            "c": self.c,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "name": self.name,
-        }
-        return doc
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
+def _jsonable(value):
+    if isinstance(value, dict):  # thresholds
+        return {k: list(v) for k, v in sorted(value.items())}
+    return list(value) if isinstance(value, tuple) else value
 
 
 # ---------------------------------------------------------------------------
 # Config file parsing: flat `key = value` lines with dotted sections.
 
-_KEY_ALIASES = {
-    "dataset.path": "dataset_path",
-    "dataset.format": "dataset_format",
-    "dataset.label_column": "label_column",
-    "dataset.labels_path": "labels_path",
-    "dataset.schema": "schema_path",
-    "model": "model",
-    "sampling": "sampling",
-    "split": "split_fraction",
-    "seed": "seed",
-    "seeds": "seeds",
-    "majority": "majority_override",
-    "delta": "delta",
-    "delta_per_factor": "per_factor_delta",
-    "smote.k_neighbors": "smote_k",
-    "smote.rate": "smote_rate",
-    "undersample.fraction": "undersample_fraction",
-    "forest.trees": "trees",
-    "smo.degree": "degree",
-    "smo.c": "c",
-    "smo.tol": "tol",
-    "smo.max_iter": "max_iter",
-    "name": "name",
+# Config-file key of each field whose key is not the field name.
+_KEYS = {
+    "dataset_path": "dataset.path",
+    "dataset_format": "dataset.format",
+    "label_column": "dataset.label_column",
+    "labels_path": "dataset.labels_path",
+    "schema_path": "dataset.schema",
+    "split_fraction": "split",
+    "majority_override": "majority",
+    "per_factor_delta": "delta_per_factor",
+    "smote_k": "smote.k_neighbors",
+    "smote_rate": "smote.rate",
+    "undersample_fraction": "undersample.fraction",
+    "trees": "forest.trees",
+    "degree": "smo.degree",
+    "c": "smo.c",
+    "tol": "smo.tol",
+    "max_iter": "smo.max_iter",
 }
 
-_INT_FIELDS = {"seed", "seeds", "smote_k", "trees", "degree", "max_iter"}
-_FLOAT_FIELDS = {"split_fraction", "delta", "smote_rate",
-                 "undersample_fraction", "c", "tol"}
-_BOOL_FIELDS = {"per_factor_delta"}
+
+def _config_key(field_name: str) -> str:
+    return _KEYS.get(field_name, field_name)
 
 
-def _parse_value(field_name: str, raw: str):
+_TYPES = typing.get_type_hints(ExperimentConfig)
+_FIELD_OF_KEY = {_config_key(f.name): f.name for f in fields(ExperimentConfig)
+                 if f.name != "thresholds"}
+
+
+def parse_field(field_name: str, raw: str):
+    """A config value for a field, parsed by the field's type
+    (``Optional[T]`` as ``T``; a tuple is a comma-separated list)."""
+    kind = _TYPES[field_name]
+    if typing.get_origin(kind) is typing.Union:
+        kind = typing.get_args(kind)[0]
+    kind = typing.get_origin(kind) or kind
     raw = raw.strip()
-    try:
-        if field_name in _INT_FIELDS:
-            return int(raw)
-        if field_name in _FLOAT_FIELDS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"bad numeric value {raw!r} for {field_name}") from None
-    if field_name in _BOOL_FIELDS:
+    if kind is bool:
         if raw.lower() in ("true", "yes", "1"):
             return True
         if raw.lower() in ("false", "no", "0"):
             return False
-        raise ConfigError(f"bad boolean {raw!r} for {field_name}")
-    if field_name == "majority_override":
+        raise ConfigError(f"bad boolean {raw!r} for {_config_key(field_name)}")
+    if kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"bad numeric value {raw!r} for "
+                              f"{_config_key(field_name)}") from None
+    if kind is tuple:
         return tuple(v.strip() for v in raw.split(",") if v.strip())
     return raw
 
@@ -208,10 +209,9 @@ def parse_config_text(text: str, base: Optional[dict] = None) -> dict:
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad threshold list") from None
             continue
-        if key not in _KEY_ALIASES:
+        if key not in _FIELD_OF_KEY:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        field_name = _KEY_ALIASES[key]
-        kwargs[field_name] = _parse_value(field_name, raw)
+        kwargs[_FIELD_OF_KEY[key]] = parse_field(_FIELD_OF_KEY[key], raw)
     if thresholds:
         kwargs["thresholds"] = thresholds
     return kwargs

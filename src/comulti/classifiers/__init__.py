@@ -16,7 +16,6 @@ from .base import (
     ProbDist,
     SmoSpec,
     TrainedCombiner,
-    combine_max_confidence,
     combine_rows,
 )
 from .forest import TrainedForest, fit_forest
@@ -32,7 +31,6 @@ __all__ = [
     "TrainedCombiner",
     "TrainedForest",
     "TrainedSmo",
-    "combine_max_confidence",
     "combine_rows",
     "default_stage_specs",
     "fit",
@@ -78,18 +76,12 @@ def fit(spec: ClassifierSpec, ds: Dataset, seed: int) -> Classifier:
 
 
 def model_to_dict(model: Classifier) -> dict:
-    if isinstance(model, (TrainedForest, TrainedSmo)):
-        doc = model.to_dict()
-    elif isinstance(model, TrainedCombiner):
-        doc = {
-            "kind": "max_confidence_pair",
-            "left": model.spec.left,
-            "right": model.spec.right,
-            "a": model_to_dict(model.a),
-            "b": model_to_dict(model.b),
-        }
-    else:
-        raise DataError(f"cannot serialize {type(model).__name__}")
+    """A forest or margin classifier as JSON.  A combiner has no form of
+    its own: its multistage model saves it as a reference to two stages."""
+    if not isinstance(model, (TrainedForest, TrainedSmo)):
+        raise DataError(f"cannot serialize {type(model).__name__} on its "
+                        "own; a combiner is saved with its multistage model")
+    doc = model.to_dict()
     doc["format_version"] = MODEL_FORMAT_VERSION
     return doc
 
@@ -103,7 +95,7 @@ def model_from_dict(doc: dict) -> Classifier:
         return TrainedForest.from_dict(doc)
     if kind == "smo_margin":
         return TrainedSmo.from_dict(doc)
-    if kind == "max_confidence_pair":
+    if kind == "max_confidence_pair":  # standalone combiners in older files
         return TrainedCombiner(
             CombinerSpec(left=doc["left"], right=doc["right"]),
             model_from_dict(doc["a"]),

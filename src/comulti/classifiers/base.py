@@ -138,19 +138,12 @@ def _as_row(x, expected) -> np.ndarray:
     return arr
 
 
-def combine_max_confidence(a: ProbDist, b: ProbDist) -> ProbDist:
-    """Pick whichever distribution is more confident; ties keep the first."""
-    if a.space != b.space:
-        raise DataError(f"label space mismatch: {a.space} vs {b.space}")
-    return a if a.confidence >= b.confidence else b
-
-
 class TrainedCombiner(Classifier):
     """Pair combiner bound to two already-trained stage models."""
 
     def __init__(self, spec: CombinerSpec, a: Classifier, b: Classifier):
         if a.space != b.space:
-            raise DataError("combined stages must share one label space")
+            raise DataError(f"label space mismatch: {a.space} vs {b.space}")
         self.spec = spec
         self.a = a
         self.b = b
@@ -162,6 +155,7 @@ class TrainedCombiner(Classifier):
 
 
 def combine_rows(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Row-wise max-confidence combination of two (n, k) probability arrays."""
+    """Row-wise max-confidence combination of two (n, k) probability
+    arrays: each row keeps the more confident side, the first on ties."""
     keep_a = pa.max(axis=1) >= pb.max(axis=1)
     return np.where(keep_a[:, None], pa, pb)

@@ -9,12 +9,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from .bench import (
+    FORMATS,
+    MODELS,
+    SAMPLINGS,
     ExperimentConfig,
     load_config,
     load_dataset,
+    parse_field,
     run_experiment,
     run_grid,
     run_many,
@@ -32,56 +38,51 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _field_flag(p: argparse.ArgumentParser, flag: str, field: str, **kw):
+    """A flag that sets config field ``field``, parsed as the config file
+    parses it."""
+    p.add_argument(flag, dest=field, type=partial(parse_field, field), **kw)
+
+
 def _add_dataset_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dataset", help="dataset path (csv, or sparse matrix file)")
-    p.add_argument("--format", choices=("csv", "sparse"), dest="format_")
-    p.add_argument("--label-column", help="label column name for csv datasets")
-    p.add_argument("--labels", help="labels file for sparse datasets")
-    p.add_argument("--schema", help="JSON feature schema for csv datasets")
+    _field_flag(p, "--dataset", "dataset_path",
+                help="dataset path (csv, or sparse matrix file)")
+    _field_flag(p, "--format", "dataset_format", choices=FORMATS)
+    _field_flag(p, "--label-column", "label_column",
+                help="label column name for csv datasets")
+    _field_flag(p, "--labels", "labels_path",
+                help="labels file for sparse datasets")
+    _field_flag(p, "--schema", "schema_path",
+                help="JSON feature schema for csv datasets")
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
     _add_dataset_flags(p)
-    p.add_argument("--model",
-                   choices=("auto", "cmc", "cmcm", "baseline-rf", "baseline-smo"))
-    p.add_argument("--sampling", choices=("none", "over", "under", "over-under"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", type=int, metavar="N",
-                   help="run N consecutive seeds and report mean±std")
-    p.add_argument("--split", type=float, help="train fraction (default 0.8)")
-    p.add_argument("--majority", metavar="k1,k2,...",
-                   help="majority-class override (label names)")
-    p.add_argument("--delta", type=float, help="smoothing for SG-Mean")
+    _field_flag(p, "--model", "model", choices=MODELS)
+    _field_flag(p, "--sampling", "sampling", choices=SAMPLINGS)
+    _field_flag(p, "--seed", "seed")
+    _field_flag(p, "--seeds", "seeds", metavar="N",
+                help="run N consecutive seeds and report mean±std")
+    _field_flag(p, "--split", "split_fraction",
+                help="train fraction (default 0.8)")
+    _field_flag(p, "--majority", "majority_override", metavar="k1,k2,...",
+                help="majority-class override (label names)")
+    _field_flag(p, "--delta", "delta", help="smoothing for SG-Mean")
     p.add_argument("--out", help="write output to this file")
     p.add_argument("--json", action="store_true", help="structured JSON output")
 
 
-def _overrides(args) -> dict:
-    majority = None
-    if args.majority is not None:
-        majority = tuple(v.strip() for v in args.majority.split(",") if v.strip())
-    return {
-        "dataset_path": args.dataset,
-        "dataset_format": args.format_,
-        "label_column": args.label_column,
-        "labels_path": args.labels,
-        "schema_path": args.schema,
-        "model": args.model,
-        "sampling": args.sampling,
-        "seed": args.seed,
-        "seeds": args.seeds,
-        "split_fraction": args.split,
-        "majority_override": majority,
-        "delta": args.delta,
-    }
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        return load_config(args.config, _overrides(args))
-    over = {k: v for k, v in _overrides(args).items() if v is not None}
+    """The config file, if any, with every config field a flag set."""
+    over = {k: v for k, v in vars(args).items()
+            if k in _FIELDS and v is not None}
+    if getattr(args, "config", None):
+        return load_config(args.config, over)
     if "dataset_path" not in over:
-        raise ConfigError("--dataset (or a config file) is required")
+        raise ConfigError("--dataset is required")
     return ExperimentConfig(**over)
 
 
@@ -137,42 +138,17 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    cfg_kwargs = {"dataset_path": args.dataset, "label_column": "label"}
-    if args.format_:
-        cfg_kwargs["dataset_format"] = args.format_
-    if args.label_column:
-        cfg_kwargs["label_column"] = args.label_column
-    if args.labels:
-        cfg_kwargs["labels_path"] = args.labels
-    if args.schema:
-        cfg_kwargs["schema_path"] = args.schema
-    if args.dataset is None:
-        raise ConfigError("--dataset is required")
-    cfg = ExperimentConfig(**cfg_kwargs)
-    ds = load_dataset(cfg)
-    majority = None
-    if args.majority:
-        majority = tuple(v.strip() for v in args.majority.split(",") if v.strip())
-    stats = class_stats(ds, majority)
+    cfg = _config_from_args(args)
+    stats = class_stats(load_dataset(cfg), cfg.majority_override)
     _emit(stats.describe(), args.out)
     return 0
 
 
 def _cmd_convert(args) -> int:
-    if args.dataset is None:
-        raise ConfigError("--dataset is required")
-    cfg_kwargs = {
-        "dataset_path": args.dataset,
-        "dataset_format": args.format_ or "csv",
-        "label_column": args.label_column or "label",
-    }
-    if args.labels:
-        cfg_kwargs["labels_path"] = args.labels
-    if args.schema:
-        cfg_kwargs["schema_path"] = args.schema
-    ds = load_dataset(ExperimentConfig(**cfg_kwargs))
+    cfg = _config_from_args(args)
+    ds = load_dataset(cfg)
     if args.to == "csv":
-        write_csv(ds, args.out, label_column=args.label_column or "label")
+        write_csv(ds, args.out, label_column=cfg.label_column)
     else:
         out = Path(args.out)
         labels_out = args.labels_out or str(out) + ".labels"
@@ -197,7 +173,8 @@ def build_parser() -> _Parser:
 
     p_prof = sub.add_parser("profile", help="print class statistics")
     _add_dataset_flags(p_prof)
-    p_prof.add_argument("--majority", metavar="k1,k2,...")
+    _field_flag(p_prof, "--majority", "majority_override",
+                metavar="k1,k2,...")
     p_prof.add_argument("--out")
 
     p_conv = sub.add_parser("convert", help="convert csv <-> sparse")

@@ -19,7 +19,32 @@ import numpy as np
 from .classifiers import ClassifierSpec, default_stage_specs
 from .dataset import BINARY, FULL, ClassStats, Dataset, LabelView, apply_view, make_view
 from .errors import DataError
-from .multistage import MultistageModel, StageThresholds, fit_multistage
+from .multistage import (
+    MultistageModel,
+    StageThresholds,
+    fit_multistage,
+    single_row,
+    take_rows,
+)
+
+LAYERS = ("binary", "multi")
+
+
+@dataclass(frozen=True)
+class CmcRouting:
+    """Per-row result of :meth:`CmcModel.route`.
+
+    ``layer`` indexes ``LAYERS``; ``stage_used`` is the stage of the layer
+    that decided; ``layer_stages`` maps each layer to its per-row stages,
+    0 where the layer was not evaluated.
+    """
+
+    labels: np.ndarray
+    layer: np.ndarray
+    stage_used: np.ndarray
+    p_majority: np.ndarray
+    p_minority: np.ndarray
+    layer_stages: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -49,45 +74,40 @@ class CmcModel:
         self.stats = stats
         self.majority_class = stats.majority[0]
 
-    def predict_batch(self, x) -> tuple[np.ndarray, dict]:
-        """Labels for a batch plus routing info.
-
-        The multiclass layer is evaluated lazily, only on rows the binary
-        gate does not settle.
-        """
-        n = x.shape[0]
+    def route(self, x) -> CmcRouting:
+        """Route every row of a batch through the gate and, for the rows
+        it does not settle, the multiclass layer (evaluated lazily)."""
         b_dists, b_stages = self.binary.predict_batch(x)
-        maj_wins = b_dists[:, 0] > b_dists[:, 1]  # strict: ties fall through
-        labels = np.empty(n, dtype=np.int64)
-        labels[maj_wins] = self.majority_class
-        multi_rows = np.nonzero(~maj_wins)[0]
-        m_stages = np.zeros(n, dtype=np.int64)
-        if multi_rows.size:
-            m_dists, used = self.multi.predict_batch(x[multi_rows])
-            labels[multi_rows] = np.argmax(m_dists, axis=1)
-            m_stages[multi_rows] = used
-        info = {
-            "layer_counts": {
-                "binary": int(maj_wins.sum()),
-                "multi": int(multi_rows.size),
-            },
-            "binary_stage_histogram": self.binary.stage_histogram(b_stages),
-            "multi_stage_histogram": self.multi.stage_histogram(
-                m_stages[multi_rows]
-            ) if multi_rows.size else [0] * self.multi.n_stages,
-        }
-        return labels, info
+        gated = b_dists[:, 0] > b_dists[:, 1]  # strict: ties fall through
+        labels = np.full(x.shape[0], self.majority_class, dtype=np.int64)
+        m_stages = np.zeros_like(b_stages)
+        rows = np.nonzero(~gated)[0]
+        if rows.size:
+            m_dists, used = self.multi.predict_batch(take_rows(x, rows))
+            labels[rows] = np.argmax(m_dists, axis=1)
+            m_stages[rows] = used
+        return CmcRouting(labels, (~gated).astype(np.int64),
+                          np.where(gated, b_stages, m_stages),
+                          b_dists[:, 0], b_dists[:, 1],
+                          {"binary": b_stages, "multi": m_stages})
+
+    def predict_batch(self, x) -> tuple[np.ndarray, dict]:
+        """Labels for a batch plus layer counts and per-layer stage
+        histograms."""
+        r = self.route(x)
+        counts = np.bincount(r.layer, minlength=len(LAYERS)).tolist()
+        info = {"layer_counts": dict(zip(LAYERS, counts))}
+        for name, stages in r.layer_stages.items():
+            info[f"{name}_stage_histogram"] = getattr(
+                self, name).stage_histogram(stages)
+        return r.labels, info
 
     def predict(self, x) -> tuple[int, CmcExplanation]:
         """Single-instance prediction with an explanation record."""
-        row = x.reshape(1, -1) if getattr(x, "ndim", 1) == 1 else x
-        b = self.binary.predict(row)
-        p_maj, p_min = float(b.dist.p[0]), float(b.dist.p[1])
-        if p_maj > p_min:
-            return self.majority_class, CmcExplanation(
-                "binary", b.stage_used, p_maj, p_min)
-        m = self.multi.predict(row)
-        return m.dist.top, CmcExplanation("multi", m.stage_used, p_maj, p_min)
+        r = self.route(single_row(x))
+        return int(r.labels[0]), CmcExplanation(
+            LAYERS[r.layer[0]], int(r.stage_used[0]),
+            float(r.p_majority[0]), float(r.p_minority[0]))
 
     def to_dict(self) -> dict:
         return {

@@ -38,11 +38,38 @@ from .dataset import (
     make_view,
 )
 from .errors import DataError
-from .multistage import MultistageModel, StageThresholds, fit_multistage
+from .multistage import (
+    MultistageModel,
+    StageThresholds,
+    fit_multistage,
+    single_row,
+    take_rows,
+)
 
 BRANCH_MAJORITY = "majority_consensus"   # m1 answers
 BRANCH_MINORITY = "minority_consensus"   # m2 answers
 BRANCH_FALLBACK = "quorum_disagreement"  # m3 answers
+BRANCHES = (BRANCH_MAJORITY, BRANCH_MINORITY, BRANCH_FALLBACK)
+
+
+@dataclass(frozen=True)
+class CmcmRouting:
+    """Per-row result of :meth:`CmcmModel.route`.
+
+    ``branch`` indexes ``BRANCHES``; ``stage_used`` is the stage of the
+    model that answered; ``layer_stages`` maps each of b, m1, m2 and m3 to
+    its per-row stages, 0 where the model was not evaluated.
+    """
+
+    labels: np.ndarray
+    branch: np.ndarray
+    stage_used: np.ndarray
+    pseudo_resolved: np.ndarray
+    p_binary_majority: np.ndarray
+    p_binary_minority: np.ndarray
+    p_m1_cluster: np.ndarray
+    p_m2_cluster: np.ndarray
+    layer_stages: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -82,57 +109,49 @@ class CmcmModel:
         self._m1_slot_to_orig = np.array(stats.minority, dtype=np.int64)
         self._m2_slot_to_orig = np.array(stats.majority, dtype=np.int64)
 
-    def predict_batch(self, x) -> tuple[np.ndarray, dict]:
-        """Labels plus branch-routing statistics for a batch."""
-        n = x.shape[0]
+    def route(self, x) -> CmcmRouting:
+        """Route every row of a batch through the quorum; ``m3`` is
+        evaluated only on the rows the quorum sends to it."""
         db, sb = self.b.predict_batch(x)
         d1, s1 = self.m1.predict_batch(x)
         d2, s2 = self.m2.predict_batch(x)
-        p_b_maj = db[:, 0]
-        p_b_min = db[:, 1]
-        p_m1_cluster = d1[:, 0]
-        p_m2_cluster = d2[:, 0]
-        case1 = (p_b_maj > p_b_min) & (p_m1_cluster > p_m2_cluster)
-        case2 = (p_b_maj < p_b_min) & (p_m1_cluster < p_m2_cluster)
-        case3 = ~(case1 | case2)
+        p_b_maj, p_b_min = db[:, 0], db[:, 1]
+        p1, p2 = d1[:, 0], d2[:, 0]
+        majority = (p_b_maj > p_b_min) & (p1 > p2)
+        minority = (p_b_maj < p_b_min) & (p1 < p2)
+        branch = np.select([majority, minority], [0, 1], 2)  # in BRANCHES
 
-        labels = np.empty(n, dtype=np.int64)
-        pseudo = np.zeros(n, dtype=bool)
-        stage_used = np.zeros(n, dtype=np.int64)
-
-        rows = np.nonzero(case1)[0]
-        if rows.size:
+        labels = np.empty(x.shape[0], dtype=np.int64)
+        pseudo = np.zeros(x.shape[0], dtype=bool)
+        for rows, picked, members, other, other_members in (
+                (np.nonzero(majority)[0], d1, self._m1_slot_to_orig,
+                 d2, self._m2_slot_to_orig),
+                (np.nonzero(minority)[0], d2, self._m2_slot_to_orig,
+                 d1, self._m1_slot_to_orig)):
             labels[rows], pseudo[rows] = self._resolve_cluster_pick(
-                d1[rows], self._m1_slot_to_orig, d2[rows], self._m2_slot_to_orig
-            )
-            stage_used[rows] = s1[rows]
-        rows = np.nonzero(case2)[0]
+                picked[rows], members, other[rows], other_members)
+        s3 = np.zeros_like(sb)
+        rows = np.nonzero(branch == 2)[0]
         if rows.size:
-            labels[rows], pseudo[rows] = self._resolve_cluster_pick(
-                d2[rows], self._m2_slot_to_orig, d1[rows], self._m1_slot_to_orig
-            )
-            stage_used[rows] = s2[rows]
-        rows = np.nonzero(case3)[0]
-        m3_hist = [0] * self.m3.n_stages
-        if rows.size:
-            d3, s3 = self.m3.predict_batch(x[rows])
+            d3, used = self.m3.predict_batch(take_rows(x, rows))
             labels[rows] = np.argmax(d3, axis=1)
-            stage_used[rows] = s3
-            m3_hist = self.m3.stage_histogram(s3)
+            s3[rows] = used
+        return CmcmRouting(labels, branch, np.choose(branch, (s1, s2, s3)),
+                           pseudo, p_b_maj, p_b_min, p1, p2,
+                           {"b": sb, "m1": s1, "m2": s2, "m3": s3})
 
+    def predict_batch(self, x) -> tuple[np.ndarray, dict]:
+        """Labels plus branch-routing statistics for a batch."""
+        r = self.route(x)
+        counts = np.bincount(r.branch, minlength=len(BRANCHES)).tolist()
         info = {
-            "branch_counts": {
-                BRANCH_MAJORITY: int(case1.sum()),
-                BRANCH_MINORITY: int(case2.sum()),
-                BRANCH_FALLBACK: int(case3.sum()),
-            },
-            "pseudo_label_resolutions": int(pseudo.sum()),
-            "b_stage_histogram": self.b.stage_histogram(sb),
-            "m1_stage_histogram": self.m1.stage_histogram(s1),
-            "m2_stage_histogram": self.m2.stage_histogram(s2),
-            "m3_stage_histogram": m3_hist,
+            "branch_counts": dict(zip(BRANCHES, counts)),
+            "pseudo_label_resolutions": int(r.pseudo_resolved.sum()),
         }
-        return labels, info
+        for name, stages in r.layer_stages.items():
+            info[f"{name}_stage_histogram"] = getattr(
+                self, name).stage_histogram(stages)
+        return r.labels, info
 
     @staticmethod
     def _resolve_cluster_pick(picked: np.ndarray, picked_members: np.ndarray,
@@ -156,26 +175,12 @@ class CmcmModel:
 
     def predict(self, x) -> tuple[int, CmcmExplanation]:
         """Single-instance prediction with a routing explanation."""
-        row = x.reshape(1, -1) if getattr(x, "ndim", 1) == 1 else x
-        db, sb = self.b.predict_batch(row)
-        d1, s1 = self.m1.predict_batch(row)
-        d2, s2 = self.m2.predict_batch(row)
-        p_b_maj, p_b_min = float(db[0, 0]), float(db[0, 1])
-        p1, p2 = float(d1[0, 0]), float(d2[0, 0])
-        if p_b_maj > p_b_min and p1 > p2:
-            branch, stage = BRANCH_MAJORITY, int(s1[0])
-            label, pseudo = self._resolve_cluster_pick(
-                d1, self._m1_slot_to_orig, d2, self._m2_slot_to_orig)
-        elif p_b_maj < p_b_min and p1 < p2:
-            branch, stage = BRANCH_MINORITY, int(s2[0])
-            label, pseudo = self._resolve_cluster_pick(
-                d2, self._m2_slot_to_orig, d1, self._m1_slot_to_orig)
-        else:
-            d3, s3 = self.m3.predict_batch(row)
-            branch, stage = BRANCH_FALLBACK, int(s3[0])
-            label, pseudo = np.argmax(d3, axis=1), np.zeros(1, dtype=bool)
-        return int(label[0]), CmcmExplanation(
-            branch, stage, bool(pseudo[0]), p_b_maj, p_b_min, p1, p2)
+        r = self.route(single_row(x))
+        return int(r.labels[0]), CmcmExplanation(
+            BRANCHES[r.branch[0]], int(r.stage_used[0]),
+            bool(r.pseudo_resolved[0]), float(r.p_binary_majority[0]),
+            float(r.p_binary_minority[0]), float(r.p_m1_cluster[0]),
+            float(r.p_m2_cluster[0]))
 
     def to_dict(self) -> dict:
         return {

@@ -100,7 +100,7 @@ class MultistageModel:
                     dists = combine_rows(cache[spec.left][remaining],
                                          cache[spec.right][remaining])
                 else:
-                    dists = clf.predict_proba_batch(_rows(x, remaining))
+                    dists = clf.predict_proba_batch(take_rows(x, remaining))
                 stage_out[remaining] = dists
             cache.append(stage_out)
             if remaining.size == 0:
@@ -116,10 +116,7 @@ class MultistageModel:
 
     def predict(self, x) -> StagedPrediction:
         """Walk the stages for a single feature vector."""
-        row = x.reshape(1, -1) if getattr(x, "ndim", 1) == 1 else x
-        if row.shape[0] != 1:
-            raise DataError("expected a single feature vector")
-        dists, used = self.predict_batch(row)
+        dists, used = self.predict_batch(single_row(x))
         return StagedPrediction(ProbDist(self.space, dists[0]), int(used[0]))
 
     def stage_histogram(self, stage_used: np.ndarray) -> list[int]:
@@ -150,8 +147,18 @@ class MultistageModel:
         return MultistageModel(stages, StageThresholds(tuple(doc["thresholds"])))
 
 
-def _rows(x, idx: np.ndarray):
-    return x[idx]
+def take_rows(x, rows: np.ndarray):
+    """``x[rows]`` for increasing row ids; ``x`` itself when they are all
+    of its rows, so a step that passes every row on copies nothing."""
+    return x if rows.size == x.shape[0] else x[rows]
+
+
+def single_row(x):
+    """One feature vector as a one-row batch."""
+    row = x.reshape(1, -1) if getattr(x, "ndim", 1) == 1 else x
+    if row.shape[0] != 1:
+        raise DataError("expected a single feature vector")
+    return row
 
 
 def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,

@@ -24,23 +24,20 @@ class SmoteConfig:
     """Nearest-neighbor oversampling parameters.
 
     ``rate`` is the number of synthetic instances per minority instance;
-    fractional parts are rounded stochastically per instance.  ``metric`` is
-    a hook for the neighbor distance; only unnormalized Euclidean distance on
-    the raw encoded features is implemented.
+    fractional parts are rounded stochastically per instance.  Neighbors
+    are the ``k_neighbors`` nearest same-class rows by unnormalized
+    Euclidean distance on the raw encoded features.
     """
 
     k_neighbors: int = 5
     rate: float = 1.0
     seed: int = 0
-    metric: str = "euclidean"
 
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise DataError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.rate <= 0:
             raise DataError(f"rate must be > 0, got {self.rate}")
-        if self.metric != "euclidean":
-            raise DataError(f"unsupported neighbor metric {self.metric!r}")
 
 
 @dataclass(frozen=True)

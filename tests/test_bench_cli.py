@@ -417,3 +417,33 @@ def test_cli_non_utf8_sparse_and_config(tmp_path, capsys):
     conf.write_bytes(b"model = cmc\xff\n")
     assert main(["run", "--config", str(conf)]) == 1
     _one_line_error(capsys, "config error:")
+
+
+def test_cli_empty_majority_override_is_config_error(blobs_csv, tmp_path,
+                                                     capsys):
+    # An empty override would make every class minority while the run JSON
+    # recorded no override at all.
+    for cmd in ("run", "profile"):
+        assert main([cmd, "--dataset", str(blobs_csv), "--majority", ""]) == 1
+        _one_line_error(capsys, "config error:")
+    conf = tmp_path / "empty.conf"
+    conf.write_text(f"dataset.path = {blobs_csv}\nmajority = ,\n")
+    assert main(["run", "--config", str(conf)]) == 1
+    _one_line_error(capsys, "config error:")
+
+
+@pytest.mark.parametrize("line", [
+    "seed = -1", "smote.rate = inf", "delta = nan", "delta = inf",
+    "smo.c = nan", "smo.tol = nan", "forest.trees = -3",
+])
+def test_cli_bad_numeric_config_is_config_error(blobs_csv, tmp_path, capsys,
+                                                line):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"dataset.path = {blobs_csv}\nsampling = over\n{line}\n")
+    assert main(["run", "--config", str(conf)]) == 1
+    _one_line_error(capsys, "config error:")
+
+
+def test_cli_negative_seed_flag_is_config_error(blobs_csv, capsys):
+    assert main(["run", "--dataset", str(blobs_csv), "--seed", "-1"]) == 1
+    _one_line_error(capsys, "config error:")

@@ -7,14 +7,15 @@ from comulti.classifiers import (
     ForestSpec,
     ProbDist,
     SmoSpec,
-    combine_max_confidence,
+    TrainedCombiner,
+    combine_rows,
     fit,
 )
 from comulti.classifiers import forest as forest_mod
 from comulti.classifiers.smo import _Kernel, platt_fit, solve_binary
 from comulti.errors import DataError, TrainingError
 
-from conftest import make_dataset
+from conftest import LookupStub, make_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -42,28 +43,29 @@ def test_probdist_argmax_tie_breaks_low():
     ([0.7, 0.3], [0.3, 0.7], [0.7, 0.3]),  # tie on max: first wins
 ])
 def test_combine_max_confidence(a, b, expect):
-    space = ("x", "y")
-    got = combine_max_confidence(ProbDist(space, np.array(a)),
-                                 ProbDist(space, np.array(b)))
-    assert got.p.tolist() == expect
+    got = combine_rows(np.array([a]), np.array([b]))
+    assert got.tolist() == [expect]
+    comb = TrainedCombiner(CombinerSpec(), LookupStub(("x", "y"), [a]),
+                           LookupStub(("x", "y"), [b]))
+    assert comb.predict_proba_batch(np.zeros((1, 1))).tolist() == [expect]
 
 
 def test_combine_space_mismatch():
     with pytest.raises(DataError, match="mismatch"):
-        combine_max_confidence(ProbDist(("a", "b"), np.array([1.0, 0.0])),
-                               ProbDist(("a", "c"), np.array([1.0, 0.0])))
+        TrainedCombiner(CombinerSpec(), LookupStub(("a", "b"), [[1.0, 0.0]]),
+                        LookupStub(("a", "c"), [[1.0, 0.0]]))
 
 
 def test_combine_idempotent_and_max_property():
     rng = np.random.default_rng(0)
-    space = ("a", "b", "c")
-    for _ in range(50):
-        pa = rng.dirichlet(np.ones(3))
-        pb = rng.dirichlet(np.ones(3))
-        a, b = ProbDist(space, pa), ProbDist(space, pb)
-        assert combine_max_confidence(a, a) is a
-        got = combine_max_confidence(a, b)
-        assert got.confidence == max(a.confidence, b.confidence)
+    pa = rng.dirichlet(np.ones(3), size=50)
+    pb = rng.dirichlet(np.ones(3), size=50)
+    assert np.array_equal(combine_rows(pa, pa), pa)
+    got = combine_rows(pa, pb)
+    assert np.array_equal(got.max(axis=1),
+                          np.maximum(pa.max(axis=1), pb.max(axis=1)))
+    # each row is one of the two inputs, never a blend
+    assert ((got == pa).all(axis=1) | (got == pb).all(axis=1)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,12 @@ def test_batch_routing_counts_and_validity():
     assert all(0 <= v < 3 for v in labels)
 
 
+def test_predict_rejects_several_rows():
+    model, _, _ = stub_cmc([[0.9, 0.1]] * 2, [[1.0, 0.0, 0.0]] * 2)
+    with pytest.raises(DataError, match="single feature vector"):
+        model.predict(np.arange(2, dtype=float)[:, None])
+
+
 def test_predict_cmc_functional_alias():
     model, _, _ = stub_cmc([[0.9, 0.1]], [[1.0, 0.0, 0.0]])
     label, info = predict_cmc(model, row(0))

@@ -225,6 +225,13 @@ def test_fit_cmcm_rejects_degenerate_stats():
         fit_cmcm(ds, class_stats(ds), seed=0)  # all-minority
 
 
+def test_predict_rejects_several_rows():
+    model, _ = stub_cmcm([[0.9, 0.1]] * 2, [[0.6, 0.2, 0.1, 0.1]] * 2,
+                         [[0.1, 0.6, 0.3]] * 2, [[0.2] * 5] * 2)
+    with pytest.raises(DataError, match="single feature vector"):
+        model.predict(np.arange(2, dtype=float)[:, None])
+
+
 def test_predict_cmcm_functional_alias():
     model, _ = stub_cmcm([[0.9, 0.1]], [[0.6, 0.2, 0.1, 0.1]],
                          [[0.1, 0.6, 0.3]], [[0.2] * 5])

@@ -6,6 +6,8 @@ masses (both broken by the strict comparisons) come up often, and a tie
 flag forces them outright.
 """
 
+from dataclasses import fields
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,3 +162,22 @@ def test_cmcm_single_row_matches_batch(case):
     assert info["branch_counts"] == branches
     assert info["pseudo_label_resolutions"] == pseudo
     assert sum(info["m3_stage_histogram"]) == branches["quorum_disagreement"]
+
+
+@SETTINGS
+@given(st.one_of(cmc_models(), cmcm_models()))
+def test_route_rows_match_single_row_route(case):
+    model, n = case
+    x = rows(n)
+    batch = model.route(x)
+    labels, _ = model.predict_batch(x)
+    assert np.array_equal(batch.labels, labels)
+    for i in range(n):
+        one = model.route(x[i:i + 1])
+        for f in fields(batch):
+            got, want = getattr(batch, f.name), getattr(one, f.name)
+            if isinstance(got, dict):  # per-layer stages
+                assert {k: v[i] for k, v in got.items()} == \
+                    {k: v[0] for k, v in want.items()}
+            else:
+                assert got[i] == want[0], f.name

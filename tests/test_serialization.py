@@ -66,12 +66,21 @@ def test_smo_sparse_round_trip(tmp_path):
 
 
 def test_combiner_round_trip(tmp_path, separable_clusters):
+    """A combiner is saved only as part of its multistage model; the nested
+    standalone form that version-1 files may hold still loads."""
     ds = separable_clusters(n_per_side=10, gap=2.0)
     a = fit(ForestSpec(trees=7), ds, seed=1)
     b = fit(SmoSpec(), ds, seed=1)
     comb = TrainedCombiner(CombinerSpec(left=0, right=1), a, b)
-    save_model(comb, tmp_path / "c.json")
-    again = load_model(tmp_path / "c.json")
+    with pytest.raises(DataError, match="multistage"):
+        save_model(comb, tmp_path / "c.json")
+    v1 = {"kind": "max_confidence_pair", "left": 0, "right": 1,
+          "a": {**a.to_dict(), "format_version": 1},
+          "b": {**b.to_dict(), "format_version": 1},
+          "format_version": 1}
+    (tmp_path / "v1.json").write_text(json.dumps(v1))
+    again = load_model(tmp_path / "v1.json")
+    assert isinstance(again, TrainedCombiner)
     x = probe(np.random.default_rng(3), 25, 2)
     assert np.array_equal(comb.predict_proba_batch(x),
                           again.predict_proba_batch(x))
