@@ -39,10 +39,6 @@ class ProbDist:
         """Argmax label id; ties break toward the lowest id."""
         return int(np.argmax(self.p))
 
-    @property
-    def confidence(self) -> float:
-        return float(self.p.max())
-
 
 @dataclass(frozen=True)
 class ForestSpec:

@@ -123,13 +123,18 @@ class CmcmModel:
 
         labels = np.empty(x.shape[0], dtype=np.int64)
         pseudo = np.zeros(x.shape[0], dtype=bool)
+        # A pick of the cluster (slot 0) is resolved by the other model's
+        # argmax over its member slots.
         for rows, picked, members, other, other_members in (
                 (np.nonzero(majority)[0], d1, self._m1_slot_to_orig,
                  d2, self._m2_slot_to_orig),
                 (np.nonzero(minority)[0], d2, self._m2_slot_to_orig,
                  d1, self._m1_slot_to_orig)):
-            labels[rows], pseudo[rows] = self._resolve_cluster_pick(
-                picked[rows], members, other[rows], other_members)
+            top = np.argmax(picked[rows], axis=1)
+            inside = np.argmax(other[rows, 1:], axis=1)
+            pseudo[rows] = top == 0
+            labels[rows] = np.where(top == 0, other_members[inside],
+                                    members[top - 1])
         s3 = np.zeros_like(sb)
         rows = np.nonzero(branch == 2)[0]
         if rows.size:
@@ -152,26 +157,6 @@ class CmcmModel:
             info[f"{name}_stage_histogram"] = getattr(
                 self, name).stage_histogram(stages)
         return r.labels, info
-
-    @staticmethod
-    def _resolve_cluster_pick(picked: np.ndarray, picked_members: np.ndarray,
-                              other: np.ndarray, other_members: np.ndarray):
-        """Argmax of the selected cluster-view distributions, with cluster
-        picks resolved inside the complementary model's member slots.
-
-        ``picked``/``other`` are (n, 1 + members) arrays whose slot 0 is the
-        cluster pseudo-label; slot ``s >= 1`` of the *other* model maps to
-        original class ``other_members[s - 1]``.
-        """
-        top = np.argmax(picked, axis=1)
-        hit_cluster = top == 0
-        labels = np.empty(picked.shape[0], dtype=np.int64)
-        direct = ~hit_cluster
-        labels[direct] = picked_members[top[direct] - 1]
-        if hit_cluster.any():
-            inside = np.argmax(other[hit_cluster][:, 1:], axis=1)
-            labels[hit_cluster] = other_members[inside]
-        return labels, hit_cluster
 
     def predict(self, x) -> tuple[int, CmcmExplanation]:
         """Single-instance prediction with a routing explanation."""
