@@ -119,7 +119,7 @@ class CmcmModel:
         p1, p2 = d1[:, 0], d2[:, 0]
         majority = (p_b_maj > p_b_min) & (p1 > p2)
         minority = (p_b_maj < p_b_min) & (p1 < p2)
-        branch = np.select([majority, minority], [0, 1], 2)  # in BRANCHES
+        branch = np.select([majority, minority], [0, 1], 2)  # BRANCHES index
 
         labels = np.empty(x.shape[0], dtype=np.int64)
         pseudo = np.zeros(x.shape[0], dtype=bool)
