@@ -1,0 +1,329 @@
+"""Golden fingerprints of fitted SMO models.
+
+Each case fits a one-vs-rest SMO model and pins the SHA-256 of its
+canonical JSON (``TrainedSmo.to_dict()``, sorted keys).  A change to the
+solver, the Gram matrix or the Platt fit that moves a multiplier, a bias,
+a KKT gap or a calibration parameter by one bit changes a fingerprint, so a
+rewrite that keeps them all is bit-identical on these inputs.  The second
+half keeps the solver and its kernel as they were first written as a
+reference, and compares raw solver results with them on random problems.
+"""
+
+import hashlib
+import json
+import warnings
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from comulti.classifiers import SmoSpec, fit
+from comulti.classifiers import smo as smo_mod
+from comulti.datagen import gaussian_blobs, rule_grid, sparse_topics
+from comulti.dataset import (
+    VIEW_KINDS,
+    Dataset,
+    FeatureSchema,
+    apply_view,
+    class_stats,
+    make_view,
+)
+
+
+def _fingerprint(model) -> str:
+    text = json.dumps(model.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _small_topics():
+    # 10 classes (2 shadow classes), 500 columns, 231 rows.
+    return sparse_topics(class_sizes=(60, 48, 40, 22, 16, 13, 11, 9, 7, 5),
+                         n_features=500, n_common=200, signature_size=20,
+                         n_shadow=2, seed=0)
+
+
+def _topics_view(kind):
+    ds = _small_topics()
+    return apply_view(ds, make_view(class_stats(ds), kind))
+
+
+def _unsorted_csr(x: sp.csr_matrix) -> sp.csr_matrix:
+    """The same matrix with each row's entries stored in reverse order."""
+    data, indices = x.data.copy(), x.indices.copy()
+    for r in range(x.shape[0]):
+        lo, hi = x.indptr[r], x.indptr[r + 1]
+        data[lo:hi] = data[lo:hi][::-1]
+        indices[lo:hi] = indices[lo:hi][::-1]
+    out = sp.csr_matrix((data, indices, x.indptr.copy()), shape=x.shape)
+    out.has_sorted_indices = False
+    return out
+
+
+def _unsorted_sparse_case():
+    """120 rows of small word counts, 3 classes, indices not sorted."""
+    rng = np.random.default_rng(5)
+    x = sp.random(120, 40, density=0.15, format="csr", random_state=rng,
+                  data_rvs=lambda k: rng.integers(1, 4, size=k).astype(float))
+    y = rng.integers(0, 3, size=120)
+    y[:3] = [0, 1, 2]
+    x = _unsorted_csr(x)
+    assert not x.has_sorted_indices
+    return Dataset(FeatureSchema.numeric(40), x, y, ("a", "b", "c"))
+
+
+def _blobs():
+    return gaussian_blobs((120, 40, 25), n_features=5, seed=0)
+
+
+GOLDEN = {
+    "rule_grid":
+        "66efa2d2dac53bb63df7e82ca86c5698056d0b559dbd23727c192e197f535835",
+    "gaussian_blobs":
+        "a88db66659b261b44bd556ece85b66f1aa5d9dabd158ce2d8706ea266073555e",
+    "topics_full":
+        "a31046fafa8470f189ac16b950b2c7242b6d38b3770a821be99821f77a23ca09",
+    "topics_binary":
+        "f451ef0352beb2926ea8c0f1b2e55689e5a5123b936156231417b8881d0756c4",
+    "topics_maj_cluster":
+        "3c2353c994ac004aa8e4bf28df7fd307ea8dbea67aa7adb58e94a2ff41f51ddb",
+    "topics_min_cluster":
+        "e31023915f5d89925af4f6b1f11864d9f19bf6bd09cd3563585c04a39c3e63cc",
+    "unsorted_csr_degree2":
+        "e69b8e30ad9f88799d75e573e790a26a0514b6cf1ed19b04218b019f441bf7bc",
+    "unsorted_csr_degree3":
+        "2720096b7a56b7c615e73bfad3a6f9abc05fdf31132cfe34e64969ca8a773eb5",
+    "column_cache_blobs":
+        "ed51bab537771d0364ba92d1793b7bba05231ebc406b465872bbc3c98eb7b4aa",
+    "column_cache_topics":
+        "885e746ac12c505bd8a1fc2368ce431916f96b67daeea2e8534c9f4e4051e2a6",
+    "capped_blobs":
+        "a041cf5065363f5fd4f1881df620c4d05435fb8b80fce6ffca7a5a7d5d4a4ffa",
+}
+
+
+def _case(name):
+    """(dataset, spec) of a fingerprinted case."""
+    if name == "rule_grid":
+        return rule_grid(), SmoSpec()
+    if name in ("gaussian_blobs", "column_cache_blobs"):
+        return _blobs(), SmoSpec(degree=2, c=0.5)
+    if name == "column_cache_topics":
+        return _topics_view("full"), SmoSpec()
+    if name.startswith("unsorted_csr_degree"):
+        return _unsorted_sparse_case(), SmoSpec(degree=int(name[-1]))
+    if name == "capped_blobs":
+        return _blobs(), SmoSpec(max_iter=25)
+    return _topics_view(name[len("topics_"):]), SmoSpec()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_smo_fingerprint(monkeypatch, name):
+    ds, spec = _case(name)
+    if name.startswith("column_cache"):
+        # Every kernel column is computed on demand, and the small cache
+        # keeps evicting.
+        monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
+        monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", 16)
+    if name.startswith("capped"):
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            model = fit(spec, ds, seed=0)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = fit(spec, ds, seed=0)
+    assert _fingerprint(model) == GOLDEN[name]
+
+
+def test_topic_views_cover_every_kind():
+    assert {f"topics_{k}" for k in VIEW_KINDS} <= set(GOLDEN)
+
+
+# ---------------------------------------------------------------------------
+# Reference solver: the kernel and SMO loop as first written
+
+
+class _ReferenceKernel:
+    def __init__(self, x, degree, full_rows, cache_size):
+        self.x = x
+        self.degree = degree
+        self.cache_size = cache_size
+        if x.shape[0] <= full_rows:
+            self.full = smo_mod._poly_kernel(x, x, degree)
+            self.diag = np.diag(self.full).copy()
+        else:
+            self.full = None
+            if sp.issparse(x):
+                sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+            else:
+                sq = (x * x).sum(axis=1)
+            self.diag = (sq + 1.0) ** degree
+            self._cache = {}
+
+    def col(self, i):
+        if self.full is not None:
+            return self.full[:, i]
+        got = self._cache.get(i)
+        if got is None:
+            got = smo_mod._poly_kernel(self.x, self.x[i:i + 1],
+                                       self.degree).ravel()
+            if len(self._cache) >= self.cache_size:
+                self._cache.pop(next(iter(self._cache)))
+            self._cache[i] = got
+        return got
+
+
+def _reference_solve(kernel, y, c, tol, max_iter):
+    n = y.size
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    eps = 1e-12
+    pos = y > 0
+    gap = np.inf
+    it = 0
+    while it < max_iter:
+        yg = -y * grad
+        up = (pos & (alpha < c - eps)) | (~pos & (alpha > eps))
+        low = (~pos & (alpha < c - eps)) | (pos & (alpha > eps))
+        if not up.any() or not low.any():
+            gap = 0.0
+            break
+        up_vals = np.where(up, yg, -np.inf)
+        i = int(np.argmax(up_vals))
+        m_val = up_vals[i]
+        low_vals = np.where(low, yg, np.inf)
+        gap = m_val - low_vals.min()
+        if gap < tol:
+            break
+        k_i = kernel.col(i)
+        viol = low & (yg < m_val)
+        quad_all = kernel.diag[i] + kernel.diag - 2.0 * k_i
+        quad_all = np.where(quad_all > 0, quad_all, 1e-12)
+        b_t = m_val - yg
+        score = np.where(viol, -(b_t * b_t) / quad_all, np.inf)
+        j = int(np.argmin(score))
+        k_j = kernel.col(j)
+        yi, yj = y[i], y[j]
+        gi, gj = grad[i], grad[j]
+        old_ai, old_aj = alpha[i], alpha[j]
+        quad = kernel.diag[i] + kernel.diag[j] - 2.0 * k_i[j]
+        if quad <= 0:
+            quad = 1e-12
+        if yi != yj:
+            delta = (-gi - gj) / quad
+            diff = old_ai - old_aj
+            ai = old_ai + delta
+            aj = old_aj + delta
+            if diff > 0:
+                if aj < 0:
+                    aj, ai = 0.0, diff
+            else:
+                if ai < 0:
+                    ai, aj = 0.0, -diff
+            if diff > 0:
+                if ai > c:
+                    ai, aj = c, c - diff
+            else:
+                if aj > c:
+                    aj, ai = c, c + diff
+        else:
+            delta = (gi - gj) / quad
+            total = old_ai + old_aj
+            ai = old_ai - delta
+            aj = old_aj + delta
+            if total > c:
+                if ai > c:
+                    ai, aj = c, total - c
+            else:
+                if aj < 0:
+                    aj, ai = 0.0, total
+            if total > c:
+                if aj > c:
+                    aj, ai = c, total - c
+            else:
+                if ai < 0:
+                    ai, aj = 0.0, total
+        alpha[i], alpha[j] = ai, aj
+        grad += (y * yi * k_i) * (ai - old_ai) + (y * yj * k_j) * (aj - old_aj)
+        it += 1
+    else:
+        warnings.warn("reference SMO hit the iteration cap", RuntimeWarning)
+
+    free = (alpha > eps) & (alpha < c - eps)
+    yg = -y * grad
+    if free.any():
+        bias = float(yg[free].mean())
+    else:
+        up = (pos & (alpha < c - eps)) | (~pos & (alpha > eps))
+        low = (~pos & (alpha < c - eps)) | (pos & (alpha > eps))
+        hi = yg[up].max() if up.any() else 0.0
+        lo = yg[low].min() if low.any() else 0.0
+        bias = float((hi + lo) / 2.0)
+    return alpha, bias, float(max(gap, 0.0)), it
+
+
+def _random_problem(seed):
+    """(x, y, degree, c): dense, integer-valued or unsorted-sparse rows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 160))
+    width = int(rng.integers(1, 12))
+    kind = seed % 3
+    if kind == 0:
+        x = rng.normal(size=(n, width)) * rng.uniform(0.2, 2.0)
+    elif kind == 1:
+        # Small integers: kernel values, and often gradients, are exact,
+        # so ties and exact zeros are common.
+        x = rng.integers(0, 3, size=(n, width)).astype(float)
+    else:
+        x = _unsorted_csr(sp.random(
+            n, width + 10, density=0.3, format="csr", random_state=rng,
+            data_rvs=lambda k: rng.integers(1, 5, size=k).astype(float)))
+    y = np.where(rng.random(n) < rng.uniform(0.1, 0.5), 1.0, -1.0)
+    y[:2] = [1.0, -1.0]
+    degree = int(rng.integers(1, 4))
+    c = float(rng.choice([0.1, 1.0, 10.0]))
+    return x, y, degree, c
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _assert_same_solution(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert _bits(got[1]) == _bits(want[1])
+    assert _bits(got[2]) == _bits(want[2])
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_solver_matches_reference(seed):
+    x, y, degree, c = _random_problem(seed)
+    want = _reference_solve(_ReferenceKernel(x, degree, 6000, 1024),
+                            y, c, 1e-3, 200_000)
+    got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
+                               200_000)
+    _assert_same_solution(got, want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solver_matches_reference_column_cache(monkeypatch, seed):
+    x, y, degree, c = _random_problem(seed)
+    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
+    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", 8)
+    want = _reference_solve(_ReferenceKernel(x, degree, 0, 8),
+                            y, c, 1e-3, 200_000)
+    got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
+                               200_000)
+    _assert_same_solution(got, want)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 7])
+def test_solver_matches_reference_at_the_cap(max_iter):
+    x, y, degree, c = _random_problem(4)
+    with pytest.warns(RuntimeWarning):
+        want = _reference_solve(_ReferenceKernel(x, degree, 6000, 1024),
+                                y, c, 1e-3, max_iter)
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
+                                   max_iter)
+    _assert_same_solution(got, want)
