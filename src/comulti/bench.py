@@ -113,6 +113,14 @@ class ExperimentConfig:
         for layer in self.thresholds:
             if layer not in _THRESHOLD_LAYERS:
                 raise ConfigError(f"unknown threshold layer {layer!r}")
+        # The classifier specs check their own ranges.  Their fields are
+        # config fields of the same name, keyed "<section>.<name>", and
+        # each message starts with the field name.
+        for section, spec in (("forest", ForestSpec), ("smo", SmoSpec)):
+            try:
+                spec(**{f.name: getattr(self, f.name) for f in fields(spec)})
+            except DataError as exc:
+                raise ConfigError(f"{section}.{exc}") from None
 
     @property
     def display_name(self) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 import numpy as np
 
@@ -55,8 +56,13 @@ def predict_proba(model: Classifier, x) -> ProbDist:
     return model.predict_proba(x)
 
 
-def fit(spec: ClassifierSpec, ds: Dataset, seed: int) -> Classifier:
-    """Train one classifier on a dataset; deterministic per (spec, ds, seed)."""
+def fit(spec: ClassifierSpec, ds: Dataset, seed: int,
+        shared: Optional[dict] = None) -> Classifier:
+    """Train one classifier on a dataset; deterministic per (spec, ds, seed).
+
+    ``shared`` carries work between fits on the same training matrix (see
+    :func:`fit_smo`); it never changes what is fitted.
+    """
     if ds.n_classes < 2:
         raise TrainingError("training needs at least 2 labels")
     counts = ds.class_counts()
@@ -66,7 +72,7 @@ def fit(spec: ClassifierSpec, ds: Dataset, seed: int) -> Classifier:
     if isinstance(spec, ForestSpec):
         return fit_forest(spec, ds.x, ds.y, ds.labels, seed)
     if isinstance(spec, SmoSpec):
-        return fit_smo(spec, ds.x, ds.y, ds.labels, seed)
+        return fit_smo(spec, ds.x, ds.y, ds.labels, seed, shared)
     if isinstance(spec, CombinerSpec):
         raise TrainingError(
             "the pair combiner reuses already-trained stages and can only be "

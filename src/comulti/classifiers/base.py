@@ -71,9 +71,11 @@ class SmoSpec:
         if self.degree < 1:
             raise DataError(f"degree must be >= 1, got {self.degree}")
         if self.c <= 0:
-            raise DataError(f"C must be > 0, got {self.c}")
+            raise DataError(f"c must be > 0, got {self.c}")
         if self.tol <= 0:
             raise DataError(f"tol must be > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,25 @@
 
 One binary soft-margin problem is solved per class (one-vs-rest) with a
 polynomial kernel ``(x . y + 1)^degree``.  The dual is optimized by
-maximal-violating-pair SMO with second-order working-set selection; at
-convergence every multiplier satisfies ``0 <= alpha_i <= C`` and the largest
-KKT violation is below the tolerance.  Decision scores are mapped to
-probabilities by a per-class logistic (Platt) fit on the training scores,
-then normalized across classes.
+maximal-violating-pair SMO with second-order working-set selection (Fan,
+Chen & Lin, JMLR 2005); at convergence every multiplier satisfies
+``0 <= alpha_i <= C`` and the largest KKT violation is below the tolerance.
+Decision scores are mapped to probabilities by a per-class logistic (Platt)
+fit on the training scores, then normalized across classes.
+
+Up to ``_FULL_GRAM_ROWS`` training rows the whole Gram matrix is computed
+once, in Fortran order, so the kernel column each SMO step reads is
+contiguous; larger problems compute columns on demand.  Fits of several
+label views of one training matrix can share the kernel and every binary
+problem solved on it (the ``shared`` argument of :func:`fit_smo`): a
+one-vs-rest problem that two views pose is solved and calibrated once, and
+its iteration-cap warning, if any, is raised once.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,26 +34,39 @@ _FULL_GRAM_ROWS = 6000
 _COLUMN_CACHE = 1024
 
 
-def _poly_kernel(a, b, degree: int) -> np.ndarray:
-    """(a . b + 1)^degree as a dense array; absent sparse entries are 0."""
+def _poly_kernel(a, b, degree: int, order: str = "K") -> np.ndarray:
+    """(a . b + 1)^degree as a dense array; absent sparse entries are 0.
+
+    ``order="F"`` lays the result out column by column; the values do not
+    depend on the layout.
+    """
     prod = a @ b.T
     if sp.issparse(prod):
-        prod = prod.toarray()
-    prod = np.asarray(prod, dtype=np.float64) + 1.0
+        prod = prod.toarray(order="F" if order == "F" else "C")
+    prod = np.add(np.asarray(prod, dtype=np.float64), 1.0, order=order)
     if degree != 1:
         prod **= degree
     return prod
 
 
 class _Kernel:
-    """Kernel columns over one training matrix, precomputed or cached."""
+    """Kernel columns over one training matrix, precomputed or cached.
+
+    A full Gram matrix is stored in Fortran order, so the column the solver
+    reads for a row is contiguous memory.  A sparse Gram is not always
+    symmetric to the bit (a CSR with unsorted indices sums each product in
+    a different order for ``(r, i)`` and ``(i, r)``), so rows are never read
+    in place of columns.  ``solved`` holds the solutions of binary problems
+    already solved on this kernel (see :func:`fit_smo`).
+    """
 
     def __init__(self, x, degree: int):
         self.x = x
         self.degree = degree
         self.n = x.shape[0]
+        self.solved: dict = {}
         if self.n <= _FULL_GRAM_ROWS:
-            self.full = _poly_kernel(x, x, degree)
+            self.full = _poly_kernel(x, x, degree, order="F")
             self.diag = np.diag(self.full).copy()
             self._cache = None
         else:
@@ -81,44 +103,70 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     Returns (alpha, bias, kkt_gap, iterations).  The working pair is the
     maximal violating pair with a second-order choice of the second index;
     convergence means the violation gap dropped below ``tol``.
+
+    Each iteration makes a fixed set of whole-vector numpy calls into
+    reused buffers, and re-tests the index sets ``up`` and ``low`` only at
+    the two rows it updated.  Every element goes through the same rounded
+    operations as in the plain form (``yg = -y * grad``, ``np.where``
+    masks, ``argmin`` of ``-(b * b) / quad``), so alphas, bias, gap and
+    iteration count are the same to the bit.
     """
     n = y.size
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
     eps = 1e-12
+    top = c - eps
     pos = y > 0
+    neg_y = -y
+    diag = kernel.diag
+    # Row t is in ``up`` when y_t alpha_t can still grow and in ``low`` when
+    # it can shrink.  Membership is kept as +/-inf caps, so min(yg, up_cap)
+    # is yg on up rows and -inf elsewhere, max(yg, low_cap) is yg on low
+    # rows and +inf elsewhere (the same arrays as masking with np.where,
+    # for any gradient without NaN).
+    up = (pos & (alpha < top)) | (~pos & (alpha > eps))
+    low = (~pos & (alpha < top)) | (pos & (alpha > eps))
+    n_up, n_low = int(up.sum()), int(low.sum())
+    up_cap = np.where(up, np.inf, -np.inf)
+    low_cap = np.where(low, -np.inf, np.inf)
+    yg = np.empty(n)
+    up_vals = np.empty(n)
+    low_vals = np.empty(n)
+    quad_all = np.empty(n)
+    b_t = np.empty(n)
+    step = np.empty(n)
     gap = np.inf
     it = 0
     while it < max_iter:
-        yg = -y * grad
-        up = (pos & (alpha < c - eps)) | (~pos & (alpha > eps))
-        low = (~pos & (alpha < c - eps)) | (pos & (alpha > eps))
-        if not up.any() or not low.any():
+        if not n_up or not n_low:
             gap = 0.0
             break
-        up_vals = np.where(up, yg, -np.inf)
-        i = int(np.argmax(up_vals))
-        m_val = up_vals[i]
-        low_vals = np.where(low, yg, np.inf)
-        gap = m_val - low_vals.min()
+        np.multiply(neg_y, grad, out=yg)
+        np.minimum(yg, up_cap, out=up_vals)
+        i = int(up_vals.argmax())
+        m_val = up_vals.item(i)
+        np.maximum(yg, low_cap, out=low_vals)
+        gap = m_val - np.minimum.reduce(low_vals).item()
         if gap < tol:
             break
 
         k_i = kernel.col(i)
-        # Second-order selection among violators: largest decrease of the
-        # dual objective for the pair (i, t).
-        viol = low & (yg < m_val)
-        quad_all = kernel.diag[i] + kernel.diag - 2.0 * k_i
-        quad_all = np.where(quad_all > 0, quad_all, 1e-12)
-        b_t = m_val - yg
-        score = np.where(viol, -(b_t * b_t) / quad_all, np.inf)
-        j = int(np.argmin(score))
+        # Second-order selection among violators (low rows below m_val):
+        # the largest decrease (m_val - yg)^2 / quad of the dual objective
+        # for the pair (i, t).
+        np.add(diag.item(i), diag, out=quad_all)
+        np.subtract(quad_all, np.multiply(2.0, k_i, out=b_t), out=quad_all)
+        quad_pos = np.where(quad_all > 0, quad_all, 1e-12)
+        np.subtract(m_val, yg, out=b_t)
+        np.multiply(b_t, b_t, out=b_t)
+        np.divide(b_t, quad_pos, out=b_t)
+        j = int(np.where(low_vals < m_val, b_t, -np.inf).argmax())
 
         k_j = kernel.col(j)
-        yi, yj = y[i], y[j]
-        gi, gj = grad[i], grad[j]
-        old_ai, old_aj = alpha[i], alpha[j]
-        quad = kernel.diag[i] + kernel.diag[j] - 2.0 * k_i[j]
+        yi, yj = y.item(i), y.item(j)
+        gi, gj = grad.item(i), grad.item(j)
+        old_ai, old_aj = alpha.item(i), alpha.item(j)
+        quad = diag.item(i) + diag.item(j) - 2.0 * k_i.item(j)
         if quad <= 0:
             quad = 1e-12
         if yi != yj:
@@ -156,7 +204,24 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
                 if ai < 0:
                     ai, aj = 0.0, total
         alpha[i], alpha[j] = ai, aj
-        grad += (y * yi * k_i) * (ai - old_ai) + (y * yj * k_j) * (aj - old_aj)
+        # grad += (y * yi * k_i) * (ai - old_ai) + (y * yj * k_j) * (aj - old_aj),
+        # with each +/-1 factor applied where it rounds nothing.
+        np.multiply(k_i, yi * (ai - old_ai), out=step)
+        np.multiply(k_j, yj * (aj - old_aj), out=b_t)
+        np.multiply(y, step, out=step)
+        np.multiply(y, b_t, out=b_t)
+        np.add(step, b_t, out=step)
+        np.add(grad, step, out=grad)
+        for t in (i, j):
+            a = alpha.item(t)
+            grow, shrink = a < top, a > eps
+            is_up, is_low = (grow, shrink) if pos[t] else (shrink, grow)
+            if is_up != (up_cap.item(t) > 0):
+                up_cap[t] = np.inf if is_up else -np.inf
+                n_up += 1 if is_up else -1
+            if is_low != (low_cap.item(t) < 0):
+                low_cap[t] = -np.inf if is_low else np.inf
+                n_low += 1 if is_low else -1
         it += 1
     else:
         warnings.warn(
@@ -344,17 +409,22 @@ class TrainedSmo(Classifier):
 
 
 def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
-            seed: int) -> TrainedSmo:
+            seed: int, shared: Optional[dict] = None) -> TrainedSmo:
     """Train one-vs-rest SMO problems plus Platt calibration.
 
     Deterministic regardless of ``seed`` (the solver draws no randomness);
     the argument is accepted for interface parity with other classifiers.
+
+    ``shared`` is a dict owned by a caller that fits several label views of
+    one training matrix.  It keeps one kernel per (matrix, degree), and the
+    kernel keeps every binary problem solved on it, so a one-vs-rest
+    problem that recurs in another view is solved (and calibrated) once.
     """
     del seed
     n_classes = len(space)
     if n_classes < 2:
         raise TrainingError("margin classifier needs at least 2 labels")
-    kernel = _Kernel(x, spec.degree)
+    kernel = _kernel_for(x, spec.degree, shared)
     n = x.shape[0]
     alphas = np.zeros((n_classes, n))
     bias = np.zeros(n_classes)
@@ -363,14 +433,17 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     gaps = np.zeros(n_classes)
     for cls in range(n_classes):
         y_bin = np.where(y == cls, 1.0, -1.0)
-        alpha, b, gap, _ = solve_binary(kernel, y_bin, spec.c, spec.tol,
-                                        spec.max_iter)
-        sv = np.nonzero(alpha > 1e-12)[0]
-        raw = kernel.block(sv) @ (alpha[sv] * y_bin[sv]) + b
-        alphas[cls] = alpha
-        bias[cls] = b
-        gaps[cls] = gap
-        platt_a[cls], platt_b[cls] = platt_fit(raw, y == cls)
+        key = (spec.c, spec.tol, spec.max_iter, y_bin.tobytes())
+        solved = kernel.solved.get(key)
+        if solved is None:
+            alpha, b, gap, _ = solve_binary(kernel, y_bin, spec.c, spec.tol,
+                                            spec.max_iter)
+            sv = np.nonzero(alpha > 1e-12)[0]
+            raw = kernel.block(sv) @ (alpha[sv] * y_bin[sv]) + b
+            solved = (alpha, b, gap, platt_fit(raw, y == cls))
+            kernel.solved[key] = solved
+        alphas[cls], bias[cls], gaps[cls], platt = solved
+        platt_a[cls], platt_b[cls] = platt
 
     sv_mask = (alphas > 1e-12).any(axis=0)
     sv_rows = np.nonzero(sv_mask)[0]
@@ -384,3 +457,14 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
         sv_coef.append(alphas[cls][keep] * np.where(y[keep] == cls, 1.0, -1.0))
     return TrainedSmo(spec, space, sv_x, sv_index, sv_coef, bias,
                       platt_a, platt_b, gaps)
+
+
+def _kernel_for(x, degree: int, shared: Optional[dict]) -> _Kernel:
+    """The kernel of ``x`` kept in ``shared``, built on first use.  The
+    kernel holds ``x``, so the matrix's id stays unique while it is kept."""
+    if shared is None:
+        return _Kernel(x, degree)
+    key = (id(x), degree)
+    if key not in shared:
+        shared[key] = _Kernel(x, degree)
+    return shared[key]

@@ -138,6 +138,8 @@ def fit_cmc(ds_train: Dataset, stats: ClassStats,
     """Train the binary gate and the full multiclass layer.
 
     Both layers use the default 3-stage recipe unless ``specs`` overrides it.
+    The layers share the training matrix, so they share its SMO kernel, and
+    a one-vs-rest problem both layers pose is solved once.
     """
     if len(stats.majority) != 1:
         raise DataError(
@@ -152,12 +154,13 @@ def fit_cmc(ds_train: Dataset, stats: ClassStats,
     binary_view = make_view(stats, BINARY)
     full_view = make_view(stats, FULL)
     seeds = np.random.SeedSequence(seed).spawn(2)
+    shared: dict = {}  # one Gram, one solve per distinct SMO problem
     binary = fit_multistage(specs, binary_thresholds,
                             apply_view(ds_train, binary_view),
-                            int(seeds[0].generate_state(1)[0]))
+                            int(seeds[0].generate_state(1)[0]), shared)
     multi = fit_multistage(specs, multi_thresholds,
                            apply_view(ds_train, full_view),
-                           int(seeds[1].generate_state(1)[0]))
+                           int(seeds[1].generate_state(1)[0]), shared)
     return CmcModel(binary, multi, binary_view, full_view, stats)
 
 

@@ -10,7 +10,7 @@ The returned distribution is always some stage's raw output, never a blend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -162,12 +162,14 @@ def single_row(x):
 
 
 def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
-                   ds: Dataset, seed: int) -> MultistageModel:
+                   ds: Dataset, seed: int,
+                   shared: Optional[dict] = None) -> MultistageModel:
     """Train every stage on the same dataset.
 
     Combiner stages are wired to the already-trained stages they reference
     (which must come earlier in the sequence).  Stage seeds are spawned from
-    ``seed`` so results do not depend on training order.
+    ``seed`` so results do not depend on training order.  ``shared`` is
+    passed on to :func:`classifiers.fit`.
     """
     specs = list(specs)
     if not specs:
@@ -187,7 +189,7 @@ def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
                                           stages[spec.right]))
         else:
             child_seed = int(children[s].generate_state(1)[0])
-            stages.append(classifiers.fit(spec, ds, child_seed))
+            stages.append(classifiers.fit(spec, ds, child_seed, shared))
     return MultistageModel(stages, thresholds)
 
 

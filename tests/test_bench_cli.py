@@ -444,6 +444,22 @@ def test_cli_bad_numeric_config_is_config_error(blobs_csv, tmp_path, capsys,
     _one_line_error(capsys, "config error:")
 
 
+@pytest.mark.parametrize("line", [
+    "forest.trees = 0", "smo.degree = 0", "smo.c = 0", "smo.tol = 0",
+    "smo.max_iter = 0",
+])
+def test_cli_classifier_spec_out_of_range_is_config_error(
+        blobs_csv, tmp_path, capsys, line):
+    # Used to pass the config and fail at fit as a data error (exit 2), or,
+    # for smo.max_iter = 0, to fit an SMO stage that never iterated.
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"dataset.path = {blobs_csv}\n{line}\n")
+    assert main(["run", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {line.split(' = ')[0]} must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_negative_seed_flag_is_config_error(blobs_csv, capsys):
     assert main(["run", "--dataset", str(blobs_csv), "--seed", "-1"]) == 1
     _one_line_error(capsys, "config error:")
