@@ -9,12 +9,13 @@ Decision scores are mapped to probabilities by a per-class logistic (Platt)
 fit on the training scores, then normalized across classes.
 
 Up to ``_FULL_GRAM_ROWS`` training rows the whole Gram matrix is computed
-once, in Fortran order, so the kernel column each SMO step reads is
+once per fit, in Fortran order, so the kernel column each SMO step reads is
 contiguous; larger problems compute columns on demand.  Fits of several
-label views of one training matrix can share the kernel and every binary
-problem solved on it (the ``shared`` argument of :func:`fit_smo`): a
-one-vs-rest problem that two views pose is solved and calibrated once, and
-its iteration-cap warning, if any, is raised once.
+label views of one training matrix can share every binary problem solved
+on it (the ``shared`` argument of :func:`fit_smo`): a one-vs-rest problem
+that two views pose is solved and calibrated once, its iteration-cap
+warning, if any, is raised once, and a view whose problems were all solved
+before builds no Gram matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _poly_kernel(a, b, degree: int, order: str = "K") -> np.ndarray:
     """
     prod = a @ b.T
     if sp.issparse(prod):
-        prod = prod.toarray(order="F" if order == "F" else "C")
+        prod = prod.toarray()
     prod = np.add(np.asarray(prod, dtype=np.float64), 1.0, order=order)
     if degree != 1:
         prod **= degree
@@ -56,15 +57,13 @@ class _Kernel:
     reads for a row is contiguous memory.  A sparse Gram is not always
     symmetric to the bit (a CSR with unsorted indices sums each product in
     a different order for ``(r, i)`` and ``(i, r)``), so rows are never read
-    in place of columns.  ``solved`` holds the solutions of binary problems
-    already solved on this kernel (see :func:`fit_smo`).
+    in place of columns.
     """
 
     def __init__(self, x, degree: int):
         self.x = x
         self.degree = degree
         self.n = x.shape[0]
-        self.solved: dict = {}
         if self.n <= _FULL_GRAM_ROWS:
             self.full = _poly_kernel(x, x, degree, order="F")
             self.diag = np.diag(self.full).copy()
@@ -129,12 +128,8 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     n_up, n_low = int(up.sum()), int(low.sum())
     up_cap = np.where(up, np.inf, -np.inf)
     low_cap = np.where(low, -np.inf, np.inf)
-    yg = np.empty(n)
-    up_vals = np.empty(n)
-    low_vals = np.empty(n)
-    quad_all = np.empty(n)
-    b_t = np.empty(n)
-    step = np.empty(n)
+    yg, up_vals, low_vals, quad_all, b_t, step = (np.empty(n)
+                                                  for _ in range(6))
     gap = np.inf
     it = 0
     while it < max_iter:
@@ -206,12 +201,11 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
         alpha[i], alpha[j] = ai, aj
         # grad += (y * yi * k_i) * (ai - old_ai) + (y * yj * k_j) * (aj - old_aj),
         # with each +/-1 factor applied where it rounds nothing.
-        np.multiply(k_i, yi * (ai - old_ai), out=step)
-        np.multiply(k_j, yj * (aj - old_aj), out=b_t)
-        np.multiply(y, step, out=step)
-        np.multiply(y, b_t, out=b_t)
-        np.add(step, b_t, out=step)
-        np.add(grad, step, out=grad)
+        np.multiply(y, np.multiply(k_i, yi * (ai - old_ai), out=step),
+                    out=step)
+        np.multiply(y, np.multiply(k_j, yj * (aj - old_aj), out=b_t),
+                    out=b_t)
+        grad += np.add(step, b_t, out=step)
         for t in (i, j):
             a = alpha.item(t)
             grow, shrink = a < top, a > eps
@@ -229,15 +223,13 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
             RuntimeWarning,
         )
 
-    free = (alpha > eps) & (alpha < c - eps)
+    free = (alpha > eps) & (alpha < top)
     yg = -y * grad  # equals y_i - raw_score_i
     if free.any():
         bias = float(yg[free].mean())
     else:
-        up = (pos & (alpha < c - eps)) | (~pos & (alpha > eps))
-        low = (~pos & (alpha < c - eps)) | (pos & (alpha > eps))
-        hi = yg[up].max() if up.any() else 0.0
-        lo = yg[low].min() if low.any() else 0.0
+        hi = yg[up_cap > 0].max() if n_up else 0.0
+        lo = yg[low_cap < 0].min() if n_low else 0.0
         bias = float((hi + lo) / 2.0)
     return alpha, bias, float(max(gap, 0.0)), it
 
@@ -416,15 +408,19 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     the argument is accepted for interface parity with other classifiers.
 
     ``shared`` is a dict owned by a caller that fits several label views of
-    one training matrix.  It keeps one kernel per (matrix, degree), and the
-    kernel keeps every binary problem solved on it, so a one-vs-rest
-    problem that recurs in another view is solved (and calibrated) once.
+    one training matrix.  It keeps every binary problem solved on a
+    (matrix, degree), so a one-vs-rest problem that recurs in another view
+    is solved (and calibrated) once.  The kernel itself is not kept: it is
+    built on the first problem a fit has to solve and freed with the fit,
+    since holding it while the next view's forest is grown raised peak
+    memory by about two Gram matrices.
     """
     del seed
     n_classes = len(space)
     if n_classes < 2:
         raise TrainingError("margin classifier needs at least 2 labels")
-    kernel = _kernel_for(x, spec.degree, shared)
+    solutions = _solutions_for(x, spec.degree, shared)
+    kernel = None
     n = x.shape[0]
     alphas = np.zeros((n_classes, n))
     bias = np.zeros(n_classes)
@@ -434,14 +430,16 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     for cls in range(n_classes):
         y_bin = np.where(y == cls, 1.0, -1.0)
         key = (spec.c, spec.tol, spec.max_iter, y_bin.tobytes())
-        solved = kernel.solved.get(key)
+        solved = solutions.get(key)
         if solved is None:
+            if kernel is None:
+                kernel = _Kernel(x, spec.degree)
             alpha, b, gap, _ = solve_binary(kernel, y_bin, spec.c, spec.tol,
                                             spec.max_iter)
             sv = np.nonzero(alpha > 1e-12)[0]
             raw = kernel.block(sv) @ (alpha[sv] * y_bin[sv]) + b
             solved = (alpha, b, gap, platt_fit(raw, y == cls))
-            kernel.solved[key] = solved
+            solutions[key] = solved
         alphas[cls], bias[cls], gaps[cls], platt = solved
         platt_a[cls], platt_b[cls] = platt
 
@@ -459,12 +457,10 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
                       platt_a, platt_b, gaps)
 
 
-def _kernel_for(x, degree: int, shared: Optional[dict]) -> _Kernel:
-    """The kernel of ``x`` kept in ``shared``, built on first use.  The
-    kernel holds ``x``, so the matrix's id stays unique while it is kept."""
+def _solutions_for(x, degree: int, shared: Optional[dict]) -> dict:
+    """The binary problems solved on (``x``, ``degree``) so far, kept in
+    ``shared``.  The entry holds ``x`` itself, so the matrix's id cannot be
+    reused while the entry lives."""
     if shared is None:
-        return _Kernel(x, degree)
-    key = (id(x), degree)
-    if key not in shared:
-        shared[key] = _Kernel(x, degree)
-    return shared[key]
+        return {}
+    return shared.setdefault((id(x), degree), (x, {}))[1]

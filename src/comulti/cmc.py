@@ -138,8 +138,8 @@ def fit_cmc(ds_train: Dataset, stats: ClassStats,
     """Train the binary gate and the full multiclass layer.
 
     Both layers use the default 3-stage recipe unless ``specs`` overrides it.
-    The layers share the training matrix, so they share its SMO kernel, and
-    a one-vs-rest problem both layers pose is solved once.
+    The layers share the training matrix, so a one-vs-rest SMO problem both
+    layers pose (majority versus the rest) is solved once.
     """
     if len(stats.majority) != 1:
         raise DataError(
@@ -154,7 +154,7 @@ def fit_cmc(ds_train: Dataset, stats: ClassStats,
     binary_view = make_view(stats, BINARY)
     full_view = make_view(stats, FULL)
     seeds = np.random.SeedSequence(seed).spawn(2)
-    shared: dict = {}  # one Gram, one solve per distinct SMO problem
+    shared: dict = {}  # one solve per distinct SMO problem
     binary = fit_multistage(specs, binary_thresholds,
                             apply_view(ds_train, binary_view),
                             int(seeds[0].generate_state(1)[0]), shared)

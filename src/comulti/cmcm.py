@@ -198,8 +198,8 @@ def fit_cmcm(ds_train: Dataset, stats: ClassStats,
 
     ``thresholds`` holds one :class:`StageThresholds` per model, in the
     order (b, m1, m2, m3); all-default when omitted.  The views share the
-    training matrix, so they share its SMO kernel, and a one-vs-rest problem
-    posed by several views is solved once.
+    training matrix, so a one-vs-rest SMO problem posed by several views is
+    solved once.
     """
     if not stats.majority:
         raise DataError("no majority classes: nothing to cluster")
@@ -214,7 +214,7 @@ def fit_cmcm(ds_train: Dataset, stats: ClassStats,
     kinds = (BINARY, MAJ_CLUSTER, MIN_CLUSTER, FULL)
     views = {kind: make_view(stats, kind) for kind in kinds}
     seeds = np.random.SeedSequence(seed).spawn(4)
-    shared: dict = {}  # one Gram, one solve per distinct SMO problem
+    shared: dict = {}  # one solve per distinct SMO problem
     models = [
         fit_multistage(specs, thr, apply_view(ds_train, views[kind]),
                        int(child.generate_state(1)[0]), shared)

@@ -1,5 +1,6 @@
-"""Two-layer fits share one SMO kernel and solve each distinct one-vs-rest
-problem once, without changing what they fit."""
+"""Two-layer fits solve each distinct one-vs-rest SMO problem once and
+build a Gram matrix only for views that pose a new one, without changing
+what they fit."""
 
 import json
 import warnings
@@ -52,14 +53,19 @@ def _fit(model, ds, specs):
 CASES = [("cmc", _single_skew, CMC_VIEWS), ("cmcm", _multi_skew, CMCM_VIEWS)]
 
 
-def _distinct_problems(ds, kinds) -> set:
+def _problems_by_view(ds, kinds) -> list:
+    """Per view, in fit order, the +/-1 vectors of its one-vs-rest problems."""
     stats = class_stats(ds)
-    out = set()
+    out = []
     for kind in kinds:
         view = apply_view(ds, make_view(stats, kind))
-        for cls in range(view.n_classes):
-            out.add(np.where(view.y == cls, 1.0, -1.0).tobytes())
+        out.append({np.where(view.y == cls, 1.0, -1.0).tobytes()
+                    for cls in range(view.n_classes)})
     return out
+
+
+def _distinct_problems(ds, kinds) -> set:
+    return set().union(*_problems_by_view(ds, kinds))
 
 
 def _counting(monkeypatch, owner, name):
@@ -101,11 +107,20 @@ def test_one_solve_per_distinct_problem(monkeypatch, model, make, kinds):
     ds = make()
     solves = _counting(monkeypatch, smo_mod, "solve_binary")
     fits = _counting(monkeypatch, clf_mod, "fit_smo")
+    grams = _counting(monkeypatch, smo_mod, "_Kernel")
     _fit(model, ds, _specs())
     problems = _distinct_problems(ds, kinds)
     solved = [args[1].tobytes() for args in solves]
     assert len(solved) == len(set(solved)) == len(problems)
     assert set(solved) == problems
+    # A Gram matrix is built only by views that pose a new problem.
+    seen, new = set(), 0
+    for posed in _problems_by_view(ds, kinds):
+        new += bool(posed - seen)
+        seen |= posed
+    assert len(grams) == new
+    if model == "cmcm":
+        assert new == len(kinds) - 1  # the full view repeats earlier ones
     # The shared solves stay below the layers' fit boundary: each view
     # still fits its own SMO stage.
     assert len(fits) == len(kinds)
