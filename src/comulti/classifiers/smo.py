@@ -108,7 +108,8 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     the two rows it updated.  Every element goes through the same rounded
     operations as in the plain form (``yg = -y * grad``, ``np.where``
     masks, ``argmin`` of ``-(b * b) / quad``), so alphas, bias, gap and
-    iteration count are the same to the bit.
+    iteration count are the same to the bit whenever no gradient entry is
+    NaN.
     """
     n = y.size
     alpha = np.zeros(n)
