@@ -10,14 +10,13 @@ from .classifiers import (
     ClassifierSpec,
     CombinerSpec,
     ForestSpec,
-    ProbDist,
     SmoSpec,
     default_stage_specs,
     load_model,
     save_model,
 )
-from .cmc import CmcModel, fit_cmc, predict_cmc
-from .cmcm import CmcmModel, fit_cmcm, predict_cmcm
+from .cmc import CmcModel, fit_cmc
+from .cmcm import CmcmModel, fit_cmcm
 from .dataset import (
     BINARY,
     FULL,
@@ -47,13 +46,7 @@ from .metrics import (
     macro_f1,
     sg_mean,
 )
-from .multistage import (
-    MultistageModel,
-    StagedPrediction,
-    StageThresholds,
-    fit_multistage,
-    predict_multistage,
-)
+from .multistage import MultistageModel, StageThresholds, fit_multistage
 from .sampling import SmoteConfig, UndersampleConfig, smote, undersample
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .dataset import (
     split_indices,
 )
 from .errors import ComultiError, ConfigError, DataError
-from .metrics import DEFAULT_DELTA, MetricsReport, confusion, evaluate
+from .metrics import DEFAULT_DELTA, REPORTED, MetricsReport, confusion, evaluate
 from .multistage import StageThresholds
 from .sampling import SmoteConfig, UndersampleConfig, smote, undersample
 
@@ -113,14 +113,21 @@ class ExperimentConfig:
         for layer in self.thresholds:
             if layer not in _THRESHOLD_LAYERS:
                 raise ConfigError(f"unknown threshold layer {layer!r}")
-        # The classifier specs check their own ranges.  Their fields are
-        # config fields of the same name, keyed "<section>.<name>", and
-        # each message starts with the field name.
-        for section, spec in (("forest", ForestSpec), ("smo", SmoSpec)):
-            try:
-                spec(**{f.name: getattr(self, f.name) for f in fields(spec)})
-            except DataError as exc:
-                raise ConfigError(f"{section}.{exc}") from None
+        for cls in _PARAMS:
+            self.build(cls)
+
+    def build(self, cls, **extra):
+        """A classifier spec or sampler config set from this config's
+        fields (``_PARAMS``) and ``extra``.  Each class checks its own
+        ranges with a message that starts with the parameter's name; a
+        value out of range is a ConfigError naming its config key."""
+        names = _PARAMS[cls]
+        try:
+            return cls(**{p: getattr(self, f) for p, f in names.items()},
+                       **extra)
+        except DataError as exc:
+            param, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"{_config_key(names[param])} {rest}") from None
 
     @property
     def display_name(self) -> str:
@@ -166,6 +173,15 @@ _KEYS = {
 
 def _config_key(field_name: str) -> str:
     return _KEYS.get(field_name, field_name)
+
+
+# The config field behind each parameter of the classes a run builds.
+_PARAMS = {
+    ForestSpec: {"trees": "trees"},
+    SmoSpec: {p: p for p in ("degree", "c", "tol", "max_iter")},
+    SmoteConfig: {"k_neighbors": "smote_k", "rate": "smote_rate"},
+    UndersampleConfig: {"target_fraction": "undersample_fraction"},
+}
 
 
 _TYPES = typing.get_type_hints(ExperimentConfig)
@@ -379,11 +395,8 @@ def _stage_thresholds(cfg: ExperimentConfig, layer: str,
 
 
 def _specs(cfg: ExperimentConfig):
-    return [
-        ForestSpec(trees=cfg.trees),
-        SmoSpec(degree=cfg.degree, c=cfg.c, tol=cfg.tol, max_iter=cfg.max_iter),
-        CombinerSpec(left=0, right=1),
-    ]
+    return [cfg.build(ForestSpec), cfg.build(SmoSpec),
+            CombinerSpec(left=0, right=1)]
 
 
 class _Stage:
@@ -420,12 +433,11 @@ def run_experiment(cfg: ExperimentConfig, ds: Optional[Dataset] = None,
         sample_seeds = np.random.SeedSequence(seed).spawn(3)
         n_train_raw = ds_train.n_instances
         if cfg.sampling in ("over", "over-under"):
-            ds_train = smote(ds_train, stats, SmoteConfig(
-                k_neighbors=cfg.smote_k, rate=cfg.smote_rate,
-                seed=int(sample_seeds[0].generate_state(1)[0])))
+            ds_train = smote(ds_train, stats, cfg.build(
+                SmoteConfig, seed=int(sample_seeds[0].generate_state(1)[0])))
         if cfg.sampling in ("under", "over-under"):
-            ds_train = undersample(ds_train, stats, UndersampleConfig(
-                target_fraction=cfg.undersample_fraction,
+            ds_train = undersample(ds_train, stats, cfg.build(
+                UndersampleConfig,
                 seed=int(sample_seeds[1].generate_state(1)[0])))
     fit_seed = int(sample_seeds[2].generate_state(1)[0])
     with _Stage("fit"):
@@ -484,14 +496,12 @@ class MultiSeedResult:
         return np.array([getattr(r.report, key) for r in self.runs])
 
     def summary(self) -> dict:
+        """Report attribute -> mean and std of each ``REPORTED`` measure."""
         out = {}
-        for key in ("macro_f1", "g_mean", "sg_mean"):
+        for _, key in REPORTED:
             vals = self.metric_values(key)
             out[key] = {"mean": float(vals.mean()),
                         "std": float(vals.std(ddof=0))}
-        zr = np.array([r.report.zero_recall_count for r in self.runs])
-        out["zero_recall_count"] = {"mean": float(zr.mean()),
-                                    "std": float(zr.std(ddof=0))}
         return out
 
     def to_dict(self) -> dict:
@@ -518,25 +528,13 @@ def run_many(cfg: ExperimentConfig) -> MultiSeedResult:
 # ---------------------------------------------------------------------------
 # Grids
 
-_GRID_ROWS = ("Macro-F1", "G-Mean", "SG-Mean", "# R_i=0")
-
-
 def _cell_from_result(result) -> dict:
-    if isinstance(result, MultiSeedResult):
-        s = result.summary()
-        return {
-            "Macro-F1": f"{s['macro_f1']['mean']:.3f}±{s['macro_f1']['std']:.3f}",
-            "G-Mean": f"{s['g_mean']['mean']:.3f}±{s['g_mean']['std']:.3f}",
-            "SG-Mean": f"{s['sg_mean']['mean']:.3f}±{s['sg_mean']['std']:.3f}",
-            "# R_i=0": f"{s['zero_recall_count']['mean']:.1f}",
-        }
-    rep = result.report
-    return {
-        "Macro-F1": f"{rep.macro_f1:.3f}",
-        "G-Mean": f"{rep.g_mean:.3f}",
-        "SG-Mean": f"{rep.sg_mean:.3f}",
-        "# R_i=0": str(rep.zero_recall_count),
-    }
+    if isinstance(result, RunResult):
+        return result.report.cells()
+    s = result.summary()
+    return {name: f"{s[key]['mean']:.1f}" if key == "zero_recall_count"
+            else f"{s[key]['mean']:.3f}±{s[key]['std']:.3f}"
+            for name, key in REPORTED}
 
 
 @dataclass(frozen=True)
@@ -551,13 +549,13 @@ class GridResult:
         widths = [len(n) for n in names]
         lines = []
         rows = []
-        for row_name in _GRID_ROWS:
+        for row_name, _ in REPORTED:
             row = [row_name]
             for j, cell in enumerate(self.cells):
                 row.append(cell.get(row_name, "-"))
                 widths[j + 1] = max(widths[j + 1], len(row[-1]))
             rows.append(row)
-        widths[0] = max(widths[0], max(len(r) for r in _GRID_ROWS))
+        widths[0] = max(widths[0], max(len(r[0]) for r in rows))
         header = "  ".join(n.ljust(w) for n, w in zip(names, widths))
         lines.append(header)
         lines.append("-" * len(header))
@@ -603,6 +601,6 @@ def run_grid(cfgs: Sequence[ExperimentConfig], workers: int = 1) -> GridResult:
         results.append(result)
         errors.append(err)
         cells.append(_cell_from_result(result) if err is None else
-                     {row: "ERR" for row in _GRID_ROWS})
+                     {name: "ERR" for name, _ in REPORTED})
     return GridResult(tuple(columns), tuple(cells), tuple(results),
                       tuple(errors))

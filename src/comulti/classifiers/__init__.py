@@ -14,7 +14,6 @@ from .base import (
     Classifier,
     CombinerSpec,
     ForestSpec,
-    ProbDist,
     SmoSpec,
     TrainedCombiner,
     combine_rows,
@@ -27,7 +26,6 @@ __all__ = [
     "Classifier",
     "CombinerSpec",
     "ForestSpec",
-    "ProbDist",
     "SmoSpec",
     "TrainedCombiner",
     "TrainedForest",
@@ -38,7 +36,6 @@ __all__ = [
     "load_model",
     "model_from_dict",
     "model_to_dict",
-    "predict_proba",
     "save_model",
 ]
 
@@ -49,11 +46,6 @@ def default_stage_specs() -> list[ClassifierSpec]:
     """The 3-stage recipe: forest, margin classifier, then the
     max-confidence combiner over the first two stages."""
     return [ForestSpec(trees=100), SmoSpec(), CombinerSpec(left=0, right=1)]
-
-
-def predict_proba(model: Classifier, x) -> ProbDist:
-    """Distribution over the model's label space for one feature vector."""
-    return model.predict_proba(x)
 
 
 def fit(spec: ClassifierSpec, ds: Dataset, seed: int,

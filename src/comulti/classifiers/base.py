@@ -1,4 +1,4 @@
-"""Shared classifier plumbing: probability distributions, specs, combiner.
+"""Shared classifier plumbing: specs, the batch classifier base, combiner.
 
 Every trained model predicts over a fixed label space (the tuple of view
 label names it was fitted on) and must be deterministic after training.
@@ -12,32 +12,6 @@ from typing import Union
 import numpy as np
 
 from ..errors import DataError
-
-PROB_ATOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ProbDist:
-    """A normalized probability vector over a named label space."""
-
-    space: tuple[str, ...]
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        object.__setattr__(self, "p", p)
-        if p.ndim != 1 or p.size != len(self.space):
-            raise DataError(f"{p.size} probabilities for {len(self.space)} labels")
-        if (p < 0).any():
-            raise DataError("negative probability")
-        if abs(p.sum() - 1.0) > PROB_ATOL:
-            raise DataError(f"probabilities sum to {p.sum()!r}, not 1")
-        p.setflags(write=False)
-
-    @property
-    def top(self) -> int:
-        """Argmax label id; ties break toward the lowest id."""
-        return int(np.argmax(self.p))
 
 
 @dataclass(frozen=True)
@@ -109,31 +83,9 @@ class Classifier:
     def predict_proba_batch(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_proba(self, x) -> ProbDist:
-        """Distribution for a single feature vector."""
-        row = _as_row(x, expected=None)
-        return ProbDist(self.space, self.predict_proba_batch(row)[0])
-
     def predict_batch(self, x) -> np.ndarray:
         """Argmax labels for a batch; ties break toward the lowest id."""
         return np.argmax(self.predict_proba_batch(x), axis=1)
-
-
-def _as_row(x, expected) -> np.ndarray:
-    import scipy.sparse as sp
-
-    if sp.issparse(x):
-        arr = x.toarray()
-    else:
-        arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[0] != 1:
-        raise DataError("expected a single feature vector")
-    if expected is not None and arr.shape[1] != expected:
-        raise DataError(f"feature vector has {arr.shape[1]} values, model "
-                        f"expects {expected}")
-    return arr
 
 
 class TrainedCombiner(Classifier):

@@ -273,27 +273,28 @@ class TrainedForest(Classifier):
         self.n_features = n_features
 
     def predict_proba_batch(self, x) -> np.ndarray:
+        votes = self.tree_votes(x)
+        n, k = votes.shape[1], self.n_labels
+        counts = np.bincount((votes + k * np.arange(n)).ravel(),
+                             minlength=n * k)
+        return counts.reshape(n, k) / len(self.trees)
+
+    def tree_votes(self, x) -> np.ndarray:
+        """(trees, n) matrix of raw per-tree votes."""
         if x.shape[1] != self.n_features:
             raise DataError(f"input has {x.shape[1]} features, model expects "
                             f"{self.n_features}")
         n = x.shape[0]
-        counts = np.zeros((n, self.n_labels), dtype=np.float64)
+        votes = np.empty((len(self.trees), n), dtype=np.int32)
         # Chunk so sparse inputs densify a slice at a time.
         step = max(1, int(10_000_000 / max(1, self.n_features)))
         for lo in range(0, n, step):
             chunk = x[lo:lo + step]
             dense = np.asarray(chunk.todense(), dtype=np.float64) \
                 if sp.issparse(chunk) else np.asarray(chunk, dtype=np.float64)
-            rows = np.arange(dense.shape[0])
-            for tree in self.trees:
-                counts[lo + rows, tree.votes(dense)] += 1.0
-        return counts / len(self.trees)
-
-    def tree_votes(self, x) -> np.ndarray:
-        """(trees, n) matrix of raw per-tree votes, for vote-count auditing."""
-        dense = np.asarray(x.todense(), dtype=np.float64) if sp.issparse(x) \
-            else np.asarray(x, dtype=np.float64)
-        return np.stack([tree.votes(dense) for tree in self.trees])
+            for t, tree in enumerate(self.trees):
+                votes[t, lo:lo + step] = tree.votes(dense)
+        return votes
 
     def to_dict(self) -> dict:
         return {

@@ -162,8 +162,3 @@ def fit_cmc(ds_train: Dataset, stats: ClassStats,
                            apply_view(ds_train, full_view),
                            int(seeds[1].generate_state(1)[0]), shared)
     return CmcModel(binary, multi, binary_view, full_view, stats)
-
-
-def predict_cmc(m: CmcModel, x) -> tuple[int, CmcExplanation]:
-    """Functional alias for :meth:`CmcModel.predict`."""
-    return m.predict(x)

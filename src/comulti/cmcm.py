@@ -221,8 +221,3 @@ def fit_cmcm(ds_train: Dataset, stats: ClassStats,
         for kind, thr, child in zip(kinds, thresholds, seeds)
     ]
     return CmcmModel(models[0], models[1], models[2], models[3], views, stats)
-
-
-def predict_cmcm(m: CmcmModel, x) -> tuple[int, CmcmExplanation]:
-    """Functional alias for :meth:`CmcmModel.predict`."""
-    return m.predict(x)

@@ -127,6 +127,13 @@ def zero_recall_count(cm: ConfusionMatrix) -> int:
     return int((per_class_recall(cm) == 0.0).sum())
 
 
+# The measures every report, grid and multi-seed summary shows, in order:
+# (display name, MetricsReport attribute).  The last is a class count, the
+# others are scores.
+REPORTED = (("Macro-F1", "macro_f1"), ("G-Mean", "g_mean"),
+            ("SG-Mean", "sg_mean"), ("# R_i=0", "zero_recall_count"))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """All run metrics in one record.
@@ -157,15 +164,19 @@ class MetricsReport:
             "zero_recall_count": self.zero_recall_count,
         }
 
+    def cells(self) -> dict:
+        """Display name -> shown value of each ``REPORTED`` measure."""
+        out = {}
+        for name, attr in REPORTED:
+            value = getattr(self, attr)
+            out[name] = str(value) if isinstance(value, int) else f"{value:.3f}"
+        return out
+
     def to_text(self) -> str:
-        rows = [
-            ("Macro-F1", f"{self.macro_f1:.3f}"),
-            ("G-Mean", f"{self.g_mean:.3f}"),
-            ("SG-Mean", f"{self.sg_mean:.3f}"),
-            ("# R_i=0", str(self.zero_recall_count)),
-        ]
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:>{width}}  {val}" for name, val in rows)
+        cells = self.cells()
+        width = max(len(name) for name in cells)
+        return "\n".join(f"{name:>{width}}  {val}"
+                         for name, val in cells.items())
 
 
 def evaluate(cm: ConfusionMatrix, delta: float = DEFAULT_DELTA,

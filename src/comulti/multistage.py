@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import classifiers
 from .classifiers import (
     Classifier,
     ClassifierSpec,
     CombinerSpec,
-    ProbDist,
     TrainedCombiner,
     combine_rows,
 )
@@ -47,14 +47,6 @@ class StageThresholds:
     @staticmethod
     def ones(n: int) -> "StageThresholds":
         return StageThresholds((1.0,) * n)
-
-
-@dataclass(frozen=True)
-class StagedPrediction:
-    """One prediction plus the 1-based index of the stage that produced it."""
-
-    dist: ProbDist
-    stage_used: int
 
 
 class MultistageModel:
@@ -114,11 +106,6 @@ class MultistageModel:
             remaining = remaining[~hit]
         return out, stage_used
 
-    def predict(self, x) -> StagedPrediction:
-        """Walk the stages for a single feature vector."""
-        dists, used = self.predict_batch(single_row(x))
-        return StagedPrediction(ProbDist(self.space, dists[0]), int(used[0]))
-
     def stage_histogram(self, stage_used: np.ndarray) -> list[int]:
         """Instance counts per stage from a ``predict_batch`` result."""
         return np.bincount(stage_used, minlength=self.n_stages + 1)[1:].tolist()
@@ -154,11 +141,15 @@ def take_rows(x, rows: np.ndarray):
 
 
 def single_row(x):
-    """One feature vector as a one-row batch."""
-    row = x.reshape(1, -1) if getattr(x, "ndim", 1) == 1 else x
-    if row.shape[0] != 1:
+    """One feature vector as a one-row batch: a sparse one-row matrix as
+    it is, any other array-like as float64, a 1-D vector as one row."""
+    if not sp.issparse(x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            x = x[None, :]
+    if x.ndim != 2 or x.shape[0] != 1:
         raise DataError("expected a single feature vector")
-    return row
+    return x
 
 
 def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
@@ -191,8 +182,3 @@ def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
             child_seed = int(children[s].generate_state(1)[0])
             stages.append(classifiers.fit(spec, ds, child_seed, shared))
     return MultistageModel(stages, thresholds)
-
-
-def predict_multistage(m: MultistageModel, x) -> StagedPrediction:
-    """Functional alias for :meth:`MultistageModel.predict`."""
-    return m.predict(x)

@@ -30,6 +30,14 @@ class LookupStub(Classifier):
         return self.dists[idx]
 
 
+# Inputs a two-layer model's single-row predict rejects: several rows as an
+# array, a list of rows or a 2-D list; a scalar; a row nested one level
+# too deep.
+NOT_ONE_ROW = [np.arange(2, dtype=float)[:, None],
+               [np.array([0.0]), np.array([1.0])], [[0.0], [1.0]], 0.0,
+               np.zeros((1, 1, 1))]
+
+
 @pytest.fixture
 def lookup_stub():
     return LookupStub

@@ -1,10 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import comulti
 from comulti.bench import (
     ExperimentConfig,
     auto_select,
@@ -17,7 +23,7 @@ from comulti.bench import (
     run_many,
 )
 from comulti.cli import main
-from comulti.dataset import class_stats, split_indices, write_csv
+from comulti.dataset import class_stats, split_indices, write_csv, write_sparse
 from comulti.datagen import gaussian_blobs
 from comulti.errors import ConfigError, DataError
 
@@ -363,8 +369,12 @@ def test_cli_grid(blobs_csv, tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # the child imports the comulti under test, installed or not
+    src = str(Path(comulti.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "comulti.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "run" in proc.stdout
 
@@ -446,12 +456,15 @@ def test_cli_bad_numeric_config_is_config_error(blobs_csv, tmp_path, capsys,
 
 @pytest.mark.parametrize("line", [
     "forest.trees = 0", "smo.degree = 0", "smo.c = 0", "smo.tol = 0",
-    "smo.max_iter = 0",
+    "smo.max_iter = 0", "smote.k_neighbors = 0", "smote.rate = 0",
+    "undersample.fraction = 0", "undersample.fraction = 1.5",
 ])
 def test_cli_classifier_spec_out_of_range_is_config_error(
         blobs_csv, tmp_path, capsys, line):
-    # Used to pass the config and fail at fit as a data error (exit 2), or,
-    # for smo.max_iter = 0, to fit an SMO stage that never iterated.
+    # Used to pass the config and fail at fit or sampling as a data error
+    # (exit 2), or, for smo.max_iter = 0, to fit an SMO stage that never
+    # iterated; a sampler value was not checked at all when that sampler
+    # did not run.
     conf = tmp_path / "bad.conf"
     conf.write_text(f"dataset.path = {blobs_csv}\n{line}\n")
     assert main(["run", "--config", str(conf)]) == 1
@@ -463,3 +476,76 @@ def test_cli_classifier_spec_out_of_range_is_config_error(
 def test_cli_negative_seed_flag_is_config_error(blobs_csv, capsys):
     assert main(["run", "--dataset", str(blobs_csv), "--seed", "-1"]) == 1
     _one_line_error(capsys, "config error:")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: whatever bytes an input file holds, the CLI ends with an exit code
+
+
+FUZZ_TOKENS = [b",", b"\n", b" ", b"=", b"0", b"-1", b"1e308", b"nan",
+               b"inf", b'"', b"[", b"}", b":", b"\xff"]
+
+
+@st.composite
+def mutated(draw, base: bytes) -> bytes:
+    """``base`` with a few stretches overwritten, inserted, deleted or cut
+    off, by random bytes or by tokens the file formats give meaning to."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(data)))
+        chunk = draw(st.one_of(st.binary(min_size=1, max_size=4),
+                               st.sampled_from(FUZZ_TOKENS)))
+        op = draw(st.sampled_from(("set", "insert", "delete", "cut")))
+        if op == "set":
+            data[at:at + len(chunk)] = chunk
+        elif op == "insert":
+            data[at:at] = chunk
+        elif op == "delete":
+            del data[at:at + len(chunk)]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """Valid bytes of each input file a run reads, keyed by role."""
+    ds = gaussian_blobs(SMALL_SIZES, separation=4.0, seed=3)
+    tmp = tmp_path_factory.mktemp("fuzz_base")
+    write_csv(ds, tmp / "d.csv")
+    write_sparse(ds, tmp / "d.sparse", tmp / "d.labels")
+    return {
+        "csv": (tmp / "d.csv").read_bytes(),
+        "sparse": (tmp / "d.sparse").read_bytes(),
+        "labels": (tmp / "d.labels").read_bytes(),
+        "schema": json.dumps([{"name": f"f{i}"} for i in range(5)]).encode(),
+        "config": (b"model = cmc\nsampling = over-under\nsplit = 0.8\n"
+                   b"seed = 0\nsmote.k_neighbors = 5\n"
+                   b"undersample.fraction = 0.9\n"
+                   b"thresholds.binary = 0.9, 1.0, 1.0\n"),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(role=st.sampled_from(("csv", "sparse", "labels", "schema", "config")),
+       data=st.data())
+def test_cli_fuzzed_input_file_exits_cleanly(fuzz_bases, role, data):
+    files = dict(fuzz_bases)
+    files[role] = data.draw(mutated(fuzz_bases[role]), label=role)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, content in files.items():
+            (tmp / name).write_bytes(content)
+        if role in ("sparse", "labels"):
+            head = (f"dataset.path = {tmp / 'sparse'}\ndataset.format = "
+                    f"sparse\ndataset.labels_path = {tmp / 'labels'}\n")
+        else:
+            head = f"dataset.path = {tmp / 'csv'}\n"
+            if role == "schema":
+                head += f"dataset.schema = {tmp / 'schema'}\n"
+        # The fuzzed settings come after the dataset lines; the tree count
+        # is set last so that no mutation can make a run slow.
+        conf = tmp / "run.conf"
+        conf.write_bytes(head.encode() + files["config"]
+                         + b"\nforest.trees = 2\n")
+        assert main(["run", "--config", str(conf)]) in (0, 1, 2, 3)

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from comulti.classifiers import (
     CombinerSpec,
     ForestSpec,
-    ProbDist,
     SmoSpec,
     TrainedCombiner,
     combine_rows,
@@ -19,22 +18,13 @@ from conftest import LookupStub, make_dataset
 
 
 # ---------------------------------------------------------------------------
-# ProbDist and the combiner
+# Argmax and the combiner
 
 
-def test_probdist_validation():
-    p = ProbDist(("a", "b"), np.array([0.3, 0.7]))
-    assert p.top == 1
-    with pytest.raises(DataError):
-        ProbDist(("a", "b"), np.array([0.3, 0.6]))
-    with pytest.raises(DataError):
-        ProbDist(("a", "b"), np.array([-0.1, 1.1]))
-    with pytest.raises(DataError):
-        ProbDist(("a",), np.array([0.5, 0.5]))
-
-
-def test_probdist_argmax_tie_breaks_low():
-    assert ProbDist(("a", "b"), np.array([0.5, 0.5])).top == 0
+def test_predict_batch_argmax_tie_breaks_low():
+    stub = LookupStub(("a", "b", "c"), [[0.4, 0.4, 0.2], [0.2, 0.4, 0.4],
+                                        [1 / 3, 1 / 3, 1 / 3]])
+    assert stub.predict_batch(np.arange(3.0)[:, None]).tolist() == [0, 1, 0]
 
 
 @pytest.mark.parametrize("a,b,expect", [
@@ -89,10 +79,10 @@ def test_forest_uninformative_features_give_even_probabilities():
     y = np.array([0, 1] * 20)
     ds = make_dataset(x, y)
     model = fit(ForestSpec(trees=100), ds, seed=1)
-    p = model.predict_proba(np.array([1.0, 1.0]))
+    p = model.predict_proba_batch(np.array([[1.0, 1.0]]))[0]
     # vote-fraction oracle: constant features leave only bootstrap noise
-    assert abs(p.p[0] - 0.5) <= 0.1
-    assert abs(p.p[1] - 0.5) <= 0.1
+    assert abs(p[0] - 0.5) <= 0.1
+    assert abs(p[1] - 0.5) <= 0.1
 
 
 def test_forest_probabilities_are_vote_fractions():
@@ -108,13 +98,18 @@ def test_forest_probabilities_are_vote_fractions():
     # multiples of 1/trees and normalized
     assert np.allclose(np.round(proba * 17) / 17, proba)
     assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+    for width in (2, 4):  # too few features used to index out of bounds
+        with pytest.raises(DataError, match="model expects 3"):
+            model.tree_votes(np.zeros((1, width)))
+        with pytest.raises(DataError, match="model expects 3"):
+            model.predict_proba_batch(np.zeros((1, width)))
 
 
 def test_forest_unanimous_vote_is_certain(separable_clusters):
     ds = separable_clusters(gap=50.0)
     model = fit(ForestSpec(trees=50), ds, seed=2)
-    p = model.predict_proba(ds.x[0])
-    assert p.p.tolist() == [1.0, 0.0]
+    p = model.predict_proba_batch(ds.x[:1])
+    assert p.tolist() == [[1.0, 0.0]]
 
 
 def test_forest_deterministic_per_seed():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from comulti.cmc import CmcModel, fit_cmc, predict_cmc
+from comulti.cmc import CmcModel, fit_cmc
 from comulti.dataset import BINARY, FULL, class_stats, make_view
 from comulti.errors import DataError
 from comulti.multistage import MultistageModel, StageThresholds
 
-from conftest import LookupStub, make_dataset
+from conftest import NOT_ONE_ROW, LookupStub, make_dataset
 
 
 def single_skew_stats():
@@ -71,13 +71,14 @@ def test_batch_routing_counts_and_validity():
 
 def test_predict_rejects_several_rows():
     model, _, _ = stub_cmc([[0.9, 0.1]] * 2, [[1.0, 0.0, 0.0]] * 2)
-    with pytest.raises(DataError, match="single feature vector"):
-        model.predict(np.arange(2, dtype=float)[:, None])
+    for x in NOT_ONE_ROW:
+        with pytest.raises(DataError, match="single feature vector"):
+            model.predict(x)
 
 
 def test_predict_cmc_functional_alias():
     model, _, _ = stub_cmc([[0.9, 0.1]], [[1.0, 0.0, 0.0]])
-    label, info = predict_cmc(model, row(0))
+    label, info = model.predict(row(0))
     assert label == 0
 
 

@@ -7,7 +7,6 @@ from comulti.cmcm import (
     BRANCH_MINORITY,
     CmcmModel,
     fit_cmcm,
-    predict_cmcm,
 )
 from comulti.dataset import (
     BINARY,
@@ -20,7 +19,7 @@ from comulti.dataset import (
 from comulti.errors import DataError
 from comulti.multistage import MultistageModel, StageThresholds
 
-from conftest import LookupStub, make_dataset
+from conftest import NOT_ONE_ROW, LookupStub, make_dataset
 
 # Five classes: two majority (ids 0, 1), three minority (ids 2, 3, 4).
 COUNTS = (9, 8, 2, 2, 1)
@@ -228,13 +227,14 @@ def test_fit_cmcm_rejects_degenerate_stats():
 def test_predict_rejects_several_rows():
     model, _ = stub_cmcm([[0.9, 0.1]] * 2, [[0.6, 0.2, 0.1, 0.1]] * 2,
                          [[0.1, 0.6, 0.3]] * 2, [[0.2] * 5] * 2)
-    with pytest.raises(DataError, match="single feature vector"):
-        model.predict(np.arange(2, dtype=float)[:, None])
+    for x in NOT_ONE_ROW:
+        with pytest.raises(DataError, match="single feature vector"):
+            model.predict(x)
 
 
 def test_predict_cmcm_functional_alias():
     model, _ = stub_cmcm([[0.9, 0.1]], [[0.6, 0.2, 0.1, 0.1]],
                          [[0.1, 0.6, 0.3]], [[0.2] * 5])
-    label, info = predict_cmcm(model, row())
+    label, info = model.predict(row())
     assert info.branch == BRANCH_MAJORITY
     assert label == 0

@@ -3,12 +3,7 @@ import pytest
 
 from comulti.classifiers import CombinerSpec, ForestSpec, SmoSpec
 from comulti.errors import ConfigError
-from comulti.multistage import (
-    MultistageModel,
-    StageThresholds,
-    fit_multistage,
-    predict_multistage,
-)
+from comulti.multistage import MultistageModel, StageThresholds, fit_multistage
 
 from conftest import LookupStub, make_dataset
 
@@ -32,22 +27,22 @@ def x_rows(n):
 
 def test_stage_one_meets_threshold():
     m = model_of([[[0.95, 0.05]], [[0.5, 0.5]]], [0.9, 1.0])
-    got = m.predict(np.array([0.0]))
-    assert got.stage_used == 1
-    assert got.dist.p.tolist() == [0.95, 0.05]
+    dists, used = m.predict_batch(x_rows(1))
+    assert used.tolist() == [1]
+    assert dists.tolist() == [[0.95, 0.05]]
 
 
 def test_trace_oracle_falls_through_to_terminal():
     # thresholds [1.0, 1.0]; stage 1 gives 0.8 < 1.0, stage 2 is terminal.
     m = model_of([[[0.8, 0.2]], [[0.6, 0.4]]], [1.0, 1.0])
-    got = m.predict(np.array([0.0]))
-    assert got.stage_used == 2
-    assert got.dist.p.tolist() == [0.6, 0.4]
+    dists, used = m.predict_batch(x_rows(1))
+    assert used.tolist() == [2]
+    assert dists.tolist() == [[0.6, 0.4]]
 
 
 def test_threshold_comparison_is_greater_equal():
     m = model_of([[[0.8, 0.2]], [[0.6, 0.4]]], [0.8, 1.0])
-    assert m.predict(np.array([0.0])).stage_used == 1
+    assert m.predict_batch(x_rows(1))[1].tolist() == [1]
 
 
 def test_low_thresholds_are_identity_with_stage_one():
@@ -184,5 +179,4 @@ def test_fit_multistage_deterministic(separable_clusters):
 
 def test_predict_multistage_functional_alias():
     m = model_of([[[0.9, 0.1]]], [0.5])
-    got = predict_multistage(m, np.array([0.0]))
-    assert got.stage_used == 1
+    assert m.predict_batch(x_rows(1))[1].tolist() == [1]

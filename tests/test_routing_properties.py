@@ -113,6 +113,7 @@ def test_cmc_single_row_matches_batch(case):
              "multi": [0] * model.multi.n_stages}
     for i in range(n):
         label, exp = model.predict(x[i])
+        assert model.predict(x[i].tolist()) == (label, exp)
         one, one_info = model.predict_batch(x[i:i + 1])
         assert label == labels[i] == one[0]
         assert 0 <= label < 3
@@ -144,6 +145,7 @@ def test_cmcm_single_row_matches_batch(case):
     pseudo = 0
     for i in range(n):
         label, exp = model.predict(x[i])
+        assert model.predict(x[i].tolist()) == (label, exp)
         one, one_info = model.predict_batch(x[i:i + 1])
         assert label == labels[i] == one[0]
         assert 0 <= label < 5  # an original class, never a cluster
