@@ -233,3 +233,113 @@ def test_grower_matches_reference_on_edge_shapes(n, width, n_classes):
     got = [[t.feature.tolist(), t.threshold.tolist(), t.left.tolist(),
             t.right.tolist(), t.vote.tolist()] for t in model.trees]
     assert got == _reference_forest(x, y, n_classes, 2, 5)
+
+
+# ---------------------------------------------------------------------------
+# Reference walker: the same votes, one tree at a time, level by level
+
+
+def _reference_votes(tree, dense):
+    """Leaf vote of every row of ``dense`` in one tree, walked level by
+    level with numpy (the forest's walk as it was first written)."""
+    node = np.zeros(dense.shape[0], dtype=np.int32)
+    active = tree.feature[node] >= 0
+    while active.any():
+        rows = np.nonzero(active)[0]
+        cur = node[rows]
+        go_left = dense[rows, tree.feature[cur]] <= tree.threshold[cur]
+        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+        active = tree.feature[node] >= 0
+    return tree.vote[node]
+
+
+def _check_walk(model, x):
+    """``tree_votes`` and ``predict_proba_batch`` equal the reference on
+    ``x`` as one batch and on each of its rows alone."""
+    dense = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
+    want = np.array([_reference_votes(t, dense) for t in model.trees],
+                    dtype=np.int32).reshape(len(model.trees), -1)
+    k = model.n_labels
+    proba = np.array([np.bincount(v, minlength=k) for v in want.T],
+                     dtype=np.int64).reshape(-1, k) / len(model.trees)
+    assert np.array_equal(model.tree_votes(x), want)
+    assert model.predict_proba_batch(x).tobytes() == proba.tobytes()
+    for r in range(x.shape[0]):
+        row = x[r:r + 1]
+        assert np.array_equal(model.tree_votes(row), want[:, r:r + 1])
+        assert model.predict_proba_batch(row).tobytes() \
+            == proba[r:r + 1].tobytes()
+
+
+def _edge_values(model, x, rng):
+    """``x`` with cells set to split thresholds, +/-inf and NaN."""
+    x = np.array(x, dtype=float)
+    for t in model.trees:
+        inner = np.flatnonzero(t.feature >= 0)
+        for node in rng.choice(inner, size=min(inner.size, 12),
+                               replace=False):
+            x[rng.integers(x.shape[0]), t.feature[node]] = t.threshold[node]
+    for value in (np.inf, -np.inf, np.nan):
+        hit = rng.random(x.shape) < 0.05
+        x[hit] = value
+    return x
+
+
+def _unsorted_csr(x, rng):
+    """CSR copy of ``x`` whose column indices are shuffled within rows."""
+    m = sp.csr_matrix(x)
+    for r in range(m.shape[0]):
+        lo, hi = m.indptr[r], m.indptr[r + 1]
+        perm = lo + rng.permutation(hi - lo)
+        m.indices[lo:hi] = m.indices[perm].copy()
+        m.data[lo:hi] = m.data[perm].copy()
+    m.has_sorted_indices = False
+    return m
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_matches_level_reference(seed):
+    x, y = _random_case(seed)
+    n_classes = int(y.max()) + 1
+    model = forest_mod.fit_forest(ForestSpec(trees=4), x, y,
+                                  tuple(f"c{i}" for i in range(n_classes)),
+                                  seed)
+    rng = np.random.default_rng(seed)
+    probe = np.vstack([x[:20], rng.normal(size=(10, x.shape[1]))])
+    _check_walk(model, probe)
+    _check_walk(model, _edge_values(model, probe, rng))
+    _check_walk(model, sp.csr_matrix(probe))
+    _check_walk(model, _unsorted_csr(probe, rng))
+
+
+def test_walk_matches_level_reference_lone_leaf_tree():
+    x, y = _random_case(3)
+    model = forest_mod.fit_forest(ForestSpec(trees=2), x, y,
+                                  tuple(f"c{i}" for i in range(int(y.max())
+                                                                + 1)), 3)
+    doc = model.to_dict()
+    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1],
+            "right": [-1], "vote": [1]}
+    doc["forest"].insert(1, leaf)
+    doc["trees"] = 3
+    lone = forest_mod.TrainedForest.from_dict(doc)
+    rng = np.random.default_rng(0)
+    _check_walk(lone, _edge_values(lone, x[:25], rng))
+    _check_walk(lone, _unsorted_csr(x[:25], rng))
+    # No features at all: every tree is one leaf.
+    empty = forest_mod.fit_forest(ForestSpec(trees=3), np.zeros((10, 0)),
+                                  np.arange(10) % 2, ("a", "b"), 0)
+    _check_walk(empty, np.zeros((4, 0)))
+
+
+def test_walk_matches_level_reference_in_chunks(monkeypatch):
+    # A budget of 7 (tree, row) pairs walks 4 trees over 1 row per chunk.
+    monkeypatch.setattr(forest_mod, "_CHUNK_PAIRS", 7, raising=False)
+    x, y = _random_case(5)
+    model = forest_mod.fit_forest(ForestSpec(trees=4), x, y,
+                                  tuple(f"c{i}" for i in range(int(y.max())
+                                                                + 1)), 5)
+    rng = np.random.default_rng(1)
+    probe = _edge_values(model, x[:15], rng)
+    _check_walk(model, probe)
+    _check_walk(model, _unsorted_csr(probe, rng))
