@@ -39,6 +39,21 @@ time with a stable sort: the random draws happen in the same order, the
 Gini arithmetic is the same per cut, and ``argmin`` keeps the earliest of
 equal scores, which is the first feature in draw order and then its lowest
 cut.
+
+How a forest predicts.  The fitted trees are packed into one node table per
+forest: ``feature``, ``threshold``, ``left``/``right`` as absolute node ids
+and ``vote``, plus the node id of each tree's root.  A row goes left at a
+node when its value of the node's feature is ``<=`` the threshold, so NaN
+goes right.  A batch of rows is walked in one numpy loop over all its
+(tree, row) pairs: each pass moves every pair still at an inner node one
+level down, so the loop runs as many passes as the deepest leaf reached.
+A single row is walked tree by tree with plain Python scalars, from lists
+of the table built once per forest; per row, that costs a few list lookups
+per level instead of the numpy calls of a pass.  Both walks make the same
+float64 comparisons (a Python float is a float64, and Python's ``<=``
+follows IEEE 754 like numpy's, NaN included), so they reach the same
+leaves, and probabilities are exact vote counts divided by the number of
+trees.
 """
 
 from __future__ import annotations
@@ -58,6 +73,11 @@ _DENSIFY_ELEMS = 30_000_000
 # blocks count classes per run of equal values instead, whose cost follows
 # the number of runs, far below the cell count on tie-heavy data.
 _ONEHOT_CELLS = 1 << 15
+# A batch is predicted in chunks of at most this many dense cells (sparse
+# inputs densify one chunk at a time) and this many (tree, row) pairs (the
+# walk keeps a few index arrays of one entry per pair).
+_CHUNK_CELLS = 10_000_000
+_CHUNK_PAIRS = 1 << 18
 
 
 class _Columns:
@@ -94,7 +114,8 @@ class _Columns:
 
 
 class _Tree:
-    """Flat-array binary tree: feature < 0 marks a leaf voting ``vote``."""
+    """One tree's flat node arrays, with node ids local to the tree:
+    feature < 0 marks a leaf voting ``vote``."""
 
     __slots__ = ("feature", "threshold", "left", "right", "vote")
 
@@ -104,19 +125,6 @@ class _Tree:
         self.left = np.asarray(left, dtype=np.int32)
         self.right = np.asarray(right, dtype=np.int32)
         self.vote = np.asarray(vote, dtype=np.int32)
-
-    def votes(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(x.shape[0], dtype=np.int32)
-        feat = self.feature[node]
-        active = feat >= 0
-        while active.any():
-            rows = np.nonzero(active)[0]
-            cur = node[rows]
-            go_left = x[rows, self.feature[cur]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
-            feat = self.feature[node]
-            active = feat >= 0
-        return self.vote[node]
 
 
 def _screen(cols: _Columns, rows: np.ndarray, drawn: np.ndarray,
@@ -264,13 +272,38 @@ def _grow_tree(cols: _Columns, boot: np.ndarray, y: np.ndarray,
     return _Tree(feature, threshold, left, right, vote)
 
 
+def _dense(x) -> np.ndarray:
+    if sp.issparse(x):
+        return np.asarray(x.todense(), dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
+
+
 class TrainedForest(Classifier):
+    """A fitted forest.  ``trees`` keeps each tree's own arrays (what
+    ``to_dict`` writes); prediction walks one node table packed from them
+    (see "How a forest predicts" in the module docstring)."""
+
     def __init__(self, spec: ForestSpec, space: tuple[str, ...],
                  trees: list[_Tree], n_features: int):
         self.spec = spec
         self.space = space
         self.trees = trees
         self.n_features = n_features
+        starts = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
+        self._roots = starts.astype(np.intp)
+        # Child ids are absolute in the table (a leaf's are never read).
+        self._feature = np.concatenate([t.feature for t in trees]) \
+            .astype(np.intp)
+        self._threshold = np.concatenate([t.threshold for t in trees])
+        self._left = np.concatenate(
+            [t.left + s for t, s in zip(trees, starts)]).astype(np.intp)
+        self._right = np.concatenate(
+            [t.right + s for t, s in zip(trees, starts)]).astype(np.intp)
+        self._vote = np.concatenate([t.vote for t in trees])
+        # Plain Python copies for the single-row walk.
+        self._lists = tuple(a.tolist() for a in (
+            self._roots, self._feature, self._threshold, self._left,
+            self._right, self._vote))
 
     def predict_proba_batch(self, x) -> np.ndarray:
         votes = self.tree_votes(x)
@@ -285,16 +318,54 @@ class TrainedForest(Classifier):
             raise DataError(f"input has {x.shape[1]} features, model expects "
                             f"{self.n_features}")
         n = x.shape[0]
+        if n == 1:
+            return self._row_votes(_dense(x).ravel().tolist())
         votes = np.empty((len(self.trees), n), dtype=np.int32)
-        # Chunk so sparse inputs densify a slice at a time.
-        step = max(1, int(10_000_000 / max(1, self.n_features)))
+        # Chunk so sparse inputs densify a slice at a time and the walk's
+        # per-pair index arrays stay small however many trees there are.
+        step = max(1, min(_CHUNK_CELLS // max(1, self.n_features),
+                          _CHUNK_PAIRS // len(self.trees)))
         for lo in range(0, n, step):
-            chunk = x[lo:lo + step]
-            dense = np.asarray(chunk.todense(), dtype=np.float64) \
-                if sp.issparse(chunk) else np.asarray(chunk, dtype=np.float64)
-            for t, tree in enumerate(self.trees):
-                votes[t, lo:lo + step] = tree.votes(dense)
+            votes[:, lo:lo + step] = self._walk(_dense(x[lo:lo + step]))
         return votes
+
+    def _row_votes(self, row: list) -> np.ndarray:
+        """Votes of one row of Python floats, walked tree by tree."""
+        roots, feature, threshold, left, right, vote = self._lists
+        votes = []
+        for node in roots:
+            f = feature[node]
+            while f >= 0:
+                node = left[node] if row[f] <= threshold[node] else right[node]
+                f = feature[node]
+            votes.append(vote[node])
+        return np.array(votes, dtype=np.int32)[:, None]
+
+    def _walk(self, dense: np.ndarray) -> np.ndarray:
+        """Votes of every (tree, row) pair of ``dense``, walked together:
+        each pass moves every pair still at an inner node one level down."""
+        m, width = dense.shape
+        flat = np.ascontiguousarray(dense).ravel()
+        n_trees = self._roots.size
+        # Pair p is tree p // m and row p % m.
+        node = np.repeat(self._roots, m)
+        out = node.copy()
+        pair = np.arange(node.size)
+        base = np.tile(np.arange(m) * width, n_trees)
+        feat = self._feature.take(node)
+        while True:
+            inner = feat >= 0
+            if not inner.all():
+                out[pair[~inner]] = node[~inner]
+                pair, node, base, feat = (pair[inner], node[inner],
+                                          base[inner], feat[inner])
+                if not pair.size:
+                    break
+            go_left = flat.take(base + feat) <= self._threshold.take(node)
+            node = np.where(go_left, self._left.take(node),
+                            self._right.take(node))
+            feat = self._feature.take(node)
+        return self._vote.take(out).reshape(n_trees, m)
 
     def to_dict(self) -> dict:
         return {

@@ -334,7 +334,7 @@ def test_walk_matches_level_reference_lone_leaf_tree():
 
 def test_walk_matches_level_reference_in_chunks(monkeypatch):
     # A budget of 7 (tree, row) pairs walks 4 trees over 1 row per chunk.
-    monkeypatch.setattr(forest_mod, "_CHUNK_PAIRS", 7, raising=False)
+    monkeypatch.setattr(forest_mod, "_CHUNK_PAIRS", 7)
     x, y = _random_case(5)
     model = forest_mod.fit_forest(ForestSpec(trees=4), x, y,
                                   tuple(f"c{i}" for i in range(int(y.max())
