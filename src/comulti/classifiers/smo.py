@@ -64,18 +64,26 @@ class _Kernel:
         self.x = x
         self.degree = degree
         self.n = x.shape[0]
-        if self.n <= _FULL_GRAM_ROWS:
-            self.full = _poly_kernel(x, x, degree, order="F")
-            self.diag = np.diag(self.full).copy()
-            self._cache = None
-        else:
-            self.full = None
-            if sp.issparse(x):
-                sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+        # Overflow is reported below as one error, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.n <= _FULL_GRAM_ROWS:
+                self.full = _poly_kernel(x, x, degree, order="F")
+                self.diag = np.diag(self.full).copy()
+                self._cache = None
             else:
-                sq = (x * x).sum(axis=1)
-            self.diag = (sq + 1.0) ** degree
-            self._cache: dict[int, np.ndarray] = {}
+                self.full = None
+                if sp.issparse(x):
+                    sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+                else:
+                    sq = (x * x).sum(axis=1)
+                self.diag = (sq + 1.0) ** degree
+                self._cache: dict[int, np.ndarray] = {}
+        # |x_i . x_j| <= max(|x_i|^2, |x_j|^2) (Cauchy-Schwarz), so a finite
+        # diagonal bounds every kernel entry, computed now or on demand.
+        if not np.isfinite(self.diag).all():
+            raise TrainingError(
+                f"SMO stage: the degree-{degree} kernel overflows on the "
+                "training rows (feature values too large)")
 
     def col(self, i: int) -> np.ndarray:
         if self.full is not None:
@@ -440,6 +448,10 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
             sv = np.nonzero(alpha > 1e-12)[0]
             raw = kernel.block(sv) @ (alpha[sv] * y_bin[sv]) + b
             solved = (alpha, b, gap, platt_fit(raw, y == cls))
+            if not np.isfinite([b, gap, *solved[3]]).all():
+                raise TrainingError(
+                    f"SMO stage: the problem for label {space[cls]!r} has a "
+                    "non-finite bias, KKT gap or Platt fit")
             solutions[key] = solved
         alphas[cls], bias[cls], gaps[cls], platt = solved
         platt_a[cls], platt_b[cls] = platt

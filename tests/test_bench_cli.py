@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +477,24 @@ def test_cli_classifier_spec_out_of_range_is_config_error(
 def test_cli_negative_seed_flag_is_config_error(blobs_csv, capsys):
     assert main(["run", "--dataset", str(blobs_csv), "--seed", "-1"]) == 1
     _one_line_error(capsys, "config error:")
+
+
+def test_cli_overflowing_kernel_is_training_error(blobs_csv, tmp_path,
+                                                 capsys):
+    # One value of 1e200 overflows the SMO kernel.  The run used to spend
+    # ~25 s at the default iteration cap with a NaN KKT gap and exit 0.
+    lines = blobs_csv.read_text().splitlines()
+    row = lines[5].split(",")
+    row[1] = "1e200"
+    lines[5] = ",".join(row)
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(lines) + "\n")
+    conf = tmp_path / "big.conf"
+    conf.write_text(f"dataset.path = {big}\nsmo.max_iter = 50\n")
+    t0 = time.perf_counter()
+    assert main(["run", "--config", str(conf)]) == 3
+    assert time.perf_counter() - t0 < 10.0
+    _one_line_error(capsys, "training error: [fit] SMO stage: ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -253,6 +255,55 @@ def test_platt_fit_degenerate_sides():
     scores = np.array([1.0, 2.0, 3.0])
     a, b = platt_fit(scores, np.array([True, True, True]))
     assert np.isfinite([a, b]).all()
+
+
+@pytest.mark.parametrize("full_gram_rows", [6000, 0])
+@pytest.mark.parametrize("value,degree", [(1e200, 1), (1e100, 2)])
+def test_smo_overflowing_kernel_is_training_error(monkeypatch, full_gram_rows,
+                                                  value, degree):
+    # The kernel overflowed into inf/NaN and the solver ran to its cap
+    # with a NaN gap, leaving NaN biases and probabilities.  Both the full
+    # Gram and the column cache stop at the diagonal, without numpy
+    # overflow warnings.
+    import comulti.classifiers.smo as smo_mod
+
+    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", full_gram_rows)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(30, 3))
+    x[4, 1] = value
+    ds = make_dataset(x, rng.integers(0, 2, 30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match="^SMO stage: the degree-"):
+            fit(SmoSpec(degree=degree, max_iter=50), ds, seed=0)
+
+
+@pytest.mark.parametrize("full_gram_rows", [6000, 0])
+def test_smo_large_finite_kernel_still_fits(monkeypatch, full_gram_rows):
+    # 1e150 squares to 1e300: the kernel is finite, so the fit goes on and
+    # still warns at its iteration cap.
+    import comulti.classifiers.smo as smo_mod
+
+    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", full_gram_rows)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(30, 3))
+    x[4, 1] = 1e150
+    ds = make_dataset(x, rng.integers(0, 2, 30))
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        model = fit(SmoSpec(max_iter=3), ds, seed=0)
+    assert np.isfinite(model.bias).all() and np.isfinite(model.kkt_gaps).all()
+    assert np.isfinite(model.predict_proba_batch(x)).all()
+
+
+def test_smo_non_finite_solution_is_training_error(monkeypatch):
+    import comulti.classifiers.smo as smo_mod
+
+    monkeypatch.setattr(smo_mod, "platt_fit", lambda scores, pos: (np.nan, 0))
+    rng = np.random.default_rng(7)
+    ds = make_dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, 30))
+    with pytest.raises(TrainingError, match="^SMO stage: the problem for "
+                                            "label 'c0' has a non-finite"):
+        fit(SmoSpec(), ds, seed=0)
 
 
 def test_smo_column_cache_matches_full_gram(monkeypatch):
