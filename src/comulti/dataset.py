@@ -262,12 +262,15 @@ def load_csv(path, label_column: str, schema: FeatureSchema) -> Dataset:
 
 def load_sparse(matrix_path, labels_path) -> Dataset:
     """Load the sparse text format: ``nrows ncols nnz`` header, then one line
-    per row of space-separated 1-based ``col value`` pairs, with a companion
-    labels file holding one label string per row."""
+    per row of space-separated 1-based ``col value`` pairs (a blank line is a
+    row with no nonzeros), with a companion labels file holding one label
+    string per row.  Blank lines before the header and after the last row
+    are ignored."""
     lines = [ln.strip() for ln in read_lines(matrix_path)]
-    lines = [ln for ln in lines if ln != ""]
-    if not lines:
+    first = next((i for i, ln in enumerate(lines) if ln != ""), None)
+    if first is None:
         raise DataError(f"{matrix_path}: empty file")
+    lines = lines[first:]
     head = lines[0].split()
     if len(head) != 3:
         raise DataError(f"{matrix_path}: header must be 'nrows ncols nnz'")
@@ -275,6 +278,8 @@ def load_sparse(matrix_path, labels_path) -> Dataset:
         nrows, ncols, nnz = (int(v) for v in head)
     except ValueError:
         raise DataError(f"{matrix_path}: non-integer header field") from None
+    while len(lines) - 1 > nrows and lines[-1] == "":
+        lines.pop()
     if len(lines) - 1 != nrows:
         raise DataError(
             f"{matrix_path}: header declares {nrows} rows, found {len(lines) - 1}"

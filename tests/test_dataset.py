@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comulti.dataset import (
     BINARY,
@@ -136,6 +142,89 @@ def test_sparse_round_trip(tmp_path):
     diff.eliminate_zeros()
     assert diff.nnz == 0
     assert [again.labels[v] for v in again.y] == [ds.labels[v] for v in ds.y]
+
+
+# ---------------------------------------------------------------------------
+# Round-trip properties: load -> write -> load keeps every row
+
+
+# Label names survive both formats when they have no surrounding spaces and
+# no line breaks; commas and quotes are quoted by the CSV writer.
+LABEL_NAMES = st.text(alphabet="ab ,\"'_-", min_size=1, max_size=4) \
+    .filter(lambda s: s == s.strip())
+CATEGORIES = ("lo", "mid", "hi")
+
+
+@st.composite
+def datasets(draw, sparse: bool):
+    """A small dataset of finite values (zeros common, so sparse rows may be
+    empty); CSV datasets may lead with an ordinal feature."""
+    n, width = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cells = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(allow_nan=False,
+                                          allow_infinity=False)),
+        min_size=n * width, max_size=n * width))
+    x = np.array(cells, dtype=np.float64).reshape(n, width)
+    features = [FeatureSpec(f"f{j}") for j in range(width)]
+    if not sparse and draw(st.booleans()):
+        codes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        x = np.column_stack([np.array(codes, dtype=np.float64), x])
+        features.insert(0, FeatureSpec("size", "ordinal", CATEGORIES))
+    names = draw(st.lists(LABEL_NAMES, min_size=1, max_size=3, unique=True))
+    y = draw(st.lists(st.integers(0, len(names) - 1), min_size=n,
+                      max_size=n))
+    return Dataset(FeatureSchema(tuple(features)),
+                   sp.csr_matrix(x) if sparse else x, y, tuple(names))
+
+
+def _row_labels(ds):
+    return [ds.labels[v] for v in ds.y]
+
+
+def _same_rows(a, b):
+    """Same schema, bit-identical values and the same label on every row
+    (label ids may be renumbered by first appearance)."""
+    xa = a.x.toarray() if a.is_sparse else a.x
+    xb = b.x.toarray() if b.is_sparse else b.x
+    return (a.schema == b.schema and xa.tobytes() == xb.tobytes()
+            and _row_labels(a) == _row_labels(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=datasets(sparse=False))
+def test_csv_round_trip_property(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_csv(ds, first)
+        loaded = load_csv(first, "label", ds.schema)
+        write_csv(loaded, second)
+        again = load_csv(second, "label", ds.schema)
+    assert _same_rows(loaded, ds)
+    assert again.equals(loaded)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=datasets(sparse=True))
+def test_sparse_round_trip_property(ds):
+    # Rows with no nonzeros are written as blank lines; the loader used to
+    # drop them and reject the file's row count.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_sparse(ds, tmp / "a.txt", tmp / "a.labels")
+        loaded = load_sparse(tmp / "a.txt", tmp / "a.labels")
+        write_sparse(loaded, tmp / "b.txt", tmp / "b.labels")
+        again = load_sparse(tmp / "b.txt", tmp / "b.labels")
+    assert _same_rows(loaded, ds)
+    assert again.equals(loaded)
+
+
+def test_load_sparse_blank_lines_are_empty_rows(tmp_path):
+    m = write(tmp_path / "m.txt", "\n3 2 1\n\n2 1.5\n\n\n\n")
+    ds = load_sparse(m, write(tmp_path / "m.labels", "a\nb\na\n"))
+    assert ds.x.toarray().tolist() == [[0.0, 0.0], [0.0, 1.5], [0.0, 0.0]]
+    with pytest.raises(DataError, match="declares 2 rows, found 3"):
+        load_sparse(write(tmp_path / "gap.txt", "2 2 2\n1 1.0\n\n2 1.0\n"),
+                    write(tmp_path / "two.labels", "a\nb\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comulti.classifiers import (
     CombinerSpec,
@@ -11,11 +14,12 @@ from comulti.classifiers import (
     fit,
     load_model,
     model_from_dict,
+    model_to_dict,
     save_model,
 )
 from comulti.cmc import CmcModel, fit_cmc
 from comulti.cmcm import CmcmModel, fit_cmcm
-from comulti.dataset import class_stats
+from comulti.dataset import Dataset, FeatureSchema, class_stats
 from comulti.errors import DataError
 from comulti.multistage import MultistageModel, StageThresholds, fit_multistage
 
@@ -138,3 +142,55 @@ def test_cmcm_round_trip():
     lb, ib = again.predict_batch(q)
     assert np.array_equal(la, lb)
     assert ia["branch_counts"] == ib["branch_counts"]
+
+
+# ---------------------------------------------------------------------------
+# Round-trip property: to_dict -> JSON -> from_dict on random small data
+
+
+def _dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
+@st.composite
+def skewed_datasets(draw):
+    """One majority class and 1-3 minority classes (so cmc applies), with
+    tied, negative and zero values; dense or CSR."""
+    sizes = [draw(st.integers(14, 24))] + draw(
+        st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    width = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.repeat(np.arange(len(sizes)), sizes)
+    x = rng.integers(-3, 4, size=(y.size, width)) * 0.5 \
+        + 2.0 * y[:, None] * rng.random(width)
+    x[rng.random(x.shape) < 0.4] = 0.0
+    sparse = draw(st.booleans())
+    ds = Dataset(FeatureSchema.numeric(width),
+                 sp.csr_matrix(x) if sparse else x, y,
+                 tuple(f"c{i}" for i in range(len(sizes))))
+    probe = np.vstack([x[::3], rng.normal(size=(6, width)) * 4])
+    return ds, sp.csr_matrix(probe) if sparse else probe
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=skewed_datasets())
+def test_model_json_round_trip_property(case):
+    ds, q = case
+    rows = [q[i:i + 1] for i in range(q.shape[0])]
+    for spec in (ForestSpec(trees=3), SmoSpec()):
+        model = fit(spec, ds, seed=1)
+        again = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert _dump(model_to_dict(again)) == _dump(model_to_dict(model))
+        for x in [q] + rows:
+            assert again.predict_proba_batch(x).tobytes() \
+                == model.predict_proba_batch(x).tobytes()
+    model = fit_cmc(ds, class_stats(ds), seed=1,
+                    specs=[ForestSpec(trees=3), SmoSpec(),
+                           CombinerSpec(left=0, right=1)])
+    again = CmcModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert _dump(again.to_dict()) == _dump(model.to_dict())
+    la, ia = model.predict_batch(q)
+    lb, ib = again.predict_batch(q)
+    assert la.tobytes() == lb.tobytes() and ia == ib
+    for i in range(q.shape[0]):
+        assert again.predict(q[i]) == model.predict(q[i])
