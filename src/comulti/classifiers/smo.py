@@ -447,11 +447,12 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
                                             spec.max_iter)
             sv = np.nonzero(alpha > 1e-12)[0]
             raw = kernel.block(sv) @ (alpha[sv] * y_bin[sv]) + b
-            solved = (alpha, b, gap, platt_fit(raw, y == cls))
-            if not np.isfinite([b, gap, *solved[3]]).all():
+            platt = platt_fit(raw, y == cls)
+            if not np.isfinite([b, gap, *platt]).all():
                 raise TrainingError(
                     f"SMO stage: the problem for label {space[cls]!r} has a "
                     "non-finite bias, KKT gap or Platt fit")
+            solved = (alpha, b, gap, platt)
             solutions[key] = solved
         alphas[cls], bias[cls], gaps[cls], platt = solved
         platt_a[cls], platt_b[cls] = platt
