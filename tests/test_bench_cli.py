@@ -27,6 +27,7 @@ from comulti.cli import main
 from comulti.dataset import class_stats, split_indices, write_csv, write_sparse
 from comulti.datagen import gaussian_blobs
 from comulti.errors import ConfigError, DataError
+from comulti.multistage import StageThresholds
 
 from conftest import make_dataset
 
@@ -219,6 +220,71 @@ def test_run_experiment_pipeline(blobs_csv):
 def test_run_experiment_auto_resolves(blobs_csv):
     res = run_experiment(small_cfg(blobs_csv, model="auto"))
     assert res.resolved_model == "cmc"
+
+
+MULTI_SKEW_SIZES = [45, 40, 12, 10, 8]
+# A first-stage threshold every distribution meets (its top probability is
+# at least 1/k), one per layer so a swapped layer shows.
+LAYER_THRESHOLDS = {
+    "binary": (0.01, 1.0, 1.0), "multi": (0.02, 1.0, 1.0),
+    "b": (0.03, 1.0, 1.0), "m1": (0.04, 1.0, 1.0),
+    "m2": (0.05, 1.0, 1.0), "m3": (0.06, 1.0, 1.0),
+}
+MODEL_LAYERS = {"cmc": ("binary", "multi"), "cmcm": ("b", "m1", "m2", "m3")}
+
+
+def _kept_models(monkeypatch) -> list:
+    """Every two-layer model ``run_experiment`` fits, in fit order."""
+    import comulti.bench as bench_mod
+
+    kept = []
+    for name in ("fit_cmc", "fit_cmcm"):
+        def keep(*args, _fit=getattr(bench_mod, name), **kwargs):
+            kept.append(_fit(*args, **kwargs))
+            return kept[-1]
+        monkeypatch.setattr(bench_mod, name, keep)
+    return kept
+
+
+@pytest.mark.parametrize("model,sizes", [("cmc", SMALL_SIZES),
+                                         ("cmcm", MULTI_SKEW_SIZES)])
+def test_config_thresholds_reach_their_layer(tmp_path, monkeypatch, model,
+                                             sizes):
+    path = tmp_path / "blobs.csv"
+    write_csv(gaussian_blobs(sizes, separation=3.0, seed=4), path)
+    kept = _kept_models(monkeypatch)
+    layers = MODEL_LAYERS[model]
+    plain = run_experiment(small_cfg(path, model=model, trees=5))
+    tuned = run_experiment(small_cfg(
+        path, model=model, trees=5,
+        thresholds={layer: LAYER_THRESHOLDS[layer] for layer in layers}))
+    assert len(kept) == 2
+    for layer in layers:
+        assert getattr(kept[0], layer).thresholds == StageThresholds.ones(3)
+        assert getattr(kept[1], layer).thresholds == \
+            StageThresholds(LAYER_THRESHOLDS[layer])
+        # Every row a layer evaluates now leaves it at the first stage.
+        hist = tuned.routing[f"{layer}_stage_histogram"]
+        assert hist[1:] == [0, 0]
+    moved = [layer for layer in layers
+             if plain.routing[f"{layer}_stage_histogram"]
+             != tuned.routing[f"{layer}_stage_histogram"]]
+    assert moved
+
+
+@pytest.mark.parametrize("sizes,resolved", [(SMALL_SIZES, "cmc"),
+                                            (MULTI_SKEW_SIZES, "cmcm")])
+def test_config_naming_all_layers_runs_under_auto(tmp_path, monkeypatch,
+                                                  sizes, resolved):
+    path = tmp_path / "blobs.csv"
+    write_csv(gaussian_blobs(sizes, separation=3.0, seed=4), path)
+    kept = _kept_models(monkeypatch)
+    res = run_experiment(small_cfg(path, model="auto", trees=5,
+                                   thresholds=LAYER_THRESHOLDS))
+    assert res.resolved_model == resolved
+    for layer in MODEL_LAYERS[resolved]:
+        assert getattr(kept[0], layer).thresholds == \
+            StageThresholds(LAYER_THRESHOLDS[layer])
 
 
 def test_sampling_never_touches_test_partition(blobs_csv):
