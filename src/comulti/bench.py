@@ -21,9 +21,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifiers import Classifier, CombinerSpec, ForestSpec, SmoSpec, fit
-from .cmc import fit_cmc
-from .cmcm import fit_cmcm
+from .classifiers import (
+    Classifier,
+    ForestSpec,
+    SmoSpec,
+    default_stage_specs,
+    fit,
+)
+from .cmc import CmcModel, fit_cmc
+from .cmcm import CmcmModel, fit_cmcm
 from .dataset import (
     ClassStats,
     Dataset,
@@ -47,7 +53,9 @@ MODELS = ("auto", "cmc", "cmcm", "baseline-rf", "baseline-smo")
 SAMPLINGS = ("none", "over", "under", "over-under")
 FORMATS = ("csv", "sparse")
 
-_THRESHOLD_LAYERS = ("binary", "multi", "b", "m1", "m2", "m3")
+_TWO_LAYER = {"cmc": CmcModel, "cmcm": CmcmModel}
+_THRESHOLD_LAYERS = tuple(name for model in _TWO_LAYER.values()
+                          for name, _ in model.LAYERS)
 
 
 @dataclass(frozen=True)
@@ -386,19 +394,6 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _stage_thresholds(cfg: ExperimentConfig, layer: str,
-                      n_stages: int) -> StageThresholds:
-    values = cfg.thresholds.get(layer)
-    if values is None:
-        return StageThresholds.ones(n_stages)
-    return StageThresholds(tuple(values))
-
-
-def _specs(cfg: ExperimentConfig):
-    return [cfg.build(ForestSpec), cfg.build(SmoSpec),
-            CombinerSpec(left=0, right=1)]
-
-
 class _Stage:
     """Context tag so failures surface with the pipeline stage identity."""
 
@@ -444,20 +439,15 @@ def run_experiment(cfg: ExperimentConfig, ds: Optional[Dataset] = None,
         model_kind = cfg.model
         if model_kind == "auto":
             model_kind = auto_select(stats)
-        specs = _specs(cfg)
-        if model_kind == "cmc":
-            model = fit_cmc(
-                ds_train, stats,
-                _stage_thresholds(cfg, "binary", len(specs)),
-                _stage_thresholds(cfg, "multi", len(specs)),
-                seed=fit_seed, specs=specs)
-        elif model_kind == "cmcm":
-            layer_thresholds = [
-                _stage_thresholds(cfg, layer, len(specs))
-                for layer in ("b", "m1", "m2", "m3")
-            ]
-            model = fit_cmcm(ds_train, stats, layer_thresholds,
-                             seed=fit_seed, specs=specs)
+        specs = default_stage_specs(cfg.build(ForestSpec), cfg.build(SmoSpec))
+        if model_kind in _TWO_LAYER:
+            # Looked up at call time, so a wrapped fit_cmc/fit_cmcm is used.
+            fit_two_layer = fit_cmc if model_kind == "cmc" else fit_cmcm
+            thresholds = {layer: StageThresholds(cfg.thresholds[layer])
+                          for layer, _ in _TWO_LAYER[model_kind].LAYERS
+                          if layer in cfg.thresholds}
+            model = fit_two_layer(ds_train, stats, thresholds,
+                                  seed=fit_seed, specs=specs)
         elif model_kind == "baseline-rf":
             model = fit(specs[0], ds_train, fit_seed)
         else:  # baseline-smo

@@ -42,10 +42,11 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 
 
-def default_stage_specs() -> list[ClassifierSpec]:
+def default_stage_specs(forest: ForestSpec = ForestSpec(trees=100),
+                        smo: SmoSpec = SmoSpec()) -> list[ClassifierSpec]:
     """The 3-stage recipe: forest, margin classifier, then the
     max-confidence combiner over the first two stages."""
-    return [ForestSpec(trees=100), SmoSpec(), CombinerSpec(left=0, right=1)]
+    return [forest, smo, CombinerSpec(left=0, right=1)]
 
 
 def fit(spec: ClassifierSpec, ds: Dataset, seed: int,

@@ -16,16 +16,20 @@ majority cluster picked by ``m1`` is resolved by ``m2``'s distribution
 restricted to the majority classes, and the minority cluster picked by
 ``m2`` by ``m1``'s restricted to the minority classes.  The final answer is
 therefore always an original label.
+
+``CmcmModel.LAYERS`` pairs each layer with its label view; the rest is
+:class:`~comulti.multistage.TwoLayerModel`, except the fit loop, kept here
+so that its ``fit_multistage`` and ``apply_view`` can be wrapped per model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, default_stage_specs
+from .classifiers import ClassifierSpec
 from .dataset import (
     BINARY,
     FULL,
@@ -33,14 +37,12 @@ from .dataset import (
     MIN_CLUSTER,
     ClassStats,
     Dataset,
-    LabelView,
     apply_view,
-    make_view,
 )
 from .errors import DataError
 from .multistage import (
-    MultistageModel,
     StageThresholds,
+    TwoLayerModel,
     fit_multistage,
     single_row,
     take_rows,
@@ -85,29 +87,23 @@ class CmcmExplanation:
     p_m2_cluster: float
 
 
-class CmcmModel:
-    def __init__(self, b: MultistageModel, m1: MultistageModel,
-                 m2: MultistageModel, m3: MultistageModel,
-                 views: dict[str, LabelView], stats: ClassStats):
-        if not stats.majority or not stats.minority:
-            raise DataError("need at least one majority and one minority class")
-        if len(b.space) != 2:
-            raise DataError("binary gate must have exactly 2 view labels")
-        if len(m1.space) != 1 + len(stats.minority):
-            raise DataError("majority-cluster layer has the wrong label count")
-        if len(m2.space) != 1 + len(stats.majority):
-            raise DataError("minority-cluster layer has the wrong label count")
-        if m3.space != stats.labels:
-            raise DataError("fallback layer must cover the original labels")
-        self.b = b
-        self.m1 = m1
-        self.m2 = m2
-        self.m3 = m3
-        self.views = views
-        self.stats = stats
+class CmcmModel(TwoLayerModel):
+    KIND = "cmcm"
+    LAYERS = (("b", BINARY), ("m1", MAJ_CLUSTER), ("m2", MIN_CLUSTER),
+              ("m3", FULL))
+
+    def __init__(self, layers, stats: ClassStats):
+        super().__init__(layers, stats)
         # Slot 1.. of each cluster view lists member classes in original order.
         self._m1_slot_to_orig = np.array(stats.minority, dtype=np.int64)
         self._m2_slot_to_orig = np.array(stats.majority, dtype=np.int64)
+
+    @staticmethod
+    def check_stats(stats: ClassStats) -> None:
+        if not stats.majority:
+            raise DataError("no majority classes: nothing to cluster")
+        if not stats.minority:
+            raise DataError("no minority classes: nothing to protect")
 
     def route(self, x) -> CmcmRouting:
         """Route every row of a batch through the quorum; ``m3`` is
@@ -145,18 +141,10 @@ class CmcmModel:
                            pseudo, p_b_maj, p_b_min, p1, p2,
                            {"b": sb, "m1": s1, "m2": s2, "m3": s3})
 
-    def predict_batch(self, x) -> tuple[np.ndarray, dict]:
-        """Labels plus branch-routing statistics for a batch."""
-        r = self.route(x)
+    def route_counts(self, r: CmcmRouting) -> dict:
         counts = np.bincount(r.branch, minlength=len(BRANCHES)).tolist()
-        info = {
-            "branch_counts": dict(zip(BRANCHES, counts)),
-            "pseudo_label_resolutions": int(r.pseudo_resolved.sum()),
-        }
-        for name, stages in r.layer_stages.items():
-            info[f"{name}_stage_histogram"] = getattr(
-                self, name).stage_histogram(stages)
-        return r.labels, info
+        return {"branch_counts": dict(zip(BRANCHES, counts)),
+                "pseudo_label_resolutions": int(r.pseudo_resolved.sum())}
 
     def predict(self, x) -> tuple[int, CmcmExplanation]:
         """Single-instance prediction with a routing explanation."""
@@ -167,57 +155,14 @@ class CmcmModel:
             float(r.p_binary_minority[0]), float(r.p_m1_cluster[0]),
             float(r.p_m2_cluster[0]))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "cmcm",
-            "b": self.b.to_dict(),
-            "m1": self.m1.to_dict(),
-            "m2": self.m2.to_dict(),
-            "m3": self.m3.to_dict(),
-            "views": {k: v.to_dict() for k, v in self.views.items()},
-            "stats": self.stats.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "CmcmModel":
-        return CmcmModel(
-            MultistageModel.from_dict(doc["b"]),
-            MultistageModel.from_dict(doc["m1"]),
-            MultistageModel.from_dict(doc["m2"]),
-            MultistageModel.from_dict(doc["m3"]),
-            {k: LabelView.from_dict(v) for k, v in doc["views"].items()},
-            ClassStats.from_dict(doc["stats"]),
-        )
-
 
 def fit_cmcm(ds_train: Dataset, stats: ClassStats,
-             thresholds: Optional[Sequence[StageThresholds]] = None,
+             thresholds: Optional[Mapping[str, StageThresholds]] = None,
              seed: int = 0,
              specs: Optional[Sequence[ClassifierSpec]] = None) -> CmcmModel:
-    """Train the four multistage models on the four views of one dataset.
-
-    ``thresholds`` holds one :class:`StageThresholds` per model, in the
-    order (b, m1, m2, m3); all-default when omitted.  The views share the
-    training matrix, so a one-vs-rest SMO problem posed by several views is
-    solved once.
-    """
-    if not stats.majority:
-        raise DataError("no majority classes: nothing to cluster")
-    if not stats.minority:
-        raise DataError("no minority classes: nothing to protect")
-    specs = list(specs) if specs is not None else default_stage_specs()
-    if thresholds is None:
-        thresholds = [StageThresholds.ones(len(specs)) for _ in range(4)]
-    thresholds = list(thresholds)
-    if len(thresholds) != 4:
-        raise DataError(f"need 4 threshold vectors, got {len(thresholds)}")
-    kinds = (BINARY, MAJ_CLUSTER, MIN_CLUSTER, FULL)
-    views = {kind: make_view(stats, kind) for kind in kinds}
-    seeds = np.random.SeedSequence(seed).spawn(4)
-    shared: dict = {}  # one solve per distinct SMO problem
-    models = [
-        fit_multistage(specs, thr, apply_view(ds_train, views[kind]),
-                       int(child.generate_state(1)[0]), shared)
-        for kind, thr, child in zip(kinds, thresholds, seeds)
-    ]
-    return CmcmModel(models[0], models[1], models[2], models[3], views, stats)
+    """Train the four multistage models on the four views of one dataset;
+    the arguments are those of :meth:`TwoLayerModel.fit_plan`."""
+    plan = CmcmModel.fit_plan(stats, thresholds, seed, specs)
+    # Looked up here, not in the base: perfbench wraps them per module.
+    return CmcmModel([fit_multistage(ds=apply_view(ds_train, view), **args)
+                      for view, args in plan], stats)

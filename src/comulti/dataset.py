@@ -533,23 +533,6 @@ class LabelView:
         """Original label ids mapped onto one view label."""
         return tuple(int(i) for i in np.nonzero(self.mapping == view_label)[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "view_labels": list(self.view_labels),
-            "mapping": self.mapping.tolist(),
-            "cluster_slot": self.cluster_slot,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "LabelView":
-        return LabelView(
-            kind=doc["kind"],
-            view_labels=tuple(doc["view_labels"]),
-            mapping=np.asarray(doc["mapping"], dtype=np.int64),
-            cluster_slot=doc["cluster_slot"],
-        )
-
 
 def make_view(stats: ClassStats, kind: str) -> LabelView:
     """Build a label view from class statistics.

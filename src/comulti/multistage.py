@@ -5,12 +5,16 @@ top-class probability meets that stage's threshold.  With the default
 threshold of 1.0 per stage almost nothing passes early, so the last stage is
 unconditionally terminal: whatever distribution it produces is the answer.
 The returned distribution is always some stage's raw output, never a blend.
+
+:class:`TwoLayerModel` is the skeleton of both co-multistage models: named
+multistage layers, each trained on one label view of the same training set.
+Each model's routing rule (the gate or the quorum) stays in its module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,8 +26,9 @@ from .classifiers import (
     CombinerSpec,
     TrainedCombiner,
     combine_rows,
+    default_stage_specs,
 )
-from .dataset import Dataset
+from .dataset import ClassStats, Dataset, make_view
 from .errors import ConfigError, DataError
 
 
@@ -182,3 +187,72 @@ def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
             child_seed = int(children[s].generate_state(1)[0])
             stages.append(classifiers.fit(spec, ds, child_seed, shared))
     return MultistageModel(stages, thresholds)
+
+
+class TwoLayerModel:
+    """Named multistage layers trained on label views of one training set.
+
+    A subclass declares ``KIND`` (its documents' ``kind``), ``LAYERS`` (pairs
+    of attribute name and view kind, in fit order) and ``check_stats``,
+    which raises a DataError for a skew profile its rule cannot route.  Its
+    ``route(x)`` returns per-row ``labels`` and ``layer_stages``, and
+    ``route_counts(routing)`` the counts ``predict_batch`` reports.  Each
+    layer's labels are those of ``make_view(stats, kind)``, so a document
+    holds the layers and the class statistics, not the views.
+    """
+
+    def __init__(self, layers: Sequence[MultistageModel], stats: ClassStats):
+        self.check_stats(stats)
+        for (name, kind), layer in zip(self.LAYERS, layers, strict=True):
+            if layer.space != make_view(stats, kind).view_labels:
+                raise DataError(f"layer {name} must cover the {kind} view")
+            setattr(self, name, layer)
+        self.stats = stats
+
+    def predict_batch(self, x) -> tuple[np.ndarray, dict]:
+        """Labels plus routing counts and per-layer stage histograms."""
+        r = self.route(x)
+        info = self.route_counts(r)
+        for name, _ in self.LAYERS:
+            info[f"{name}_stage_histogram"] = getattr(
+                self, name).stage_histogram(r.layer_stages[name])
+        return r.labels, info
+
+    def to_dict(self) -> dict:
+        return {"kind": self.KIND,
+                **{name: getattr(self, name).to_dict()
+                   for name, _ in self.LAYERS},
+                "stats": self.stats.to_dict()}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        """Other keys, such as the views older versions wrote, are ignored."""
+        keys = [name for name, _ in cls.LAYERS] + ["stats"]
+        if not (isinstance(doc, dict) and doc.get("kind") == cls.KIND
+                and all(k in doc for k in keys)):
+            raise DataError(f"not a {cls.KIND} model document: expected kind "
+                            f"{cls.KIND!r} with {', '.join(keys)}")
+        return cls([MultistageModel.from_dict(doc[k]) for k in keys[:-1]],
+                   ClassStats.from_dict(doc["stats"]))
+
+    @classmethod
+    def fit_plan(cls, stats: ClassStats,
+                 thresholds: Optional[Mapping[str, StageThresholds]] = None,
+                 seed: int = 0,
+                 specs: Optional[Sequence[ClassifierSpec]] = None) -> list:
+        """Per layer in ``LAYERS`` order, its view and the other arguments of
+        its :func:`fit_multistage` call: the 3-stage recipe by default,
+        thresholds by layer name (1.0 if absent), a seed spawned from
+        ``seed``, and one ``shared`` dict, so an SMO problem is solved once."""
+        cls.check_stats(stats)
+        specs = list(specs) if specs is not None else default_stage_specs()
+        thresholds = dict(thresholds or {})
+        unknown = set(thresholds) - {name for name, _ in cls.LAYERS}
+        if unknown:
+            raise ConfigError(f"a {cls.KIND} model has no layer {min(unknown)!r}")
+        seeds = np.random.SeedSequence(seed).spawn(len(cls.LAYERS))
+        ones, shared = StageThresholds.ones(len(specs)), {}
+        return [(make_view(stats, kind),
+                 dict(specs=specs, thresholds=thresholds.get(name, ones),
+                      seed=int(child.generate_state(1)[0]), shared=shared))
+                for (name, kind), child in zip(cls.LAYERS, seeds)]

@@ -10,6 +10,7 @@ from comulti.classifiers import (
     SmoSpec,
     TrainedCombiner,
     combine_rows,
+    default_stage_specs,
     fit,
 )
 from comulti.classifiers import forest as forest_mod
@@ -322,3 +323,11 @@ def test_smo_column_cache_matches_full_gram(monkeypatch):
                        cached.predict_proba_batch(x), atol=1e-3)
     assert np.array_equal(full.predict_batch(x), cached.predict_batch(x))
     assert (cached.kkt_gaps < 1e-3).all()
+
+
+def test_default_stage_specs_takes_the_forest_and_smo_specs():
+    assert default_stage_specs() == [ForestSpec(trees=100), SmoSpec(),
+                                     CombinerSpec(left=0, right=1)]
+    forest, smo = ForestSpec(trees=7), SmoSpec(degree=2, c=0.5)
+    assert default_stage_specs(forest, smo) == [
+        forest, smo, CombinerSpec(left=0, right=1)]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from comulti.cmc import CmcModel, fit_cmc
-from comulti.dataset import BINARY, FULL, class_stats, make_view
-from comulti.errors import DataError
+from comulti.dataset import BINARY, class_stats, make_view
+from comulti.errors import ConfigError, DataError
 from comulti.multistage import MultistageModel, StageThresholds
 
 from conftest import NOT_ONE_ROW, LookupStub, make_dataset
@@ -18,12 +18,17 @@ def single_skew_stats():
 def stub_cmc(binary_dists, multi_dists):
     stats = single_skew_stats()
     bin_view = make_view(stats, BINARY)
-    full_view = make_view(stats, FULL)
     b_stub = LookupStub(bin_view.view_labels, binary_dists)
     m_stub = LookupStub(stats.labels, multi_dists)
     binary = MultistageModel([b_stub], StageThresholds.ones(1))
     multi = MultistageModel([m_stub], StageThresholds.ones(1))
-    return CmcModel(binary, multi, bin_view, full_view, stats), b_stub, m_stub
+    return CmcModel([binary, multi], stats), b_stub, m_stub
+
+
+def multi_skew_stats():
+    ds = make_dataset(np.zeros((12, 1)), [0] * 5 + [1] * 5 + [2] * 2,
+                      labels=("big", "s1", "s2"))
+    return class_stats(ds)
 
 
 def row(i):
@@ -94,6 +99,21 @@ def test_fit_cmc_rejects_balanced_stats():
     ds = make_dataset(np.zeros((9, 1)), [0, 1, 2] * 3)
     with pytest.raises(DataError):
         fit_cmc(ds, class_stats(ds), seed=0)
+
+
+def test_fit_cmc_rejects_thresholds_for_a_layer_it_lacks():
+    ds = make_dataset(np.zeros((10, 1)), [0] * 6 + [1] * 2 + [2] * 2)
+    with pytest.raises(ConfigError, match="no layer 'm1'"):
+        fit_cmc(ds, class_stats(ds), {"multi": StageThresholds.ones(3),
+                                      "m1": StageThresholds.ones(3)})
+
+
+def test_two_layer_model_checks_each_layer_against_its_view():
+    model, _, _ = stub_cmc([[0.8, 0.2]], [[0.1, 0.7, 0.2]])
+    with pytest.raises(DataError, match="layer multi must cover the full"):
+        CmcModel([model.binary, model.binary], model.stats)
+    with pytest.raises(DataError, match="multi-skew"):
+        CmcModel([model.binary, model.multi], multi_skew_stats())
 
 
 def test_fit_cmc_end_to_end(separable_clusters):

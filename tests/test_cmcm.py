@@ -42,12 +42,12 @@ def stub_cmcm(b_dists, m1_dists, m2_dists, m3_dists):
         "m2": LookupStub(views[MIN_CLUSTER].view_labels, m2_dists),
         "m3": LookupStub(views[FULL].view_labels, m3_dists),
     }
-    model = CmcmModel(
+    model = CmcmModel([
         MultistageModel([stubs["b"]], StageThresholds.ones(1)),
         MultistageModel([stubs["m1"]], StageThresholds.ones(1)),
         MultistageModel([stubs["m2"]], StageThresholds.ones(1)),
         MultistageModel([stubs["m3"]], StageThresholds.ones(1)),
-        views, stats)
+    ], stats)
     return model, stubs
 
 

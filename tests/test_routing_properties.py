@@ -65,10 +65,10 @@ def cmc_models(draw):
     ds = make_dataset(np.zeros((10, 1)), [0] * 6 + [1] * 2 + [2] * 2,
                       labels=("big", "s1", "s2"))
     stats = class_stats(ds)
-    bin_view, full_view = make_view(stats, BINARY), make_view(stats, FULL)
+    bin_view = make_view(stats, BINARY)
     binary = draw(layer(n, bin_view.view_labels, gate_rows(draw, n)))
     multi = draw(layer(n, stats.labels))
-    return CmcModel(binary, multi, bin_view, full_view, stats), n
+    return CmcModel([binary, multi], stats), n
 
 
 @st.composite
@@ -88,7 +88,7 @@ def cmcm_models(draw):
     m1 = draw(layer(n, views[MAJ_CLUSTER].view_labels, m1_rows))
     m2 = draw(layer(n, views[MIN_CLUSTER].view_labels, m2_rows))
     m3 = draw(layer(n, stats.labels))
-    return CmcmModel(b, m1, m2, m3, views, stats), n
+    return CmcmModel([b, m1, m2, m3], stats), n
 
 
 def rows(n):

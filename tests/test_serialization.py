@@ -144,6 +144,89 @@ def test_cmcm_round_trip():
     assert ia["branch_counts"] == ib["branch_counts"]
 
 
+SMALL_SPECS = [ForestSpec(trees=3), SmoSpec(), CombinerSpec(left=0, right=1)]
+
+
+def _fitted_cmc():
+    """cmc on classes c0 (majority), c1 and c2."""
+    rng = np.random.default_rng(5)
+    x = np.vstack([rng.normal(size=(24, 2)),
+                   rng.normal(size=(5, 2)) + 4,
+                   rng.normal(size=(5, 2)) - 4])
+    ds = make_dataset(x, [0] * 24 + [1] * 5 + [2] * 5)
+    return fit_cmc(ds, class_stats(ds), seed=0, specs=SMALL_SPECS), \
+        probe(rng, 30, 2)
+
+
+def _fitted_cmcm():
+    """cmcm on classes c0, c1 (majority), c2, c3 and c4."""
+    rng = np.random.default_rng(6)
+    sizes = (16, 14, 4, 4, 3)
+    x = np.vstack([rng.normal(size=(s, 3)) + 3.0 * c
+                   for c, s in enumerate(sizes)])
+    ds = make_dataset(x, np.repeat(np.arange(len(sizes)), sizes))
+    return fit_cmcm(ds, class_stats(ds), seed=0, specs=SMALL_SPECS), \
+        probe(rng, 30, 3)
+
+
+# The label views earlier versions wrote into two-layer documents.
+BINARY_VIEW_1_OF_3 = {"kind": "binary",
+                      "view_labels": ["(majority)", "(minority)"],
+                      "mapping": [0, 1, 1], "cluster_slot": 1}
+FULL_VIEW_3 = {"kind": "full", "view_labels": ["c0", "c1", "c2"],
+               "mapping": [0, 1, 2], "cluster_slot": None}
+CMCM_VIEWS_2_OF_5 = {
+    "binary": {"kind": "binary", "view_labels": ["(majority)", "(minority)"],
+               "mapping": [0, 0, 1, 1, 1], "cluster_slot": 1},
+    "maj_cluster": {"kind": "maj_cluster",
+                    "view_labels": ["(majority)", "c2", "c3", "c4"],
+                    "mapping": [0, 0, 1, 2, 3], "cluster_slot": 0},
+    "min_cluster": {"kind": "min_cluster",
+                    "view_labels": ["(minority)", "c0", "c1"],
+                    "mapping": [1, 2, 0, 0, 0], "cluster_slot": 0},
+    "full": {"kind": "full", "view_labels": ["c0", "c1", "c2", "c3", "c4"],
+             "mapping": [0, 1, 2, 3, 4], "cluster_slot": None},
+}
+
+
+@pytest.mark.parametrize("fitted,views", [
+    (_fitted_cmc, {"binary_view": BINARY_VIEW_1_OF_3,
+                   "full_view": FULL_VIEW_3}),
+    (_fitted_cmcm, {"views": CMCM_VIEWS_2_OF_5}),
+])
+def test_older_two_layer_document_loads_bit_identically(fitted, views):
+    model, q = fitted()
+    doc = model.to_dict()
+    assert not set(views) & set(doc)  # views are derived, not stored
+    older = json.loads(json.dumps({**doc, **views}))
+    again = type(model).from_dict(older)
+    assert _dump(again.to_dict()) == _dump(doc)
+    la, ia = model.predict_batch(q)
+    lb, ib = again.predict_batch(q)
+    assert la.tobytes() == lb.tobytes() and ia == ib
+    for i in range(q.shape[0]):
+        assert again.predict(q[i]) == model.predict(q[i])
+
+
+def test_two_layer_from_dict_names_the_expected_kind():
+    cmc_doc = _fitted_cmc()[0].to_dict()
+    cmcm_doc = _fitted_cmcm()[0].to_dict()
+    with pytest.raises(DataError, match="not a cmc model document.*'cmc'"):
+        CmcModel.from_dict(cmcm_doc)
+    with pytest.raises(DataError, match="not a cmcm model document.*'cmcm'"):
+        CmcmModel.from_dict(cmc_doc)
+    for layer in ("binary", "multi", "stats"):
+        partial = {k: v for k, v in cmc_doc.items() if k != layer}
+        with pytest.raises(DataError, match=f"'cmc' with .*{layer}"):
+            CmcModel.from_dict(partial)
+    for layer in ("b", "m1", "m2", "m3"):
+        partial = {k: v for k, v in cmcm_doc.items() if k != layer}
+        with pytest.raises(DataError, match="not a cmcm model document"):
+            CmcmModel.from_dict(partial)
+    with pytest.raises(DataError, match="not a cmc model document"):
+        CmcModel.from_dict([cmc_doc])
+
+
 # ---------------------------------------------------------------------------
 # Round-trip property: to_dict -> JSON -> from_dict on random small data
 
