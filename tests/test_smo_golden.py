@@ -5,12 +5,16 @@ canonical JSON (``TrainedSmo.to_dict()``, sorted keys).  A change to the
 solver, the Gram matrix or the Platt fit that moves a multiplier, a bias,
 a KKT gap or a calibration parameter by one bit changes a fingerprint, so a
 rewrite that keeps them all is bit-identical on these inputs.  The second
-half keeps the solver and its kernel as they were first written as a
-reference, and compares raw solver results with them on random problems.
+half keeps the solver and its kernel as they were first written, in numpy,
+as a reference, and compares the compiled solver's raw results with them
+on random problems and on edge cases: overflowing gradients, argmax ties,
+a column cache that evicts between the two columns of a pair, and solves
+on two threads at once.
 """
 
 import hashlib
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -327,3 +331,112 @@ def test_solver_matches_reference_at_the_cap(max_iter):
         got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
                                    max_iter)
     _assert_same_solution(got, want)
+
+
+def _huge_problem(seed, degree, value):
+    """A few rows with one entry of +/-``value``: the kernel is finite, but
+    the solver's sums of it, and the gradient, can reach +/-inf and NaN."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 60))
+    x = rng.normal(size=(n, 3))
+    k = int(rng.integers(1, 5))
+    x[rng.choice(n, k, replace=False), 1] = value * rng.choice([-1, 1],
+                                                               size=k)
+    y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+    y[:2] = [1.0, -1.0]
+    return x, y, float(rng.choice([0.1, 1.0, 10.0]))
+
+
+def _solve_both(x, y, degree, c, max_iter):
+    """(compiled, reference) solutions, overflow and cap warnings ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = _reference_solve(_ReferenceKernel(x, degree, 6000, 1024),
+                                y, c, 1e-3, max_iter)
+        got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
+                                   max_iter)
+    return got, want
+
+
+# (degree, value): a 1e300 kernel, and one whose diagonal is within a
+# factor of 2 of the largest double, so that d_i + d_t overflows.
+HUGE = [(1, 1e150), (2, 1e75), (1, 1.2e154), (2, 1.1e77)]
+
+
+@pytest.mark.parametrize("degree,value", HUGE)
+@pytest.mark.parametrize("seed", [3, 17, 21, 27, 31])
+@pytest.mark.parametrize("max_iter", [5, 500])
+def test_solver_matches_reference_on_huge_kernels(seed, degree, value,
+                                                  max_iter):
+    x, y, c = _huge_problem(seed, degree, value)
+    got, want = _solve_both(x, y, degree, c, max_iter)
+    _assert_same_solution(got, want)
+
+
+def test_huge_kernel_cases_reach_nan():
+    # The cases above cover a gradient that went NaN, which the index
+    # choices must treat as numpy's argmax and min do.
+    x, y, c = _huge_problem(21, 1, 1.2e154)
+    _, want = _solve_both(x, y, 1, c, 5)
+    assert np.isnan(want[0]).any() and np.isnan(want[2])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solver_matches_reference_on_duplicated_rows(seed):
+    # Every row twice: equal gradients, so argmax ties on every step.
+    x, y, degree, c = _random_problem(seed)
+    rows = np.arange(y.size).repeat(2)
+    got, want = _solve_both(x[rows], y[rows], degree, c, 200_000)
+    _assert_same_solution(got, want)
+
+
+@pytest.mark.parametrize("cache", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_solver_matches_reference_tiny_column_cache(monkeypatch, seed, cache):
+    # With 1 or 2 cached columns, fetching column j evicts column i, which
+    # the solver still reads.
+    x, y, degree, c = _random_problem(seed)
+    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
+    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", cache)
+    want = _reference_solve(_ReferenceKernel(x, degree, 0, cache),
+                            y, c, 1e-3, 200_000)
+    got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
+                               200_000)
+    _assert_same_solution(got, want)
+
+
+def test_solver_on_two_threads_matches_serial(monkeypatch):
+    # One problem on a full Gram, one on the column cache (whose callback
+    # takes the GIL back), solved at the same time.
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(400, 6))
+    y = np.where(rng.random(400) < 0.3, 1.0, -1.0)
+    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 300)
+    problems = [(smo_mod._Kernel(x[:300], 2), y[:300], 1.0),
+                (smo_mod._Kernel(x, 1), -y, 10.0)]
+    assert problems[0][0].full is not None and problems[1][0].full is None
+    serial = [smo_mod.solve_binary(k, yy, c, 1e-3, 200_000)
+              for k, yy, c in problems]
+    start = threading.Barrier(2)
+    threaded = [None, None]
+
+    def solve(slot):
+        kernel, yy, c = problems[slot]
+        start.wait(timeout=60)
+        threaded[slot] = smo_mod.solve_binary(kernel, yy, c, 1e-3, 200_000)
+
+    threads = [threading.Thread(target=solve, args=(s,)) for s in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for got, want in zip(threaded, serial):
+        _assert_same_solution(got, want)
+
+
+def test_solver_rejects_labels_of_another_length():
+    # The C loop reads n entries of every kernel array.
+    x, y, degree, c = _random_problem(0)
+    with pytest.raises(ValueError, match="labels for a kernel of"):
+        smo_mod.solve_binary(smo_mod._Kernel(x, degree), y[:-1], c, 1e-3, 10)
