@@ -1,17 +1,23 @@
-/* The SMO working-pair loop of comulti.classifiers.smo.solve_binary.
+/* The compiled loops of comulti.classifiers: the SMO working-pair loop of
+ * smo.solve_binary and the walk of forest.TrainedForest.predict_proba_batch.
  *
- * Plain C with no Python API: smo.py compiles this file at import and
- * calls smo_solve through ctypes, which releases the GIL for the call.
- * Every element goes through the same rounded IEEE operations, in the same
- * order, as the plain numpy form of the solver, so alphas, gradient, gap
- * and iteration count are the same to the bit.  Index choices follow
- * numpy's argmax: the first maximum wins, and the first NaN wins over any
- * number.  The caller owns every buffer; nothing here is static, so calls
- * on different threads do not interact.
+ * Plain C with no Python API: _native.py compiles this file at import and
+ * calls it through ctypes, which releases the GIL for each call.  The
+ * caller owns every buffer; nothing here is static, so calls on different
+ * threads do not interact.
  */
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+
+/* ---------------------------------------------------------------------
+ * SMO.  Every element goes through the same rounded IEEE operations, in
+ * the same order, as the plain numpy form of the solver, so alphas,
+ * gradient, gap and iteration count are the same to the bit.  Index
+ * choices follow numpy's argmax: the first maximum wins, and the first NaN
+ * wins over any number.
+ */
 
 /* Kernel column i (n contiguous doubles), or NULL on failure.  A column
  * must stay valid until the call after next: column i of a working pair is
@@ -206,4 +212,42 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
     *gap_out = gap;
     *it_out = it;
     return status;
+}
+
+/* ---------------------------------------------------------------------
+ * Forest.  One forest's trees packed into one node table, with node ids
+ * absolute in it: roots[t] is tree t's root, an inner node (feature >= 0)
+ * sends a row to left[node] when row[feature] <= threshold[node] and to
+ * right[node] otherwise (NaN compares false, so it goes right), and a leaf
+ * (feature < 0) votes vote[node].  The caller has checked the table: every
+ * feature is below n_features, every child lies after its parent and in
+ * its own tree, and every vote is below n_labels, so each walk ends inside
+ * the table and each count inside its row.
+ */
+struct forest_table {
+    ptrdiff_t n_trees, n_features, n_labels;
+    const ptrdiff_t *roots, *feature, *left, *right, *vote;
+    const double *threshold;
+};
+
+/* Walk every (row, tree) pair of the n rows of x (row-major, n_features
+ * doubles per row) and add each leaf's vote to counts (row-major, n_labels
+ * int64 per row). */
+void forest_counts(const struct forest_table *f, ptrdiff_t n,
+                   const double *x, int64_t *counts)
+{
+    for (ptrdiff_t r = 0; r < n; r++) {
+        const double *row = x + r * f->n_features;
+        int64_t *row_counts = counts + r * f->n_labels;
+        for (ptrdiff_t t = 0; t < f->n_trees; t++) {
+            ptrdiff_t node = f->roots[t];
+            ptrdiff_t feat = f->feature[node];
+            while (feat >= 0) {
+                node = row[feat] <= f->threshold[node] ? f->left[node]
+                                                       : f->right[node];
+                feat = f->feature[node];
+            }
+            row_counts[f->vote[node]]++;
+        }
+    }
 }

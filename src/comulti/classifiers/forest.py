@@ -40,32 +40,40 @@ Gini arithmetic is the same per cut, and ``argmin`` keeps the earliest of
 equal scores, which is the first feature in draw order and then its lowest
 cut.
 
-How a forest predicts.  The fitted trees are packed into one node table per
-forest: ``feature``, ``threshold``, ``left``/``right`` as absolute node ids
-and ``vote``, plus the node id of each tree's root.  A row goes left at a
-node when its value of the node's feature is ``<=`` the threshold, so NaN
-goes right.  A batch of rows is walked in one numpy loop over all its
-(tree, row) pairs: each pass moves every pair still at an inner node one
-level down, so the loop runs as many passes as the deepest leaf reached.
-A single row is walked tree by tree with plain Python scalars, from lists
-of the table built once per forest; per row, that costs a few list lookups
-per level instead of the numpy calls of a pass.  Both walks make the same
-float64 comparisons (a Python float is a float64, and Python's ``<=``
-follows IEEE 754 like numpy's, NaN included), so they reach the same
-leaves, and probabilities are exact vote counts divided by the number of
-trees.
+How a forest predicts.  The fitted trees are packed into one node table
+per forest: ``feature``, ``threshold``, ``left``/``right`` as absolute node
+ids and ``vote``, plus the node id of each tree's root.  A row goes left at
+a node when its value of the node's feature is ``<=`` the threshold, so NaN
+goes right.  One compiled loop (``forest_counts`` in ``_native.c``, built
+by :mod:`._native`) walks every (row, tree) pair of a dense block of rows,
+a single row and a batch alike, and adds each leaf's vote to the row's
+count of that label, so probabilities are exact vote counts divided by the
+number of trees.  C makes the same float64 ``<=`` as numpy (IEEE 754, NaN
+included), so it reaches the same leaves.  C also trusts the table, so the
+table is checked when a forest is built, from a fit or from a model file:
+every inner node's feature lies in ``[0, n_features)``, both its children
+lie after it and inside its tree, and every leaf's vote names a label.
+Because every step moves to a higher node id in the same tree, each walk
+ends at a leaf after fewer steps than the tree has nodes.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DataError
+from ._native import LIB, ForestTable
 from .base import Classifier, ForestSpec
 
-# Densify sparse training matrices below this element count; larger ones stay
-# sparse and are densified one block of columns at a time.
+# Densify sparse training matrices up to this element count; larger ones stay
+# sparse and are densified one block of columns at a time.  The sparse copy
+# bounds memory at about the same speed: a 3-tree fit on generated sparse
+# topics (2000 columns) took 4.5 s at 112 MB peak RSS from the sparse copy
+# against 4.4 s at 262 MB from a dense one at 15 000 rows (30 M cells), and
+# 11.1 s at 180 MB against 8.9 s at 470 MB at 30 000 rows.
 _DENSIFY_ELEMS = 30_000_000
 # Class counts left of every cut come from a cumsum over one-hot class rows
 # while a node's block has at most this many (rows x columns x classes)
@@ -73,13 +81,9 @@ _DENSIFY_ELEMS = 30_000_000
 # blocks count classes per run of equal values instead, whose cost follows
 # the number of runs, far below the cell count on tie-heavy data.
 _ONEHOT_CELLS = 1 << 15
-# A batch is predicted in chunks of at most this many dense cells (sparse
-# inputs densify one chunk at a time) and this many (tree, row) pairs.  The
-# walk holds about ten arrays of one entry per pair, so a chunk of 2^15
-# pairs peaks near 2 MB; on a 20-tree forest over 3150 rows, larger chunks
-# were no faster and doubled the peak.
+# A batch is predicted in chunks of at most this many dense cells, so a
+# sparse input densifies one chunk at a time.
 _CHUNK_CELLS = 10_000_000
-_CHUNK_PAIRS = 1 << 15
 
 
 class _Columns:
@@ -275,9 +279,10 @@ def _grow_tree(cols: _Columns, boot: np.ndarray, y: np.ndarray,
 
 
 def _dense(x) -> np.ndarray:
+    """``x`` as a C-contiguous float64 array."""
     if sp.issparse(x):
-        return np.asarray(x.todense(), dtype=np.float64)
-    return np.asarray(x, dtype=np.float64)
+        x = x.toarray()
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 class TrainedForest(Classifier):
@@ -291,83 +296,66 @@ class TrainedForest(Classifier):
         self.space = space
         self.trees = trees
         self.n_features = n_features
-        starts = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
-        self._roots = starts.astype(np.intp)
-        # Child ids are absolute in the table (a leaf's are never read).
-        self._feature = np.concatenate([t.feature for t in trees]) \
-            .astype(np.intp)
-        self._threshold = np.concatenate([t.threshold for t in trees])
-        self._left = np.concatenate(
-            [t.left + s for t, s in zip(trees, starts)]).astype(np.intp)
-        self._right = np.concatenate(
-            [t.right + s for t, s in zip(trees, starts)]).astype(np.intp)
-        self._vote = np.concatenate([t.vote for t in trees])
-        # Plain Python copies for the single-row walk.
-        self._lists = tuple(a.tolist() for a in (
-            self._roots, self._feature, self._threshold, self._left,
-            self._right, self._vote))
+        if not isinstance(n_features, int) or n_features < 0:
+            raise DataError(f"forest n_features must be an integer >= 0, "
+                            f"got {n_features!r}")
+        if not trees:
+            raise DataError("forest has no trees")
+        for i, t in enumerate(trees):
+            shape = t.feature.shape
+            if len(shape) != 1 or not shape[0] or any(
+                    a.shape != shape
+                    for a in (t.threshold, t.left, t.right, t.vote)):
+                raise DataError(f"forest tree {i}: node arrays must be "
+                                "non-empty and of one length")
+        sizes = np.array([t.feature.size for t in trees], dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        feature, left, right, vote = (
+            np.concatenate([getattr(t, name) for t in trees]).astype(np.intp)
+            for name in ("feature", "left", "right", "vote"))
+        offset = np.repeat(starts, sizes)
+        left += offset  # child ids become absolute in the table
+        right += offset
+        # C trusts the table: each feature indexes a row, each child lies
+        # after its node in the same tree (so every walk ends), and each
+        # vote indexes a row of counts.
+        node = np.arange(feature.size)
+        end = offset + np.repeat(sizes, sizes)
+        bad = np.where(
+            feature >= 0,
+            (feature >= n_features) | (left <= node) | (left >= end)
+            | (right <= node) | (right >= end),
+            (vote < 0) | (vote >= len(space)))
+        if bad.any():
+            at = int(np.argmax(bad))
+            i = int(np.searchsorted(starts, at, side="right")) - 1
+            what = ("feature or child out of range" if feature[at] >= 0
+                    else f"vote {vote[at]} names no label")
+            raise DataError(f"forest tree {i} node {at - starts[i]}: {what}")
+        self._arrays = (starts, feature, left, right, vote,
+                        np.concatenate([t.threshold for t in trees]))
+        self._table = ForestTable(len(trees), n_features, len(space),
+                                  *(a.ctypes.data for a in self._arrays))
+
+    def __reduce__(self):
+        # A copy packs its own table: this one holds raw addresses.
+        return TrainedForest, (self.spec, self.space, self.trees,
+                               self.n_features)
 
     def predict_proba_batch(self, x) -> np.ndarray:
-        votes = self.tree_votes(x)
-        n, k = votes.shape[1], self.n_labels
-        counts = np.bincount((votes + k * np.arange(n)).ravel(),
-                             minlength=n * k)
-        return counts.reshape(n, k) / len(self.trees)
-
-    def tree_votes(self, x) -> np.ndarray:
-        """(trees, n) matrix of raw per-tree votes."""
         if x.shape[1] != self.n_features:
             raise DataError(f"input has {x.shape[1]} features, model expects "
                             f"{self.n_features}")
         n = x.shape[0]
-        if n == 1:
-            return self._row_votes(_dense(x).ravel().tolist())
-        votes = np.empty((len(self.trees), n), dtype=np.int32)
-        # Chunk so sparse inputs densify a slice at a time and the walk's
-        # per-pair index arrays stay small however many trees there are.
-        step = max(1, min(_CHUNK_CELLS // max(1, self.n_features),
-                          _CHUNK_PAIRS // len(self.trees)))
+        counts = np.zeros((n, self.n_labels), dtype=np.int64)
+        step = max(1, _CHUNK_CELLS // max(1, self.n_features))
         for lo in range(0, n, step):
-            votes[:, lo:lo + step] = self._walk(_dense(x[lo:lo + step]))
-        return votes
-
-    def _row_votes(self, row: list) -> np.ndarray:
-        """Votes of one row of Python floats, walked tree by tree."""
-        roots, feature, threshold, left, right, vote = self._lists
-        votes = []
-        for node in roots:
-            f = feature[node]
-            while f >= 0:
-                node = left[node] if row[f] <= threshold[node] else right[node]
-                f = feature[node]
-            votes.append(vote[node])
-        return np.array(votes, dtype=np.int32)[:, None]
-
-    def _walk(self, dense: np.ndarray) -> np.ndarray:
-        """Votes of every (tree, row) pair of ``dense``, walked together:
-        each pass moves every pair still at an inner node one level down."""
-        m, width = dense.shape
-        flat = np.ascontiguousarray(dense).ravel()
-        n_trees = self._roots.size
-        # Pair p is tree p // m and row p % m.
-        node = np.repeat(self._roots, m)
-        out = node.copy()
-        pair = np.arange(node.size)
-        base = np.tile(np.arange(m) * width, n_trees)
-        feat = self._feature.take(node)
-        while True:
-            inner = feat >= 0
-            if not inner.all():
-                out[pair[~inner]] = node[~inner]
-                pair, node, base, feat = (pair[inner], node[inner],
-                                          base[inner], feat[inner])
-                if not pair.size:
-                    break
-            go_left = flat.take(base + feat) <= self._threshold.take(node)
-            node = np.where(go_left, self._left.take(node),
-                            self._right.take(node))
-            feat = self._feature.take(node)
-        return self._vote.take(out).reshape(n_trees, m)
+            # An input of one chunk is not sliced: slicing a one-row CSR
+            # matrix costs more than walking it.
+            dense = _dense(x if n <= step else x[lo:lo + step])
+            LIB.forest_counts(ctypes.byref(self._table), dense.shape[0],
+                              dense.ctypes.data, counts[lo:].ctypes.data)
+        return counts / len(self.trees)
 
     def to_dict(self) -> dict:
         return {

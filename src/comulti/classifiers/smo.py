@@ -17,91 +17,25 @@ that two views pose is solved and calibrated once, its iteration-cap
 warning, if any, is raised once, and a view whose problems were all solved
 before builds no Gram matrix.
 
-The solver's iterations run in C.  ``_smo.c``, next to this module, holds
-the loop of :func:`solve_binary` and nothing else (no Python API).  At
-import it is compiled with ``cc -O2 -shared -fPIC -ffp-contract=off`` into
-this package's ``__pycache__/``, under a file name that carries the SHA-256
-of the source and the flags: later imports load that file without
-compiling, and an edited source gets a file of its own.  The library is
-loaded with ``ctypes.CDLL``, which releases the GIL while a problem is
-solved, so grid threads solve at the same time.  A missing or failing
-compiler is an ``ImportError``; there is no Python copy of the loop.  The
-flags keep the bits of the numpy form: ``-ffp-contract=off`` stops the
-compiler from fusing a multiply and an add into one FMA instruction, which
-rounds once where numpy rounds twice (the default contracts wherever the
-target has FMA, as on aarch64), and without ``-ffast-math`` or
-``-march=native`` the compiler may neither reassociate operations nor
-choose instructions per machine.
+The solver's iterations run in C: the loop of :func:`solve_binary` is
+compiled at import, with the forest walk, by :mod:`._native`, and runs
+without the GIL.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 import warnings
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DataError, TrainingError
+from ._native import COLUMN_FN, LIB
 from .base import Classifier, SmoSpec
 
-_SOURCE = Path(__file__).with_name("_smo.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _CAP = 2  # smo_solve's status after max_iter iterations (SMO_CAP)
-_COLUMN_FN = ctypes.CFUNCTYPE(ctypes.c_void_p, ctypes.c_ssize_t)
-
-
-def _compile(cmd: list) -> Optional[str]:
-    """Run the compiler; the first line of what went wrong, or None."""
-    try:
-        done = subprocess.run(cmd, capture_output=True, text=True)
-    except OSError as exc:  # no compiler
-        return str(exc)
-    if done.returncode == 0:
-        return None
-    lines = done.stderr.strip().splitlines()
-    return lines[0] if lines else f"exit status {done.returncode}"
-
-
-def _load_library() -> ctypes.CDLL:
-    """Compile ``_smo.c`` once per source and flags, then load it."""
-    tag = hashlib.sha256(_SOURCE.read_bytes()
-                         + " ".join(_CFLAGS).encode()).hexdigest()
-    cache = _SOURCE.parent / "__pycache__"
-    target = cache / f"_smo-{tag}.so"
-    if not target.is_file():
-        cache.mkdir(exist_ok=True)
-        # Built under a name of its own, then renamed: a process that
-        # imports at the same time sees no library or a whole one.
-        fd, tmp = tempfile.mkstemp(prefix="_smo-", suffix=".tmp", dir=cache)
-        os.close(fd)
-        cmd = ["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)]
-        try:
-            error = _compile(cmd)
-            if error is not None:
-                raise ImportError(f"{' '.join(cmd)}: {error}")
-            os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    lib = ctypes.CDLL(str(target))
-    ptr, f64, i64 = ctypes.c_void_p, ctypes.c_double, ctypes.c_longlong
-    lib.smo_solve.restype = ctypes.c_int
-    lib.smo_solve.argtypes = [
-        ctypes.c_ssize_t, ptr, ptr, ptr, ptr,  # n, y, neg_y, diag, gram
-        _COLUMN_FN, f64, f64, i64,  # column, c, tol, max_iter
-        ptr, ptr, ptr, ptr, ptr,  # alpha, grad, up, low, yg
-        ctypes.POINTER(f64), ctypes.POINTER(i64)]  # gap, iterations
-    return lib
-
-
-_LIB = _load_library()
 
 
 # Full Gram matrices are precomputed up to this many training rows; larger
@@ -203,7 +137,7 @@ def _column_source(kernel: _Kernel):
         held[:] = held[1], col
         return col.ctypes.data
 
-    return _COLUMN_FN(column), failed
+    return COLUMN_FN(column), failed
 
 
 def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
@@ -214,7 +148,7 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     maximal violating pair with a second-order choice of the second index;
     convergence means the violation gap dropped below ``tol``.
 
-    The iterations run in C (``_smo.c``, see the module docstring); this
+    The iterations run in C (``_native.c``, see :mod:`._native`); this
     function sets up the buffers, computes the bias and raises the
     iteration-cap warning.  Every element goes through the same rounded
     operations as in the plain numpy form (``yg = -y * grad``, masks of the
@@ -241,12 +175,12 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     gap, it = ctypes.c_double(), ctypes.c_longlong()
     if kernel.full is not None:
         gram = np.asfortranarray(kernel.full, dtype=np.float64)
-        column, failed = _COLUMN_FN(), []  # NULL: C reads the Gram
+        column, failed = COLUMN_FN(), []  # NULL: C reads the Gram
     else:
         gram = None
         column, failed = _column_source(kernel)
     # The arrays stay bound to names until the call returns.
-    status = _LIB.smo_solve(
+    status = LIB.smo_solve(
         n, y.ctypes.data, neg_y.ctypes.data, diag.ctypes.data,
         None if gram is None else gram.ctypes.data, column, c, tol, max_iter,
         alpha.ctypes.data, grad.ctypes.data, up.ctypes.data, low.ctypes.data,

@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -88,24 +90,63 @@ def test_forest_uninformative_features_give_even_probabilities():
     assert abs(p[1] - 0.5) <= 0.1
 
 
+def _tree_vote(tree, row):
+    """The leaf vote of one row in one tree, walked from the root."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.vote[node]
+
+
 def test_forest_probabilities_are_vote_fractions():
     rng = np.random.default_rng(3)
     ds = make_dataset(rng.normal(size=(60, 3)), rng.integers(0, 3, 60))
     model = fit(ForestSpec(trees=17), ds, seed=5)
     grid = rng.normal(size=(20, 3))
-    votes = model.tree_votes(grid)  # (trees, n)
     proba = model.predict_proba_batch(grid)
     for i in range(20):
-        counts = np.bincount(votes[:, i], minlength=3)
+        votes = [_tree_vote(t, grid[i]) for t in model.trees]
+        counts = np.bincount(votes, minlength=3)
         assert np.allclose(proba[i], counts / 17)
     # multiples of 1/trees and normalized
     assert np.allclose(np.round(proba * 17) / 17, proba)
     assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
     for width in (2, 4):  # too few features used to index out of bounds
         with pytest.raises(DataError, match="model expects 3"):
-            model.tree_votes(np.zeros((1, width)))
-        with pytest.raises(DataError, match="model expects 3"):
             model.predict_proba_batch(np.zeros((1, width)))
+
+
+def test_forest_predicts_on_threads_as_serially():
+    # The walk runs without the GIL; 4 threads on one forest, started
+    # together and switching often, must give the serial bytes.
+    rng = np.random.default_rng(12)
+    ds = make_dataset(rng.normal(size=(200, 6)), rng.integers(0, 4, 200))
+    model = fit(ForestSpec(trees=15), ds, seed=3)
+    inputs = [rng.normal(size=(300, 6)), rng.normal(size=(1, 6)),
+              sp.csr_matrix(rng.normal(size=(40, 6))), rng.normal(size=(7, 6))]
+    want = [model.predict_proba_batch(x).tobytes() for x in inputs]
+    got = [[] for _ in inputs]
+    start = threading.Barrier(len(inputs))
+
+    def predict(i):
+        start.wait(timeout=60)
+        for _ in range(20):
+            got[i].append(model.predict_proba_batch(inputs[i]).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=predict, args=(i,), daemon=True)
+                   for i in range(len(inputs))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [[b] * 20 for b in want]
 
 
 def test_forest_unanimous_vote_is_certain(separable_clusters):

@@ -254,7 +254,7 @@ def _reference_votes(tree, dense):
 
 
 def _check_walk(model, x):
-    """``tree_votes`` and ``predict_proba_batch`` equal the reference on
+    """``predict_proba_batch`` equals the reference's vote fractions on
     ``x`` as one batch and on each of its rows alone."""
     dense = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
     want = np.array([_reference_votes(t, dense) for t in model.trees],
@@ -262,12 +262,9 @@ def _check_walk(model, x):
     k = model.n_labels
     proba = np.array([np.bincount(v, minlength=k) for v in want.T],
                      dtype=np.int64).reshape(-1, k) / len(model.trees)
-    assert np.array_equal(model.tree_votes(x), want)
     assert model.predict_proba_batch(x).tobytes() == proba.tobytes()
     for r in range(x.shape[0]):
-        row = x[r:r + 1]
-        assert np.array_equal(model.tree_votes(row), want[:, r:r + 1])
-        assert model.predict_proba_batch(row).tobytes() \
+        assert model.predict_proba_batch(x[r:r + 1]).tobytes() \
             == proba[r:r + 1].tobytes()
 
 
@@ -333,13 +330,23 @@ def test_walk_matches_level_reference_lone_leaf_tree():
 
 
 def test_walk_matches_level_reference_in_chunks(monkeypatch):
-    # A budget of 7 (tree, row) pairs walks 4 trees over 1 row per chunk.
-    monkeypatch.setattr(forest_mod, "_CHUNK_PAIRS", 7)
     x, y = _random_case(5)
     model = forest_mod.fit_forest(ForestSpec(trees=4), x, y,
                                   tuple(f"c{i}" for i in range(int(y.max())
                                                                 + 1)), 5)
+    # A budget of 4 rows' cells walks 15 rows in 4 chunks, the last short.
+    monkeypatch.setattr(forest_mod, "_CHUNK_CELLS", 4 * x.shape[1])
+    chunks = []  # rows densified per call: the batch's chunks, then 1s
+    dense = forest_mod._dense
+
+    def counting_dense(part):
+        chunks.append(part.shape[0])
+        return dense(part)
+
+    monkeypatch.setattr(forest_mod, "_dense", counting_dense)
     rng = np.random.default_rng(1)
     probe = _edge_values(model, x[:15], rng)
-    _check_walk(model, probe)
-    _check_walk(model, _unsorted_csr(probe, rng))
+    for x_in in (probe, _unsorted_csr(probe, rng)):
+        chunks.clear()
+        _check_walk(model, x_in)
+        assert chunks == [4, 4, 4, 3] + [1] * 15

@@ -1,4 +1,8 @@
+import copy
+import gc
 import json
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -39,6 +43,102 @@ def test_forest_round_trip_bit_exact(tmp_path, separable_clusters):
     x = probe(np.random.default_rng(0), 40, 2)
     assert np.array_equal(model.predict_proba_batch(x),
                           again.predict_proba_batch(x))
+
+
+def _noisy_forest():
+    """A 2-tree forest over 3 features and 3 labels whose trees have
+    inner nodes below the root."""
+    rng = np.random.default_rng(6)
+    ds = make_dataset(rng.normal(size=(60, 3)), rng.integers(0, 3, 60))
+    return fit(ForestSpec(trees=2), ds, seed=1)
+
+
+def _break_vote_high(doc, tree, inner, leaf):
+    tree["vote"][leaf] = 5
+
+
+def _break_vote_negative(doc, tree, inner, leaf):
+    tree["vote"][leaf] = -1
+
+
+def _break_feature(doc, tree, inner, leaf):
+    tree["feature"][inner[0]] = 7
+
+
+def _break_child_negative(doc, tree, inner, leaf):
+    tree["left"][inner[0]] = -2
+
+
+def _break_child_backward(doc, tree, inner, leaf):
+    tree["right"][inner[-1]] = inner[0]
+
+
+def _break_child_self_loop(doc, tree, inner, leaf):
+    tree["left"][inner[-1]] = inner[-1]
+
+
+def _break_child_past_tree(doc, tree, inner, leaf):
+    tree["right"][inner[0]] = len(tree["feature"])
+
+
+def _break_lengths(doc, tree, inner, leaf):
+    tree["threshold"].pop()
+
+
+def _break_empty_tree(doc, tree, inner, leaf):
+    for key in ("feature", "threshold", "left", "right", "vote"):
+        tree[key] = []
+
+
+def _break_no_trees(doc, tree, inner, leaf):
+    doc["forest"] = []
+
+
+def _break_n_features(doc, tree, inner, leaf):
+    doc["n_features"] = 2.5
+
+
+@pytest.mark.parametrize("breaker", [
+    _break_vote_high, _break_vote_negative, _break_feature,
+    _break_child_negative, _break_child_backward, _break_child_self_loop,
+    _break_child_past_tree, _break_lengths, _break_empty_tree,
+    _break_no_trees, _break_n_features])
+def test_malformed_forest_document_is_data_error(breaker):
+    doc = model_to_dict(_noisy_forest())
+    tree = doc["forest"][0]
+    inner = [i for i, f in enumerate(tree["feature"]) if f >= 0]
+    leaf = tree["feature"].index(-1)
+    assert len(inner) >= 2 and inner[0] == 0
+    breaker(doc, tree, inner, leaf)
+    raised = []
+
+    def load_and_predict():  # must raise, never hang or predict
+        try:
+            model = model_from_dict(doc)
+            model.predict_proba_batch(probe(np.random.default_rng(0), 9, 3))
+        except Exception as exc:  # noqa: BLE001 - checked below
+            raised.append(exc)
+
+    worker = threading.Thread(target=load_and_predict, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "loading or predicting hung"
+    assert len(raised) == 1 and isinstance(raised[0], DataError), raised
+
+
+def test_forest_copies_pack_their_own_table():
+    model = _noisy_forest()
+    x = probe(np.random.default_rng(2), 50, 3)
+    want = model.predict_proba_batch(x).tobytes()
+    copies = [copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
+    del model
+    gc.collect()
+    for again in copies:
+        table = again._table
+        own = [a.ctypes.data for a in again._arrays]
+        assert [table.roots, table.feature, table.left, table.right,
+                table.vote, table.threshold] == own
+        assert again.predict_proba_batch(x).tobytes() == want
 
 
 def test_smo_round_trip_bit_exact(tmp_path, separable_clusters):

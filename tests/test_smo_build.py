@@ -1,4 +1,4 @@
-"""Building the compiled SMO loop at import.
+"""Building the compiled loops (SMO and the forest walk) at import.
 
 Each test copies the package to a temporary directory, so no library is
 cached there yet, and imports it in a fresh interpreter.
@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 
 import comulti
-from comulti.classifiers import smo as smo_mod
+from comulti.classifiers import _native as native_mod
 
 PACKAGE = Path(comulti.__file__).parent
-COMMAND = " ".join(["cc", *smo_mod._CFLAGS, "-o"])
-# Prints the ImportError's message as JSON, or "ok".
+COMMAND = " ".join(["cc", *native_mod.CFLAGS, "-o"])
+# Prints the ImportError's message as JSON, or "ok" when the SMO solver
+# and the forest walk share one loaded library.
 PROBE = """
 import json
 try:
@@ -27,6 +28,8 @@ try:
 except ImportError as exc:
     print(json.dumps(str(exc)))
 else:
+    from comulti.classifiers import _native, forest, smo
+    assert forest.LIB is smo.LIB is _native.LIB
     print("ok")
 """
 
@@ -41,7 +44,7 @@ def package(tmp_path):
 def _built(root: Path) -> list:
     """Names of the libraries and temp files in the copy's cache."""
     cache = root / "comulti" / "classifiers" / "__pycache__"
-    return sorted(p.name for p in cache.glob("_smo*"))
+    return sorted(p.name for p in cache.glob("_native*"))
 
 
 def _probe(root: Path, path: str) -> str:
@@ -77,11 +80,11 @@ def test_failing_compiler_reports_its_first_stderr_line(package):
 
 def test_library_is_built_once_per_source_and_flags(package):
     assert _probe(package, os.environ.get("PATH", os.defpath)) == "ok"
-    source = package / "comulti" / "classifiers" / "_smo.c"
+    source = package / "comulti" / "classifiers" / "_native.c"
     tag = hashlib.sha256(source.read_bytes()
-                         + " ".join(smo_mod._CFLAGS).encode()).hexdigest()
-    assert _built(package) == [f"_smo-{tag}.so"]
-    built = source.parent / "__pycache__" / f"_smo-{tag}.so"
+                         + " ".join(native_mod.CFLAGS).encode()).hexdigest()
+    assert _built(package) == [f"_native-{tag}.so"]
+    built = source.parent / "__pycache__" / f"_native-{tag}.so"
     stamp = built.stat().st_mtime_ns
     # A second import, with no compiler reachable, loads the same file.
     assert _probe(package, "") == "ok"
