@@ -18,6 +18,7 @@ from comulti.bench import (
     canonical_json,
     infer_csv_schema,
     load_config,
+    load_dataset,
     parse_config_text,
     run_experiment,
     run_grid,
@@ -187,6 +188,36 @@ def test_infer_csv_schema(tmp_path):
     assert schema.features[0].kind == "ordinal"
     assert schema.features[0].categories == ("small", "big")
     assert schema.features[1].kind == "numeric"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("size,label\nsmall,a\nsmall,b\n", "'size' has a single category"),
+    ("f0,class\n1,a\n2,b\n", "column.*'label'"),
+    ("f0,f1,label\n1,2,a\n3\n", ":3: expected 3 fields"),
+])
+def test_schema_inference_errors_name_the_file(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=message) as err:
+        load_dataset(small_cfg(p))
+    assert str(err.value).startswith(str(p))
+
+
+def test_csv_without_schema_loads_as_with_its_schema_json(tmp_path):
+    p = tmp_path / "mix.csv"
+    p.write_text("size,label,w\nsmall,a,1.5\n big ,b,2\n\nsmall,a,-0.5\n"
+                 "mid,c,1e3\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([
+        {"name": "size", "kind": "ordinal",
+         "categories": ["small", "big", "mid"]},
+        {"name": "w"}]))
+    inferred = load_dataset(small_cfg(p))
+    declared = load_dataset(small_cfg(p, schema_path=str(schema)))
+    assert inferred.schema == declared.schema
+    assert inferred.labels == declared.labels == ("a", "b", "c")
+    assert inferred.x.tobytes() == declared.x.tobytes()
+    assert inferred.y.tobytes() == declared.y.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -343,19 +343,19 @@ def test_make_view_sizes_for_multi_skew():
     _, st = _stats(counts)
     assert len(st.majority) == 4 and len(st.minority) == 13
     maj = make_view(st, MAJ_CLUSTER)
-    assert maj.n_view_labels == 1 + 13
-    assert maj.cluster_slot == 0
+    assert len(maj.view_labels) == 1 + 13
+    assert (maj.mapping[list(st.majority)] == 0).all()
     mini = make_view(st, MIN_CLUSTER)
-    assert mini.n_view_labels == 1 + 4
-    assert mini.cluster_slot == 0
+    assert len(mini.view_labels) == 1 + 4
+    assert (mini.mapping[list(st.minority)] == 0).all()
     binv = make_view(st, BINARY)
-    assert binv.n_view_labels == 2
+    assert len(binv.view_labels) == 2
 
 
 def test_full_view_is_identity():
     ds, st = _stats([6, 2, 2])
     view = make_view(st, FULL)
-    assert view.cluster_slot is None
+    assert view.view_labels == st.labels
     assert np.array_equal(view.mapping, np.arange(3))
     assert apply_view(ds, view).equals(ds)
 
@@ -375,8 +375,8 @@ def test_cluster_view_counts_add_up():
     for kind in (BINARY, MAJ_CLUSTER, MIN_CLUSTER, FULL):
         view = make_view(st, kind)
         out = apply_view(ds, view)
-        for v in range(view.n_view_labels):
-            members = view.originals_for(v)
+        for v in range(len(view.view_labels)):
+            members = np.nonzero(view.mapping == v)[0]
             expect = sum(st.counts[c] for c in members)
             assert (out.y == v).sum() == expect
 
@@ -396,6 +396,30 @@ def test_make_view_preconditions():
             make_view(st, kind)
     with pytest.raises(DataError, match="unknown view kind"):
         make_view(st, "sideways")
+    ds, _ = _stats([9, 1, 8])
+    no_minority = class_stats(ds, override_majority=[0, 1, 2])
+    for kind in (BINARY, MAJ_CLUSTER, MIN_CLUSTER):
+        with pytest.raises(DataError):
+            make_view(no_minority, kind)
+    assert make_view(no_minority, FULL).view_labels == ("c0", "c1", "c2")
+
+
+def test_views_golden_on_interleaved_sides():
+    # Majority classes 0, 2 and 4 alternate with minority classes 1, 3, 5.
+    _, st = _stats([9, 1, 8, 1, 7, 1])
+    assert st.majority == (0, 2, 4) and st.minority == (1, 3, 5)
+    golden = {
+        FULL: (("c0", "c1", "c2", "c3", "c4", "c5"), [0, 1, 2, 3, 4, 5]),
+        BINARY: (("(majority)", "(minority)"), [0, 1, 0, 1, 0, 1]),
+        MAJ_CLUSTER: (("(majority)", "c1", "c3", "c5"), [0, 1, 0, 2, 0, 3]),
+        MIN_CLUSTER: (("(minority)", "c0", "c2", "c4"), [1, 0, 2, 0, 3, 0]),
+    }
+    for kind, (labels, mapping) in golden.items():
+        view = make_view(st, kind)
+        assert view.kind == kind
+        assert view.view_labels == labels
+        assert view.mapping.dtype == np.int64
+        assert view.mapping.tolist() == mapping
 
 
 def test_dataset_rejects_nan_and_shape_mismatch():
