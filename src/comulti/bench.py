@@ -38,7 +38,6 @@ from .dataset import (
     NUMERIC,
     ORDINAL,
     class_stats,
-    csv_rows,
     load_csv,
     load_sparse,
     read_lines,
@@ -264,7 +263,7 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Schema loading / inference
+# Dataset loading
 
 
 def load_schema_json(path) -> FeatureSchema:
@@ -291,54 +290,10 @@ def load_schema_json(path) -> FeatureSchema:
     return FeatureSchema(tuple(feats))
 
 
-def infer_csv_schema(path, label_column: str) -> FeatureSchema:
-    """Columns where every value parses as a number are numeric; the rest are
-    ordinal-nominal with categories in first-appearance order."""
-    reader = csv_rows(path)
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in header]
-    if label_column not in header:
-        raise DataError(f"{path}: no column named {label_column!r}")
-    label_idx = header.index(label_column)
-    feat_idx = [i for i in range(len(header)) if i != label_idx]
-    numeric = {i: True for i in feat_idx}
-    cats: dict[int, list[str]] = {i: [] for i in feat_idx}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-        for i in feat_idx:
-            val = row[i].strip()
-            if numeric[i]:
-                try:
-                    float(val)
-                except ValueError:
-                    numeric[i] = False
-            if val not in cats[i]:
-                cats[i].append(val)
-    feats = []
-    for i in feat_idx:
-        if numeric[i]:
-            feats.append(FeatureSpec(header[i], NUMERIC))
-        else:
-            if len(cats[i]) < 2:
-                raise DataError(
-                    f"{path}: column {header[i]!r} has a single category"
-                )
-            feats.append(FeatureSpec(header[i], ORDINAL, tuple(cats[i])))
-    return FeatureSchema(tuple(feats))
-
-
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.dataset_format == "sparse":
         return load_sparse(cfg.dataset_path, cfg.labels_path)
-    if cfg.schema_path:
-        schema = load_schema_json(cfg.schema_path)
-    else:
-        schema = infer_csv_schema(cfg.dataset_path, cfg.label_column)
+    schema = load_schema_json(cfg.schema_path) if cfg.schema_path else None
     return load_csv(cfg.dataset_path, cfg.label_column, schema)
 
 

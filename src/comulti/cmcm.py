@@ -39,7 +39,6 @@ from .dataset import (
     Dataset,
     apply_view,
 )
-from .errors import DataError
 from .multistage import (
     StageThresholds,
     TwoLayerModel,
@@ -97,13 +96,6 @@ class CmcmModel(TwoLayerModel):
         # Slot 1.. of each cluster view lists member classes in original order.
         self._m1_slot_to_orig = np.array(stats.minority, dtype=np.int64)
         self._m2_slot_to_orig = np.array(stats.majority, dtype=np.int64)
-
-    @staticmethod
-    def check_stats(stats: ClassStats) -> None:
-        if not stats.majority:
-            raise DataError("no majority classes: nothing to cluster")
-        if not stats.minority:
-            raise DataError("no minority classes: nothing to protect")
 
     def route(self, x) -> CmcmRouting:
         """Route every row of a batch through the quorum; ``m3`` is

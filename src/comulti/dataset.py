@@ -5,8 +5,11 @@ integer-coded labels and a feature schema.  Class skew is profiled by
 :func:`class_stats`, which partitions labels into majority classes
 (count strictly above ``total / n_classes``) and minority classes
 (everything else, ties included).  :func:`make_view` / :func:`apply_view`
-produce the relabeled views the co-multistage models train on: the binary
-majority-vs-minority view, the two cluster views and the identity view.
+produce the relabeled views the co-multistage models train on.  ``full`` is
+the identity; the other three follow one rule.  The cluster side (the
+majority classes, or the minority for ``min_cluster``) maps to slot 0; the
+other side maps to slot 1 for ``binary`` (majority vs minority), or to
+slots 1.. in original order for ``maj_cluster`` and ``min_cluster``.
 """
 
 from __future__ import annotations
@@ -197,67 +200,75 @@ def csv_rows(path):
         raise DataError(f"{path}: {exc}") from None
 
 
-def load_csv(path, label_column: str, schema: FeatureSchema) -> Dataset:
+def load_csv(path, label_column: str,
+             schema: Optional[FeatureSchema] = None) -> Dataset:
     """Load a header-first CSV, encoding features per ``schema``.
 
-    Ordinal-nominal features are encoded as their category index; labels are
-    collected in first-appearance order.
+    Without a schema, the feature columns are the header's other columns,
+    in order: a column is numeric when every value parses as a number,
+    otherwise ordinal-nominal with its categories in first-appearance order
+    (a single category is an error).  Ordinal-nominal features are encoded
+    as their category index; labels are collected in first-appearance
+    order.  Blank lines are skipped.
     """
     reader = csv_rows(path)
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in header]
-    wanted = set(schema.names) | {label_column}
+    wanted = {label_column} | set(header if schema is None else schema.names)
     missing = wanted - set(header)
     if missing:
         raise DataError(f"{path}: missing column(s) {sorted(missing)}")
     extra = set(header) - wanted
     if extra:
         raise DataError(f"{path}: unexpected column(s) {sorted(extra)}")
-    col_of = {name: header.index(name) for name in header}
-    label_col = col_of[label_column]
-    feat_cols = [col_of[f.name] for f in schema.features]
-
-    rows: list[list[float]] = []
-    y: list[int] = []
-    labels: list[str] = []
-    label_ids: dict[str, int] = {}
+    rows: list[tuple[int, list[str]]] = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # ignore blank lines
+            continue
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-        encoded = []
-        for spec, col in zip(schema.features, feat_cols):
-            raw = row[col].strip()
-            if spec.kind == ORDINAL:
-                try:
-                    encoded.append(float(spec.categories.index(raw)))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: unknown category {raw!r} "
-                        f"for feature {spec.name!r}"
-                    ) from None
-            else:
-                try:
-                    encoded.append(float(raw))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric value {raw!r} "
-                        f"for feature {spec.name!r}"
-                    ) from None
-        name = row[label_col].strip()
-        if name not in label_ids:
-            label_ids[name] = len(labels)
-            labels.append(name)
-        y.append(label_ids[name])
-        rows.append(encoded)
-
+        rows.append((lineno, [v.strip() for v in row]))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    x = np.asarray(rows, dtype=np.float64)
-    return Dataset(schema, x, np.asarray(y, dtype=np.int64), tuple(labels))
+    label_col = header.index(label_column)
+    if schema is None:
+        schema = FeatureSchema(tuple(
+            _infer_feature(path, header[j], [row[j] for _, row in rows])
+            for j in range(len(header)) if j != label_col))
+    feat_cols = [header.index(f.name) for f in schema.features]
+
+    x = np.empty((len(rows), len(schema)))
+    y = np.empty(len(rows), dtype=np.int64)
+    label_ids: dict[str, int] = {}
+    for i, (lineno, row) in enumerate(rows):
+        for j, (spec, col) in enumerate(zip(schema.features, feat_cols)):
+            raw = row[col]
+            try:
+                x[i, j] = (spec.categories.index(raw) if spec.kind == ORDINAL
+                           else float(raw))
+            except ValueError:
+                what = ("unknown category" if spec.kind == ORDINAL
+                        else "non-numeric value")
+                raise DataError(f"{path}:{lineno}: {what} {raw!r} "
+                                f"for feature {spec.name!r}") from None
+        y[i] = label_ids.setdefault(row[label_col], len(label_ids))
+    return Dataset(schema, x, y, tuple(label_ids))
+
+
+def _infer_feature(path, name: str, values: list[str]) -> FeatureSpec:
+    """The feature a schema-less CSV column holds (see :func:`load_csv`)."""
+    try:
+        for v in values:
+            float(v)
+        return FeatureSpec(name)
+    except ValueError:
+        categories = tuple(dict.fromkeys(values))
+        if len(categories) < 2:
+            raise DataError(f"{path}: column {name!r} has a single category") \
+                from None
+        return FeatureSpec(name, ORDINAL, categories)
 
 
 def load_sparse(matrix_path, labels_path) -> Dataset:
@@ -508,76 +519,47 @@ def class_stats(
 
 @dataclass(frozen=True)
 class LabelView:
-    """A transformation of the label space.
-
-    ``mapping[orig_id]`` is the view label id.  Cluster pseudo-labels come
-    first in ``view_labels`` (for the binary view: majority cluster at slot 0,
-    minority cluster at slot 1), then remaining labels in original order,
-    which fixes argmax tie-breaking deterministically.  ``cluster_slot`` is
-    the pseudo-label slot (the minority side for the binary view).
-    """
+    """A transformation of the label space: ``mapping[orig_id]`` is the
+    view label id and ``view_labels`` names the view labels, cluster
+    pseudo-label first (see :func:`make_view`)."""
 
     kind: str
     view_labels: tuple[str, ...]
     mapping: np.ndarray
-    cluster_slot: Optional[int] = None
 
     def __post_init__(self):
         self.mapping.setflags(write=False)
-
-    @property
-    def n_view_labels(self) -> int:
-        return len(self.view_labels)
-
-    def originals_for(self, view_label: int) -> tuple[int, ...]:
-        """Original label ids mapped onto one view label."""
-        return tuple(int(i) for i in np.nonzero(self.mapping == view_label)[0])
 
 
 def make_view(stats: ClassStats, kind: str) -> LabelView:
     """Build a label view from class statistics.
 
-    ``binary`` needs a non-empty majority set, ``min_cluster`` needs majority
-    classes to cluster, ``maj_cluster`` needs minority classes.
+    ``full`` is the identity.  Every other view needs at least one majority
+    and one minority class, and follows one rule: the cluster side (the
+    majority classes, or the minority for ``min_cluster``) maps to slot 0,
+    and the other side to slot 1 for ``binary``, or to slots 1.. in original
+    order for the cluster views.  The fixed slot order fixes argmax
+    tie-breaking.
     """
     if kind not in VIEW_KINDS:
         raise DataError(f"unknown view kind {kind!r} (expected one of {VIEW_KINDS})")
-    k = stats.n_classes
-    mapping = np.empty(k, dtype=np.int64)
     if kind == FULL:
-        return LabelView(FULL, stats.labels, np.arange(k, dtype=np.int64), None)
+        return LabelView(FULL, stats.labels,
+                         np.arange(stats.n_classes, dtype=np.int64))
+    if not (stats.majority and stats.minority):
+        raise DataError(f"{kind} view needs at least one majority and one "
+                        "minority class")
+    if kind == MIN_CLUSTER:
+        cluster, name, rest = stats.minority, MINORITY_CLUSTER_LABEL, stats.majority
+    else:
+        cluster, name, rest = stats.majority, MAJORITY_CLUSTER_LABEL, stats.minority
+    mapping = np.empty(stats.n_classes, dtype=np.int64)
+    mapping[list(cluster)] = 0
     if kind == BINARY:
-        if not stats.majority:
-            raise DataError("binary view requires at least one majority class")
-        if not stats.minority:
-            raise DataError("binary view requires at least one minority class")
-        mapping[:] = 1
-        mapping[list(stats.majority)] = 0
-        return LabelView(
-            BINARY, (MAJORITY_CLUSTER_LABEL, MINORITY_CLUSTER_LABEL), mapping, 1
-        )
-    if kind == MAJ_CLUSTER:
-        if not stats.minority:
-            raise DataError("maj_cluster view requires at least one minority class")
-        if not stats.majority:
-            raise DataError("maj_cluster view requires at least one majority class")
-        mapping[list(stats.majority)] = 0
-        names = [MAJORITY_CLUSTER_LABEL]
-        for slot, c in enumerate(stats.minority, start=1):
-            mapping[c] = slot
-            names.append(stats.labels[c])
-        return LabelView(MAJ_CLUSTER, tuple(names), mapping, 0)
-    # MIN_CLUSTER
-    if not stats.majority:
-        raise DataError("min_cluster view requires at least one majority class")
-    if not stats.minority:
-        raise DataError("min_cluster view requires at least one minority class")
-    mapping[list(stats.minority)] = 0
-    names = [MINORITY_CLUSTER_LABEL]
-    for slot, c in enumerate(stats.majority, start=1):
-        mapping[c] = slot
-        names.append(stats.labels[c])
-    return LabelView(MIN_CLUSTER, tuple(names), mapping, 0)
+        mapping[list(rest)] = 1
+        return LabelView(kind, (name, MINORITY_CLUSTER_LABEL), mapping)
+    mapping[list(rest)] = np.arange(1, len(rest) + 1)
+    return LabelView(kind, (name, *(stats.labels[c] for c in rest)), mapping)
 
 
 def apply_view(ds: Dataset, view: LabelView) -> Dataset:

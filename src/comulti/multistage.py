@@ -192,9 +192,10 @@ def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
 class TwoLayerModel:
     """Named multistage layers trained on label views of one training set.
 
-    A subclass declares ``KIND`` (its documents' ``kind``), ``LAYERS`` (pairs
-    of attribute name and view kind, in fit order) and ``check_stats``,
-    which raises a DataError for a skew profile its rule cannot route.  Its
+    A subclass declares ``KIND`` (its documents' ``kind``) and ``LAYERS``
+    (pairs of attribute name and view kind, in fit order), and may declare
+    ``check_stats``, which raises a DataError for a skew profile its rule
+    cannot route beyond what its views need (see ``make_view``).  Its
     ``route(x)`` returns per-row ``labels`` and ``layer_stages``, and
     ``route_counts(routing)`` the counts ``predict_batch`` reports.  Each
     layer's labels are those of ``make_view(stats, kind)``, so a document
@@ -208,6 +209,10 @@ class TwoLayerModel:
                 raise DataError(f"layer {name} must cover the {kind} view")
             setattr(self, name, layer)
         self.stats = stats
+
+    @staticmethod
+    def check_stats(stats: ClassStats) -> None:
+        """Every profile the views accept can be routed."""
 
     def predict_batch(self, x) -> tuple[np.ndarray, dict]:
         """Labels plus routing counts and per-layer stage histograms."""

@@ -16,7 +16,6 @@ from comulti.bench import (
     ExperimentConfig,
     auto_select,
     canonical_json,
-    infer_csv_schema,
     load_config,
     load_dataset,
     parse_config_text,
@@ -25,7 +24,13 @@ from comulti.bench import (
     run_many,
 )
 from comulti.cli import main
-from comulti.dataset import class_stats, split_indices, write_csv, write_sparse
+from comulti.dataset import (
+    class_stats,
+    load_csv,
+    split_indices,
+    write_csv,
+    write_sparse,
+)
 from comulti.datagen import gaussian_blobs
 from comulti.errors import ConfigError, DataError
 from comulti.multistage import StageThresholds
@@ -184,7 +189,7 @@ def test_load_config_flag_overrides(tmp_path):
 def test_infer_csv_schema(tmp_path):
     p = tmp_path / "mix.csv"
     p.write_text("size,w,label\nsmall,1.5,a\nbig,2.0,b\nsmall,0.5,a\n")
-    schema = infer_csv_schema(p, "label")
+    schema = load_csv(p, "label").schema
     assert schema.features[0].kind == "ordinal"
     assert schema.features[0].categories == ("small", "big")
     assert schema.features[1].kind == "numeric"
@@ -448,9 +453,7 @@ def test_cli_convert_round_trip(tmp_path, capsys):
     assert main(["convert", "--dataset", str(sparse_path), "--format",
                  "sparse", "--labels", str(sparse_path) + ".labels",
                  "--to", "csv", "--out", str(back_path)]) == 0
-    from comulti.bench import infer_csv_schema as infer
-    from comulti.dataset import load_csv
-    round_tripped = load_csv(back_path, "label", infer(back_path, "label"))
+    round_tripped = load_csv(back_path, "label")
     assert np.allclose(round_tripped.x, ds.x)
 
 
@@ -497,7 +500,7 @@ def test_cli_malformed_schema_is_data_error(blobs_csv, tmp_path, capsys):
 def test_cli_non_utf8_csv_is_data_error(blobs_csv, tmp_path, capsys):
     bad = tmp_path / "latin1.csv"
     bad.write_bytes(blobs_csv.read_bytes() + b"caf\xe9,1,2,3,4,5\n")
-    assert main(["profile", "--dataset", str(bad)]) == 2  # schema inference
+    assert main(["profile", "--dataset", str(bad)]) == 2  # inferred schema
     _one_line_error(capsys, "data error:")
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps([{"name": f"f{i}"} for i in range(5)]))
@@ -508,7 +511,7 @@ def test_cli_non_utf8_csv_is_data_error(blobs_csv, tmp_path, capsys):
 
 def test_cli_short_csv_row_is_data_error(tmp_path, capsys):
     short = tmp_path / "short.csv"
-    short.write_text("f0,f1,label\n1,2,a\n3\n")  # fails in schema inference
+    short.write_text("f0,f1,label\n1,2,a\n3\n")  # no schema given
     assert main(["profile", "--dataset", str(short)]) == 2
     _one_line_error(capsys, "data error:")
 
