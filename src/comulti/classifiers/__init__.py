@@ -77,30 +77,46 @@ def fit(spec: ClassifierSpec, ds: Dataset, seed: int,
 def model_to_dict(model: Classifier) -> dict:
     """A forest or margin classifier as JSON.  A combiner has no form of
     its own: its multistage model saves it as a reference to two stages."""
+    name = type(model).__name__
+    if isinstance(model, TrainedCombiner):
+        raise DataError(f"cannot serialize {name} on its own; a combiner is "
+                        "saved with its multistage model")
     if not isinstance(model, (TrainedForest, TrainedSmo)):
-        raise DataError(f"cannot serialize {type(model).__name__} on its "
-                        "own; a combiner is saved with its multistage model")
+        raise DataError(f"model_to_dict saves a forest or a margin "
+                        f"classifier, not a {name}"
+                        + ("; use its to_dict()" if hasattr(model, "to_dict")
+                           else ""))
     doc = model.to_dict()
     doc["format_version"] = MODEL_FORMAT_VERSION
     return doc
 
 
+def _combiner_from_dict(doc: dict) -> TrainedCombiner:
+    """A standalone combiner, as older files may hold one."""
+    return TrainedCombiner(CombinerSpec(left=doc["left"], right=doc["right"]),
+                           model_from_dict(doc["a"]), model_from_dict(doc["b"]))
+
+
+_READERS = {"random_forest": TrainedForest.from_dict,
+            "smo_margin": TrainedSmo.from_dict,
+            "max_confidence_pair": _combiner_from_dict}
+
+
 def model_from_dict(doc: dict) -> Classifier:
+    """The model a document describes; a malformed one is a DataError that
+    names its kind."""
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
     kind = doc.get("kind")
-    if kind == "random_forest":
-        return TrainedForest.from_dict(doc)
-    if kind == "smo_margin":
-        return TrainedSmo.from_dict(doc)
-    if kind == "max_confidence_pair":  # standalone combiners in older files
-        return TrainedCombiner(
-            CombinerSpec(left=doc["left"], right=doc["right"]),
-            model_from_dict(doc["a"]),
-            model_from_dict(doc["b"]),
-        )
-    raise DataError(f"unknown model kind {kind!r}")
+    if kind not in _READERS:
+        raise DataError(f"unknown model kind {kind!r}")
+    try:
+        return _READERS[kind](doc)
+    except KeyError as exc:
+        raise DataError(f"{kind} model document: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{kind} model document: {exc}") from None
 
 
 def save_model(model: Classifier, path) -> None:

@@ -357,16 +357,29 @@ class TrainedSmo(Classifier):
             sv = np.asarray(sv_doc["values"], dtype=np.float64)
             if sv.ndim == 1:
                 sv = sv.reshape((0, 0)) if sv.size == 0 else sv[None, :]
+        space = tuple(doc["space"])
+        sv_index = [np.asarray(v, dtype=np.int64) for v in doc["sv_index"]]
+        sv_coef = [np.asarray(v, dtype=np.float64) for v in doc["sv_coef"]]
+        per_label = [np.asarray(doc[key], dtype=np.float64)
+                     for key in ("bias", "platt_a", "platt_b")]
+        # Prediction indexes with these unchecked.
+        if sv.ndim != 2:
+            raise DataError("smo_margin model document: sv_x is not a matrix")
+        if len(sv_index) != len(space) or len(sv_coef) != len(space) \
+                or any(a.shape != (len(space),) for a in per_label):
+            raise DataError("smo_margin model document: sv_index, sv_coef, "
+                            "bias, platt_a and platt_b need one entry per "
+                            f"label ({len(space)})")
+        for label, (index, coef) in enumerate(zip(sv_index, sv_coef)):
+            if index.ndim != 1 or coef.shape != index.shape or (index.size and (
+                    index.min() < 0 or index.max() >= sv.shape[0])):
+                raise DataError(f"smo_margin model document: label {label} "
+                                "needs one sv_coef per sv_index, each index "
+                                f"a row of sv_x (0..{sv.shape[0] - 1})")
         return TrainedSmo(
             SmoSpec(degree=doc["degree"], c=doc["c"], tol=doc["tol"],
                     max_iter=doc["max_iter"]),
-            tuple(doc["space"]),
-            sv,
-            [np.asarray(v, dtype=np.int64) for v in doc["sv_index"]],
-            [np.asarray(v, dtype=np.float64) for v in doc["sv_coef"]],
-            np.asarray(doc["bias"], dtype=np.float64),
-            np.asarray(doc["platt_a"], dtype=np.float64),
-            np.asarray(doc["platt_b"], dtype=np.float64),
+            space, sv, sv_index, sv_coef, *per_label,
             np.asarray(doc["kkt_gaps"], dtype=np.float64),
         )
 

@@ -131,12 +131,24 @@ class MultistageModel:
         stages: list[Classifier] = []
         for item in doc["stages"]:
             if item.get("kind") == "combiner_ref":
-                spec = CombinerSpec(left=item["left"], right=item["right"])
-                stages.append(TrainedCombiner(spec, stages[spec.left],
-                                              stages[spec.right]))
+                spec = CombinerSpec(left=item.get("left"),
+                                    right=item.get("right"))
+                stages.append(_bind_combiner(spec, stages, DataError))
             else:
                 stages.append(classifiers.model_from_dict(item))
         return MultistageModel(stages, StageThresholds(tuple(doc["thresholds"])))
+
+
+def _bind_combiner(spec: CombinerSpec, stages: Sequence[Classifier],
+                  error: type) -> TrainedCombiner:
+    """The combiner that follows ``stages``, bound to the two of them it
+    references; any other reference raises ``error``."""
+    s = len(stages)
+    if not all(isinstance(i, int) and 0 <= i < s
+               for i in (spec.left, spec.right)):
+        raise error(f"combiner at stage {s + 1} must reference earlier "
+                    f"stages, got {spec.left} and {spec.right}")
+    return TrainedCombiner(spec, stages[spec.left], stages[spec.right])
 
 
 def take_rows(x, rows: np.ndarray):
@@ -176,13 +188,7 @@ def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
     stages: list[Classifier] = []
     for s, spec in enumerate(specs):
         if isinstance(spec, CombinerSpec):
-            if not (0 <= spec.left < s and 0 <= spec.right < s):
-                raise ConfigError(
-                    f"combiner at stage {s + 1} must reference earlier stages, "
-                    f"got {spec.left} and {spec.right}"
-                )
-            stages.append(TrainedCombiner(spec, stages[spec.left],
-                                          stages[spec.right]))
+            stages.append(_bind_combiner(spec, stages, ConfigError))
         else:
             child_seed = int(children[s].generate_state(1)[0])
             stages.append(classifiers.fit(spec, ds, child_seed, shared))

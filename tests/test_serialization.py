@@ -24,7 +24,7 @@ from comulti.classifiers import (
 from comulti.cmc import CmcModel, fit_cmc
 from comulti.cmcm import CmcmModel, fit_cmcm
 from comulti.dataset import Dataset, FeatureSchema, class_stats
-from comulti.errors import DataError
+from comulti.errors import ConfigError, DataError
 from comulti.multistage import MultistageModel, StageThresholds, fit_multistage
 
 from conftest import make_dataset
@@ -98,11 +98,24 @@ def _break_n_features(doc, tree, inner, leaf):
     doc["n_features"] = 2.5
 
 
+def _break_node_id_overflow(doc, tree, inner, leaf):
+    tree["left"][inner[0]] = 2 ** 40
+
+
+def _break_missing_vote(doc, tree, inner, leaf):
+    del tree["vote"]
+
+
+def _break_missing_forest(doc, tree, inner, leaf):
+    del doc["forest"]
+
+
 @pytest.mark.parametrize("breaker", [
     _break_vote_high, _break_vote_negative, _break_feature,
     _break_child_negative, _break_child_backward, _break_child_self_loop,
     _break_child_past_tree, _break_lengths, _break_empty_tree,
-    _break_no_trees, _break_n_features])
+    _break_no_trees, _break_n_features, _break_node_id_overflow,
+    _break_missing_vote, _break_missing_forest])
 def test_malformed_forest_document_is_data_error(breaker):
     doc = model_to_dict(_noisy_forest())
     tree = doc["forest"][0]
@@ -150,6 +163,70 @@ def test_smo_round_trip_bit_exact(tmp_path, separable_clusters):
     x = probe(np.random.default_rng(1), 40, 2)
     assert np.array_equal(model.predict_proba_batch(x),
                           again.predict_proba_batch(x))
+
+
+def _smo_doc():
+    """A 3-label margin classifier over 2 dense features, as a document."""
+    rng = np.random.default_rng(7)
+    ds = make_dataset(rng.normal(size=(40, 2)), np.arange(40) % 3)
+    doc = model_to_dict(fit(SmoSpec(), ds, seed=0))
+    assert all(doc["sv_index"]) and len(doc["space"]) == 3
+    return doc
+
+
+def _smo_missing_key(doc):
+    del doc["bias"]
+
+
+def _smo_bad_value(doc):
+    doc["sv_coef"][0][0] = "x"
+
+
+def _smo_sv_index_past_end(doc):
+    doc["sv_index"][0][0] = len(doc["sv_x"]["values"])
+
+
+def _smo_sv_index_negative(doc):
+    doc["sv_index"][0][0] = -1
+
+
+def _smo_bias_short(doc):
+    doc["bias"].pop()
+
+
+def _smo_platt_short(doc):
+    doc["platt_a"].pop()
+
+
+def _smo_coef_short(doc):
+    doc["sv_coef"][0].pop()
+
+
+def _smo_class_missing(doc):
+    doc["sv_index"].pop()
+
+
+@pytest.mark.parametrize("breaker", [
+    _smo_missing_key, _smo_bad_value, _smo_sv_index_past_end,
+    _smo_sv_index_negative, _smo_bias_short, _smo_platt_short,
+    _smo_coef_short, _smo_class_missing])
+def test_malformed_smo_document_is_data_error_at_load(breaker):
+    doc = _smo_doc()
+    model_from_dict(json.loads(json.dumps(doc)))  # the unbroken one loads
+    breaker(doc)
+    with pytest.raises(DataError, match="smo_margin"):
+        model_from_dict(doc)
+
+
+def test_missing_model_key_names_the_model_kind():
+    forest = model_to_dict(_noisy_forest())
+    del forest["forest"]
+    with pytest.raises(DataError, match="random_forest.*'forest'"):
+        model_from_dict(forest)
+    smo = _smo_doc()
+    del smo["sv_x"]
+    with pytest.raises(DataError, match="smo_margin.*'sv_x'"):
+        model_from_dict(smo)
 
 
 def test_smo_sparse_round_trip(tmp_path):
@@ -209,6 +286,36 @@ def test_multistage_round_trip_shares_combiner_stages(separable_clusters):
     db, ub = again.predict_batch(x)
     assert np.array_equal(da, db)
     assert np.array_equal(ua, ub)
+
+
+@pytest.mark.parametrize("left,right", [(-1, 0), (0, 2), (3, 1)])
+def test_combiner_reference_must_name_earlier_stages(left, right,
+                                                     separable_clusters):
+    """A previous stage by negative index, the combiner's own stage and a
+    later one are each refused; a spec list is refused the same way."""
+    ds = separable_clusters(n_per_side=10, gap=2.0)
+    m = fit_multistage(
+        [ForestSpec(trees=3), SmoSpec(), CombinerSpec(left=0, right=1),
+         ForestSpec(trees=3)], StageThresholds.ones(4), ds, seed=0)
+    doc = json.loads(json.dumps(m.to_dict()))
+    doc["stages"][2].update(left=left, right=right)
+    with pytest.raises(DataError, match="stage 3 must reference earlier"):
+        MultistageModel.from_dict(doc)
+    with pytest.raises(ConfigError, match="stage 3 must reference earlier"):
+        fit_multistage(
+            [ForestSpec(trees=3), SmoSpec(),
+             CombinerSpec(left=left, right=right), ForestSpec(trees=3)],
+            StageThresholds.ones(4), ds, seed=0)
+
+
+def test_model_to_dict_points_ensembles_to_their_to_dict(separable_clusters):
+    ds = separable_clusters(n_per_side=10, gap=2.0)
+    stage = fit_multistage([ForestSpec(trees=3)], StageThresholds.ones(1), ds,
+                           seed=0)
+    with pytest.raises(DataError, match=r"MultistageModel.*its to_dict\(\)"):
+        model_to_dict(stage)
+    with pytest.raises(DataError, match=r"CmcModel.*its to_dict\(\)"):
+        model_to_dict(_fitted_cmc()[0])
 
 
 def test_cmc_round_trip(tmp_path):
