@@ -91,17 +91,6 @@ def model_to_dict(model: Classifier) -> dict:
     return doc
 
 
-def _combiner_from_dict(doc: dict) -> TrainedCombiner:
-    """A standalone combiner, as older files may hold one."""
-    return TrainedCombiner(CombinerSpec(left=doc["left"], right=doc["right"]),
-                           model_from_dict(doc["a"]), model_from_dict(doc["b"]))
-
-
-_READERS = {"random_forest": TrainedForest.from_dict,
-            "smo_margin": TrainedSmo.from_dict,
-            "max_confidence_pair": _combiner_from_dict}
-
-
 def model_from_dict(doc: dict) -> Classifier:
     """The model a document describes; a malformed one is a DataError that
     names its kind."""
@@ -109,14 +98,22 @@ def model_from_dict(doc: dict) -> Classifier:
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
     kind = doc.get("kind")
-    if kind not in _READERS:
-        raise DataError(f"unknown model kind {kind!r}")
     try:
-        return _READERS[kind](doc)
+        if kind == "random_forest":
+            return TrainedForest.from_dict(doc)
+        if kind == "smo_margin":
+            return TrainedSmo.from_dict(doc)
+        if kind == "max_confidence_pair":  # standalone combiners in older files
+            return TrainedCombiner(
+                CombinerSpec(left=doc["left"], right=doc["right"]),
+                model_from_dict(doc["a"]),
+                model_from_dict(doc["b"]),
+            )
     except KeyError as exc:
         raise DataError(f"{kind} model document: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{kind} model document: {exc}") from None
+    raise DataError(f"unknown model kind {kind!r}")
 
 
 def save_model(model: Classifier, path) -> None:

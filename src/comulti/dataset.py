@@ -266,8 +266,8 @@ def _infer_feature(path, name: str, values: list[str]) -> FeatureSpec:
     except ValueError:
         categories = tuple(dict.fromkeys(values))
         if len(categories) < 2:
-            raise DataError(f"{path}: column {name!r} has a single category") \
-                from None
+            raise DataError(
+                f"{path}: column {name!r} has a single category") from None
         return FeatureSpec(name, ORDINAL, categories)
 
 
