@@ -1,15 +1,18 @@
 /* The compiled loops of comulti.classifiers: the SMO working-pair loop of
- * smo.solve_binary and the walk of forest.TrainedForest.predict_proba_batch.
+ * smo.solve_binary, the tree grower of forest.fit_forest and the walk of
+ * forest.TrainedForest.predict_proba_batch.
  *
  * Plain C with no Python API: _native.py compiles this file at import and
  * calls it through ctypes, which releases the GIL for each call.  The
- * caller owns every buffer; nothing here is static, so calls on different
- * threads do not interact.
+ * caller owns every buffer it passes; nothing here is static, so calls on
+ * different threads do not interact.
  */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* ---------------------------------------------------------------------
  * SMO.  Every element goes through the same rounded IEEE operations, in
@@ -250,4 +253,220 @@ void forest_counts(const struct forest_table *f, ptrdiff_t n,
             row_counts[f->vote[node]]++;
         }
     }
+}
+
+/* ---------------------------------------------------------------------
+ * Tree growing, as forest.py describes it.  Random draws and Gini sums are
+ * numpy's, so the trees are bit for bit those of the numpy form.  numpy's
+ * bitgen_t (numpy/random/bitgen.h) begins with these members.
+ */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+} bitgen_t;
+
+/* numpy's random_interval for max >= 1: a draw from [0, max] by masked
+ * rejection. */
+static uint64_t random_interval(bitgen_t *g, uint64_t max)
+{
+    uint64_t mask = max, value;
+    for (int shift = 1; shift < 64; shift *= 2)
+        mask |= mask >> shift;
+    do
+        value = max <= 0xffffffffUL ? g->next_uint32(g->state) & mask
+                                    : g->next_uint64(g->state) & mask;
+    while (value > max);
+    return value;
+}
+
+/* numpy's pairwise sum of a contiguous row: in order below 8, eight
+ * running sums up to 128, in halves beyond. */
+static double pairwise_sum(const double *a, ptrdiff_t n)
+{
+    double res = 0.0, r[8];
+    ptrdiff_t i = 0;
+    if (n > 128) {
+        const ptrdiff_t half = n / 2 - (n / 2) % 8;
+        return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+    }
+    if (n >= 8) {
+        for (; i < n - n % 8; i++)
+            r[i % 8] = i < 8 ? a[i] : r[i % 8] + a[i];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* 1.0 - ((c / n) ** 2).sum(): the Gini impurity of class counts c. */
+static double gini(const double *c, double n, ptrdiff_t n_classes, double *sq)
+{
+    for (ptrdiff_t k = 0; k < n_classes; k++)
+        sq[k] = (c[k] / n) * (c[k] / n);
+    return 1.0 - pairwise_sum(sq, n_classes);
+}
+
+/* A value that `weight` samples of one label hold. */
+struct entry {
+    double value;
+    ptrdiff_t label, weight;
+};
+
+static int by_value(const void *a, const void *b)
+{
+    const double u = *(const double *)a, v = *(const double *)b;
+    return (u > v) - (u < v);
+}
+
+/* A node to grow and its samples boot[start .. end). */
+struct span {
+    ptrdiff_t node, start, end;
+};
+
+/* Grow one tree over the n samples boot (rows, repeats included; reordered
+ * in place), depth first and left child first, into node arrays with room
+ * for 2n - 1 nodes (at least 1).  A split scores the first n_candidates
+ * features that vary, sorting only nonzero values: a node's zeros are one
+ * run.  Dense, feature f of row r is values[f * n_rows + r]; sparse (indptr
+ * not NULL), feature f holds values[p] in row indices[p] for p in
+ * [indptr[f], indptr[f + 1]), each row once.  The caller has checked that
+ * every value is finite and every label y[r] below n_classes.  Returns the
+ * node count, or -1 when out of memory. */
+ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
+                    ptrdiff_t n_candidates, ptrdiff_t n_classes,
+                    const double *values, const ptrdiff_t *indptr,
+                    const ptrdiff_t *indices, const ptrdiff_t *y,
+                    bitgen_t *rng, ptrdiff_t n, ptrdiff_t *boot,
+                    int32_t *feature, double *threshold, int32_t *left,
+                    int32_t *right, int32_t *vote)
+{
+    ptrdiff_t n_nodes = -1, depth = 1;
+    /* Zeroed scratch, one element more than needed so no size is 0. */
+    ptrdiff_t *perm = calloc(n_features + 2 * n_classes + n_rows + 1,
+                             sizeof *perm);
+    double *lc = calloc(3 * n_classes + n_rows + 1, sizeof *lc);
+    struct entry *e = calloc(n + n_classes + 1, sizeof *e);
+    struct span *stack = calloc(n + 1, sizeof *stack);
+    if (!perm || !lc || !e || !stack)
+        goto done;
+    ptrdiff_t *counts = perm + n_features;
+    ptrdiff_t *zeros = counts + n_classes, *mult = zeros + n_classes;
+    double *rc = lc + n_classes, *sq = rc + n_classes, *val = sq + n_classes;
+    stack[0] = (struct span){0, 0, n};
+    n_nodes = 1;
+    while (depth) {
+        const struct span s = stack[--depth];
+        const ptrdiff_t id = s.node, m = s.end - s.start;
+        ptrdiff_t *r = boot + s.start, top = 0;
+        memset(counts, 0, n_classes * sizeof *counts);
+        for (ptrdiff_t i = 0; i < m; i++)
+            counts[y[r[i]]]++;
+        for (ptrdiff_t k = 1; k < n_classes; k++)
+            top = counts[k] > counts[top] ? k : top;
+        feature[id] = left[id] = right[id] = -1;
+        threshold[id] = 0.0;
+        vote[id] = (int32_t)top;
+        if (m < 2 || counts[top] == m)
+            continue;
+
+        for (ptrdiff_t f = 0; f < n_features; f++)
+            perm[f] = f;
+        for (ptrdiff_t i = n_features - 1; i >= 1; i--) {
+            const ptrdiff_t j = (ptrdiff_t)random_interval(rng, (uint64_t)i);
+            const ptrdiff_t t = perm[i];
+            perm[i] = perm[j];
+            perm[j] = t;
+        }
+        for (ptrdiff_t i = 0; i < m; i++)
+            mult[r[i]]++; /* each row's samples in the node */
+        double best = INFINITY, thr = 0.0;
+        ptrdiff_t best_f = -1;
+        for (ptrdiff_t pi = 0, tried = 0;
+             pi < n_features && tried < n_candidates; pi++) {
+            const ptrdiff_t f = perm[pi];
+            ptrdiff_t ne = 0;
+            if (indptr) {
+                for (ptrdiff_t p = indptr[f]; p < indptr[f + 1]; p++)
+                    if (mult[indices[p]] && values[p] != 0)
+                        e[ne++] = (struct entry){values[p], y[indices[p]],
+                                                 mult[indices[p]]};
+            } else {
+                for (ptrdiff_t i = 0; i < m; i++)
+                    if (values[f * n_rows + r[i]] != 0)
+                        e[ne++] = (struct entry){values[f * n_rows + r[i]],
+                                                 y[r[i]], 1};
+            }
+            memcpy(zeros, counts, n_classes * sizeof *zeros);
+            for (ptrdiff_t i = 0; i < ne; i++)
+                zeros[e[i].label] -= e[i].weight;
+            for (ptrdiff_t k = 0; k < n_classes; k++)
+                if (zeros[k])
+                    e[ne++] = (struct entry){0.0, k, zeros[k]};
+            qsort(e, ne, sizeof *e, by_value);
+            if (e[0].value == e[ne - 1].value)
+                continue; /* constant in this node */
+            tried++;
+            /* Every cut between two runs of equal values, lowest first. */
+            double nl = 0.0;
+            memset(lc, 0, n_classes * sizeof *lc);
+            for (ptrdiff_t i = 0; i < ne;) {
+                const double v = e[i].value;
+                for (; i < ne && e[i].value == v; i++) {
+                    lc[e[i].label] += (double)e[i].weight;
+                    nl += (double)e[i].weight;
+                }
+                if (i == ne)
+                    break;
+                const double nr = (double)m - nl;
+                for (ptrdiff_t k = 0; k < n_classes; k++)
+                    rc[k] = (double)counts[k] - lc[k];
+                const double score = (nl * gini(lc, nl, n_classes, sq)
+                                      + nr * gini(rc, nr, n_classes, sq))
+                                     / (double)m;
+                if (score < best) {
+                    best = score;
+                    best_f = f;
+                    thr = 0.5 * (v + e[i].value); /* unless it rounds up */
+                    thr = v <= thr && thr < e[i].value ? thr : v;
+                }
+            }
+        }
+        for (ptrdiff_t i = 0; i < m; i++)
+            mult[r[i]] = 0;
+        if (best_f < 0)
+            continue;
+
+        if (indptr) /* the sparse feature's values, spread into val */
+            for (ptrdiff_t p = indptr[best_f]; p < indptr[best_f + 1]; p++)
+                val[indices[p]] = values[p];
+        const double *col = indptr ? val : values + best_f * n_rows;
+        ptrdiff_t n_left = 0; /* samples <= thr to the front */
+        for (ptrdiff_t i = 0; i < m; i++) {
+            const ptrdiff_t t = r[i];
+            if (col[t] <= thr) {
+                r[i] = r[n_left];
+                r[n_left++] = t;
+            }
+        }
+        if (indptr)
+            for (ptrdiff_t p = indptr[best_f]; p < indptr[best_f + 1]; p++)
+                val[indices[p]] = 0.0;
+        feature[id] = (int32_t)best_f;
+        threshold[id] = thr;
+        left[id] = (int32_t)n_nodes;
+        right[id] = (int32_t)(n_nodes + 1);
+        vote[id] = -1;
+        stack[depth++] = (struct span){n_nodes + 1, s.start + n_left, s.end};
+        stack[depth++] = (struct span){n_nodes, s.start, s.start + n_left};
+        n_nodes += 2;
+    }
+
+done:
+    free(perm);
+    free(lc);
+    free(e);
+    free(stack);
+    return n_nodes;
 }

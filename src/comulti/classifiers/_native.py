@@ -1,22 +1,23 @@
 """The package's compiled loops, built at import.
 
-``_native.c``, next to this module, holds the two loops that run in C and
+``_native.c``, next to this module, holds the loops that run in C and
 nothing else (no Python API): the SMO working-pair loop of
-:func:`comulti.classifiers.smo.solve_binary` and the forest walk of
+:func:`comulti.classifiers.smo.solve_binary`, the tree grower of
+:func:`comulti.classifiers.forest.fit_forest` and the forest walk of
 :meth:`comulti.classifiers.forest.TrainedForest.predict_proba_batch`.  At
 import it is compiled with ``cc -O2 -shared -fPIC -ffp-contract=off`` into
 this package's ``__pycache__/``, under a file name that carries the SHA-256
 of the source and the flags: later imports load that file without
 compiling, and an edited source gets a file of its own.  The library is
 loaded with ``ctypes.CDLL``, which releases the GIL for each call, so grid
-threads solve and predict at the same time.  A missing or failing compiler
-is an ``ImportError``; there is no Python copy of either loop.  The flags
-keep the bits of the numpy form: ``-ffp-contract=off`` stops the compiler
-from fusing a multiply and an add into one FMA instruction, which rounds
-once where numpy rounds twice (the default contracts wherever the target
-has FMA, as on aarch64), and without ``-ffast-math`` or ``-march=native``
-the compiler may neither reassociate operations nor choose instructions per
-machine.
+threads solve, grow and predict at the same time.  A missing or failing
+compiler is an ``ImportError``; there is no Python copy of any loop.  The
+flags keep the bits of the numpy form: ``-ffp-contract=off`` stops the
+compiler from fusing a multiply and an add into one FMA instruction, which
+rounds once where numpy rounds twice (the default contracts wherever the
+target has FMA, as on aarch64), and without ``-ffast-math`` or
+``-march=native`` the compiler may neither reassociate operations nor
+choose instructions per machine.
 """
 
 from __future__ import annotations
@@ -87,13 +88,18 @@ def _load_library() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     lib = ctypes.CDLL(str(target))
-    ptr, f64, i64 = ctypes.c_void_p, ctypes.c_double, ctypes.c_longlong
+    ptr, f64, i64, size = (ctypes.c_void_p, ctypes.c_double,
+                            ctypes.c_longlong, ctypes.c_ssize_t)
     lib.smo_solve.restype = ctypes.c_int
     lib.smo_solve.argtypes = [
         ctypes.c_ssize_t, ptr, ptr, ptr, ptr,  # n, y, neg_y, diag, gram
         COLUMN_FN, f64, f64, i64,  # column, c, tol, max_iter
         ptr, ptr, ptr, ptr, ptr,  # alpha, grad, up, low, yg
         ctypes.POINTER(f64), ctypes.POINTER(i64)]  # gap, iterations
+    lib.grow_tree.restype = size
+    lib.grow_tree.argtypes = [  # 4 sizes, values .. y, rng, n, boot, nodes
+        size, size, size, size, ptr, ptr, ptr, ptr, ptr, size, ptr,
+        ptr, ptr, ptr, ptr, ptr]
     lib.forest_counts.restype = None
     lib.forest_counts.argtypes = [
         ctypes.POINTER(ForestTable), ctypes.c_ssize_t, ptr, ptr]  # x, counts

@@ -18,8 +18,8 @@ warning, if any, is raised once, and a view whose problems were all solved
 before builds no Gram matrix.
 
 The solver's iterations run in C: the loop of :func:`solve_binary` is
-compiled at import, with the forest walk, by :mod:`._native`, and runs
-without the GIL.
+compiled at import, with the forest's tree grower and walk, by
+:mod:`._native`, and runs without the GIL.
 """
 
 from __future__ import annotations

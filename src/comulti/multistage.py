@@ -243,8 +243,14 @@ class TwoLayerModel:
                 and all(k in doc for k in keys)):
             raise DataError(f"not a {cls.KIND} model document: expected kind "
                             f"{cls.KIND!r} with {', '.join(keys)}")
-        return cls([MultistageModel.from_dict(doc[k]) for k in keys[:-1]],
-                   ClassStats.from_dict(doc["stats"]))
+        try:
+            return cls([MultistageModel.from_dict(doc[k]) for k in keys[:-1]],
+                       ClassStats.from_dict(doc["stats"]))
+        except KeyError as exc:
+            raise DataError(f"{cls.KIND} model document: missing key "
+                            f"{exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"{cls.KIND} model document: {exc}") from None
 
     @classmethod
     def fit_plan(cls, stats: ClassStats,

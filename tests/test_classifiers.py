@@ -188,18 +188,6 @@ def test_forest_sparse_equals_dense():
                           m2.predict_proba_batch(sp.csr_matrix(dense)))
 
 
-def test_forest_csc_fallback_matches_dense(monkeypatch):
-    rng = np.random.default_rng(4)
-    dense = rng.integers(0, 3, size=(50, 5)).astype(float)
-    y = rng.integers(0, 2, 50)
-    monkeypatch.setattr(forest_mod, "_DENSIFY_ELEMS", 1)
-    m_forced = fit(ForestSpec(trees=6), _sparse_dataset(dense, y), seed=9)
-    monkeypatch.undo()
-    m_plain = fit(ForestSpec(trees=6), make_dataset(dense, y), seed=9)
-    assert np.array_equal(m_forced.predict_proba_batch(dense),
-                          m_plain.predict_proba_batch(dense))
-
-
 def test_fit_preconditions():
     ds = make_dataset(np.zeros((4, 1)), [0, 0, 0, 0], labels=("only",))
     with pytest.raises(TrainingError, match="2 labels"):

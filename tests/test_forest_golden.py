@@ -113,7 +113,6 @@ def test_forest_fingerprint_csc_fallback(monkeypatch, name):
     ds, trees, seed = _case(name)
     if not sp.issparse(ds.x):
         ds = Dataset(ds.schema, sp.csr_matrix(ds.x), ds.y, ds.labels)
-    monkeypatch.setattr(forest_mod, "_DENSIFY_ELEMS", 1)
     assert _fingerprint(fit(ForestSpec(trees=trees), ds, seed=seed)) \
         == GOLDEN[name]
 

@@ -434,6 +434,29 @@ def test_two_layer_from_dict_names_the_expected_kind():
         CmcModel.from_dict([cmc_doc])
 
 
+# Malformed two-layer documents, each edit given the document and the names
+# of its first and last layers.
+BREAK_TWO_LAYER = {
+    "no-stages": lambda d, first, last: d[first].pop("stages"),
+    "no-thresholds": lambda d, first, last: d[last].pop("thresholds"),
+    "int-stage": lambda d, first, last: d[first]["stages"].__setitem__(1, 7),
+    "no-counts": lambda d, first, last: d["stats"].pop("counts"),
+    "list-layer": lambda d, first, last: d.__setitem__(last, [d[last]]),
+    "int-labels": lambda d, first, last: d["stats"].__setitem__("labels", 5),
+}
+
+
+@pytest.mark.parametrize("breaker", sorted(BREAK_TWO_LAYER))
+@pytest.mark.parametrize("fitted", [_fitted_cmc, _fitted_cmcm])
+def test_malformed_two_layer_document_is_one_data_error(fitted, breaker):
+    model = fitted()[0]
+    doc = json.loads(json.dumps(model.to_dict()))
+    BREAK_TWO_LAYER[breaker](doc, model.LAYERS[0][0], model.LAYERS[-1][0])
+    with pytest.raises(DataError, match=f"^{model.KIND} model document: "
+                                        r"[^\n]+$"):
+        type(model).from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # Round-trip property: to_dict -> JSON -> from_dict on random small data
 
