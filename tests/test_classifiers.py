@@ -15,7 +15,6 @@ from comulti.classifiers import (
     default_stage_specs,
     fit,
 )
-from comulti.classifiers import forest as forest_mod
 from comulti.classifiers.smo import _Kernel, platt_fit, solve_binary
 from comulti.errors import DataError, TrainingError
 
