@@ -266,8 +266,7 @@ typedef struct {
     uint32_t (*next_uint32)(void *state);
 } bitgen_t;
 
-/* numpy's random_interval for max >= 1: a draw from [0, max] by masked
- * rejection. */
+/* numpy's random_interval for max >= 1: [0, max] by masked rejection. */
 static uint64_t random_interval(bitgen_t *g, uint64_t max)
 {
     uint64_t mask = max, value;
@@ -374,8 +373,7 @@ ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
         for (ptrdiff_t f = 0; f < n_features; f++)
             perm[f] = f;
         for (ptrdiff_t i = n_features - 1; i >= 1; i--) {
-            const ptrdiff_t j = (ptrdiff_t)random_interval(rng, (uint64_t)i);
-            const ptrdiff_t t = perm[i];
+            const ptrdiff_t j = random_interval(rng, i), t = perm[i];
             perm[i] = perm[j];
             perm[j] = t;
         }
