@@ -165,6 +165,39 @@ def test_smo_round_trip_bit_exact(tmp_path, separable_clusters):
                           again.predict_proba_batch(x))
 
 
+def test_smo_copies_predict_as_the_fitted_model():
+    # Sparse support vectors with unsorted indices and a column stored
+    # twice in a row, as load_sparse reads a line that names it twice.  The
+    # document stores such a column once, summed; small counts, in the
+    # model and in the predicted rows, keep every sum exact, so the bits
+    # cannot depend on that.
+    rng = np.random.default_rng(4)
+    indptr, indices = [0], []
+    for _ in range(50):
+        cols = rng.choice(12, size=int(rng.integers(1, 6)), replace=False)
+        indices.extend([*cols.tolist(), int(cols[-1])])
+        indptr.append(len(indices))
+    x = sp.csr_matrix((rng.integers(1, 4, size=len(indices)).astype(float),
+                       indices, indptr), shape=(50, 12))
+    ds = Dataset(FeatureSchema.numeric(12), x, np.arange(50) % 3,
+                 ("a", "b", "c"))
+    model = fit(SmoSpec(degree=2), ds, seed=0)
+    rows = sp.random(30, 12, density=0.3, format="csr", random_state=rng,
+                     data_rvs=lambda k: rng.integers(1, 4, size=k) * 1.0)
+    want = model.predict_proba_batch(rows).tobytes()
+    one = [model.predict_proba_batch(rows[i:i + 1]).tobytes()
+           for i in range(rows.shape[0])]
+    copies = [model_from_dict(json.loads(json.dumps(model_to_dict(model)))),
+              copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
+    del model
+    gc.collect()
+    for again in copies:
+        assert sp.issparse(again.sv_x)
+        assert again.predict_proba_batch(rows).tobytes() == want
+        assert [again.predict_proba_batch(rows[i:i + 1]).tobytes()
+                for i in range(rows.shape[0])] == one
+
+
 def _smo_doc():
     """A 3-label margin classifier over 2 dense features, as a document."""
     rng = np.random.default_rng(7)

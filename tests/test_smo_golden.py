@@ -75,6 +75,26 @@ def _unsorted_sparse_case():
     return Dataset(FeatureSchema.numeric(40), x, y, ("a", "b", "c"))
 
 
+def _duplicate_csr_case():
+    """90 rows over 30 columns, 3 classes; every row stores one column
+    twice, as ``load_sparse`` stores a line that names a column twice, and
+    the values are not integers, so the order in which the two entries are
+    summed shows in the bits."""
+    rng = np.random.default_rng(9)
+    indptr, indices = [0], []
+    for _ in range(90):
+        cols = rng.choice(30, size=int(rng.integers(2, 9)), replace=False)
+        indices.extend([*cols.tolist(), int(cols[0])])
+        indptr.append(len(indices))
+    data = rng.uniform(0.1, 3.0, size=len(indices))
+    x = sp.csr_matrix((data, np.asarray(indices, dtype=np.int32),
+                       np.asarray(indptr, dtype=np.int64)), shape=(90, 30))
+    assert x.nnz == len(indices) and not x.has_canonical_format
+    y = rng.integers(0, 3, size=90)
+    y[:3] = [0, 1, 2]
+    return Dataset(FeatureSchema.numeric(30), x, y, ("a", "b", "c"))
+
+
 def _blobs():
     return gaussian_blobs((120, 40, 25), n_features=5, seed=0)
 
@@ -100,6 +120,8 @@ GOLDEN = {
         "ed51bab537771d0364ba92d1793b7bba05231ebc406b465872bbc3c98eb7b4aa",
     "column_cache_topics":
         "885e746ac12c505bd8a1fc2368ce431916f96b67daeea2e8534c9f4e4051e2a6",
+    "duplicate_csr":
+        "11d75dae8afd0f7b1ab4f211dda7c27c9ead910466345b85f79143b9cd4a5d03",
     "capped_blobs":
         "a041cf5065363f5fd4f1881df620c4d05435fb8b80fce6ffca7a5a7d5d4a4ffa",
 }
@@ -115,6 +137,8 @@ def _case(name):
         return _topics_view("full"), SmoSpec()
     if name.startswith("unsorted_csr_degree"):
         return _unsorted_sparse_case(), SmoSpec(degree=int(name[-1]))
+    if name == "duplicate_csr":
+        return _duplicate_csr_case(), SmoSpec(degree=2)
     if name == "capped_blobs":
         return _blobs(), SmoSpec(max_iter=25)
     return _topics_view(name[len("topics_"):]), SmoSpec()
