@@ -1,5 +1,6 @@
 /* The compiled loops of comulti.classifiers: the SMO working-pair loop of
- * smo.solve_binary, the tree grower of forest.fit_forest and the walk of
+ * smo.solve_binary, the sparse kernel product of smo._poly_kernel, the tree
+ * grower of forest.fit_forest and the walk of
  * forest.TrainedForest.predict_proba_batch.
  *
  * Plain C with no Python API: _native.py compiles this file at import and
@@ -215,6 +216,37 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
     *gap_out = gap;
     *it_out = it;
     return status;
+}
+
+/* ---------------------------------------------------------------------
+ * Sparse kernel product: out += A @ B.T for a CSR A of n_rows rows and
+ * bt = B.T as CSR, into n_rows x n_out row-major doubles.  The loop is
+ * scipy's csr_matmat (SMMP; Bank & Douglas, Adv. Comput. Math. 1993): row r
+ * of A in stored order, then row j of bt in stored order.  Into a zeroed
+ * buffer every sum is added in the order scipy adds it, from +0.0, so out
+ * is (A @ B.T).toarray() to the bit: scipy stores no sum that is 0, and a
+ * sum begun at +0.0 is never -0.0.  Where a NaN sum meets a NaN product,
+ * scipy's build keeps the product's NaN (sign and payload); a compiler may
+ * swap the operands of +, and x86 keeps the first operand's NaN, so the
+ * loop picks it itself.  The caller has checked that every index of A is a
+ * row of bt and every index of bt a column of out.
+ */
+void sparse_product(ptrdiff_t n_rows, ptrdiff_t n_out, const ptrdiff_t *ap,
+                    const ptrdiff_t *ai, const double *ax, const ptrdiff_t *bp,
+                    const ptrdiff_t *bi, const double *bx, double *out)
+{
+    for (ptrdiff_t r = 0; r < n_rows; r++) {
+        double *row = out + r * n_out;
+        for (ptrdiff_t jj = ap[r]; jj < ap[r + 1]; jj++) {
+            const double v = ax[jj];
+            const ptrdiff_t j = ai[jj];
+            for (ptrdiff_t kk = bp[j]; kk < bp[j + 1]; kk++) {
+                const double p = v * bx[kk];
+                double *sum = row + bi[kk];
+                *sum = isnan(p) ? p : *sum + p;
+            }
+        }
+    }
 }
 
 /* ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``_native.c``, next to this module, holds the loops that run in C and
 nothing else (no Python API): the SMO working-pair loop of
-:func:`comulti.classifiers.smo.solve_binary`, the tree grower of
+:func:`comulti.classifiers.smo.solve_binary`, the sparse kernel product of
+its ``_poly_kernel``, the tree grower of
 :func:`comulti.classifiers.forest.fit_forest` and the forest walk of
 :meth:`comulti.classifiers.forest.TrainedForest.predict_proba_batch`.  At
 import it is compiled with ``cc -O2 -shared -fPIC -ffp-contract=off`` into
@@ -10,11 +11,12 @@ this package's ``__pycache__/``, under a file name that carries the SHA-256
 of the source and the flags: later imports load that file without
 compiling, and an edited source gets a file of its own.  The library is
 loaded with ``ctypes.CDLL``, which releases the GIL for each call, so grid
-threads solve, grow and predict at the same time.  A missing or failing
-compiler is an ``ImportError``; there is no Python copy of any loop.  The
-flags keep the bits of the numpy form: ``-ffp-contract=off`` stops the
-compiler from fusing a multiply and an add into one FMA instruction, which
-rounds once where numpy rounds twice (the default contracts wherever the
+threads solve, multiply, grow and predict at the same time.  A missing or
+failing compiler is an ``ImportError``; there is no Python copy of any
+loop.  The flags keep the bits of the numpy and scipy forms:
+``-ffp-contract=off`` stops the compiler from fusing a multiply and an add
+into one FMA instruction, which rounds once where numpy and scipy round
+twice (the default contracts wherever the
 target has FMA, as on aarch64), and without ``-ffast-math`` or
 ``-march=native`` the compiler may neither reassociate operations nor
 choose instructions per machine.
@@ -96,6 +98,9 @@ def _load_library() -> ctypes.CDLL:
         COLUMN_FN, f64, f64, i64,  # column, c, tol, max_iter
         ptr, ptr, ptr, ptr, ptr,  # alpha, grad, up, low, yg
         ctypes.POINTER(f64), ctypes.POINTER(i64)]  # gap, iterations
+    lib.sparse_product.restype = None
+    lib.sparse_product.argtypes = [  # n_rows, n_out, A, bt, out
+        size, size, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.grow_tree.restype = size
     lib.grow_tree.argtypes = [  # 4 sizes, values .. y, rng, n, boot, nodes
         size, size, size, size, ptr, ptr, ptr, ptr, ptr, size, ptr,

@@ -17,9 +17,12 @@ that two views pose is solved and calibrated once, its iteration-cap
 warning, if any, is raised once, and a view whose problems were all solved
 before builds no Gram matrix.
 
-The solver's iterations run in C: the loop of :func:`solve_binary` is
-compiled at import, with the forest's tree grower and walk, by
-:mod:`._native`, and runs without the GIL.
+The solver's iterations run in C, and so does the kernel product of two
+sparse matrices: the loop of :func:`solve_binary` and ``sparse_product``
+are compiled at import, with the forest's tree grower and walk, by
+:mod:`._native`, and run without the GIL.  The product is scipy's own loop,
+so a sparse kernel has the bits of ``(a @ b.T).toarray()``; a fitted
+model transposes sparse support vectors once, not on every prediction.
 """
 
 from __future__ import annotations
@@ -50,23 +53,67 @@ _FULL_GRAM_ROWS = 6000
 _COLUMN_CACHE = 1024
 
 
-def _poly_kernel(a, b, degree: int, order: str = "K") -> np.ndarray:
+class _Csr:
+    """A sparse matrix's CSR arrays as ``sparse_product`` reads them: intp
+    ``indptr`` and ``indices``, float64 ``data``.  C trusts them, so they
+    are checked here: each row's entries lie inside the arrays and each
+    index is a column."""
+
+    __slots__ = ("shape", "indptr", "indices", "data")
+
+    def __init__(self, m):
+        m = m.tocsr()
+        self.shape = m.shape
+        self.indptr = np.asarray(m.indptr, dtype=np.intp)
+        self.indices = np.asarray(m.indices, dtype=np.intp)
+        self.data = np.asarray(m.data, dtype=np.float64)
+        ptr, idx = self.indptr, self.indices
+        if ptr.shape != (m.shape[0] + 1,) or ptr[0] != 0 \
+                or (ptr[1:] < ptr[:-1]).any() \
+                or ptr[-1] > min(idx.size, self.data.size) or (idx.size and (
+                    idx.min() < 0 or idx.max() >= m.shape[1])):
+            raise ValueError("malformed CSR matrix: indptr or indices out "
+                             "of range")
+
+
+def _sparse_product(a: _Csr, bt: _Csr) -> np.ndarray:
+    """``a @ bt.T`` as a dense array, summed as scipy sums it (see
+    ``sparse_product`` in ``_native.c``)."""
+    if a.shape[1] != bt.shape[0]:
+        raise ValueError(f"kernel of {a.shape[1]}-column rows with "
+                         f"{bt.shape[0]}-column rows")
+    out = np.zeros((a.shape[0], bt.shape[1]))
+    LIB.sparse_product(a.shape[0], bt.shape[1], a.indptr.ctypes.data,
+                       a.indices.ctypes.data, a.data.ctypes.data,
+                       bt.indptr.ctypes.data, bt.indices.ctypes.data,
+                       bt.data.ctypes.data, out.ctypes.data)
+    return out
+
+
+def _poly_kernel(a, b, degree: int, order: str = "K",
+                 b_t: Optional[_Csr] = None) -> np.ndarray:
     """(a . b + 1)^degree as a dense array; absent sparse entries are 0.
 
+    Two sparse operands multiply in C, in float64, bit for bit as scipy's
+    ``(a @ b.T).toarray()`` of the CSR form of ``a`` (scipy multiplies a
+    CSC ``a`` in another order); ``b_t`` is ``b.T`` prepared once by the
+    caller, or None.  Dense and mixed operands multiply as ``a @ b.T``.
     ``order="F"`` lays the result out column by column; the values do not
     depend on the layout.
     """
-    prod = a @ b.T
-    if sp.issparse(prod):
-        prod = prod.toarray()
-    prod = np.add(np.asarray(prod, dtype=np.float64), 1.0, order=order)
+    if sp.issparse(a) and sp.issparse(b):
+        prod = _sparse_product(_Csr(a), _Csr(b.T) if b_t is None else b_t)
+    else:
+        prod = np.asarray(a @ b.T, dtype=np.float64)
+    prod = np.add(prod, 1.0, order=order)
     if degree != 1:
         prod **= degree
     return prod
 
 
 class _Kernel:
-    """Kernel columns over one training matrix, precomputed or cached.
+    """Kernel columns over one training matrix, precomputed or cached, all
+    by :func:`_poly_kernel` (in C for a sparse matrix).
 
     A full Gram matrix is stored in Fortran order, so the column the solver
     reads for a row is contiguous memory.  A sparse Gram is not always
@@ -290,12 +337,21 @@ class TrainedSmo(Classifier):
         self.platt_b = platt_b
         self.kkt_gaps = kkt_gaps
         self.n_features = sv_x.shape[1]
+        # Sparse support vectors are transposed once per model, here, for
+        # every later prediction: a fit, from_dict and a copy alike.
+        self._sv_t = _Csr(sv_x.T) if sp.issparse(sv_x) else None
+
+    def __reduce__(self):
+        # A copy prepares its own transpose.
+        return TrainedSmo, (self.spec, self.space, self.sv_x, self.sv_index,
+                            self.sv_coef, self.bias, self.platt_a,
+                            self.platt_b, self.kkt_gaps)
 
     def decision_scores(self, x) -> np.ndarray:
         if x.shape[1] != self.n_features:
             raise DataError(f"input has {x.shape[1]} features, model expects "
                             f"{self.n_features}")
-        gram = _poly_kernel(x, self.sv_x, self.spec.degree)
+        gram = _poly_kernel(x, self.sv_x, self.spec.degree, b_t=self._sv_t)
         scores = np.empty((x.shape[0], self.n_labels))
         for cls in range(self.n_labels):
             scores[:, cls] = gram[:, self.sv_index[cls]] @ self.sv_coef[cls] \

@@ -289,6 +289,9 @@ def load_sparse(matrix_path, labels_path) -> Dataset:
         nrows, ncols, nnz = (int(v) for v in head)
     except ValueError:
         raise DataError(f"{matrix_path}: non-integer header field") from None
+    if min(nrows, ncols, nnz) < 0:
+        raise DataError(f"{matrix_path}: negative header field in "
+                        f"'{nrows} {ncols} {nnz}'")
     while len(lines) - 1 > nrows and lines[-1] == "":
         lines.pop()
     if len(lines) - 1 != nrows:

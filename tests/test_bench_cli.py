@@ -530,6 +530,22 @@ def test_cli_non_utf8_sparse_and_config(tmp_path, capsys):
     _one_line_error(capsys, "config error:")
 
 
+@pytest.mark.parametrize("header,rows", [
+    ("0 -5 0", ""), ("2 -1 0", "\n\n"), ("60 -5 240", ""),
+    ("-1 20 240", "")])
+def test_cli_negative_sparse_header_is_data_error(tmp_path, capsys, header,
+                                                  rows):
+    matrix = tmp_path / "d.sparse"
+    matrix.write_text(f"{header}\n{rows}")
+    labels = tmp_path / "d.labels"
+    labels.write_text("a\nb\n")
+    assert main(["run", "--dataset", str(matrix), "--format", "sparse",
+                 "--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert "negative header field" in err
+
+
 def test_cli_empty_majority_override_is_config_error(blobs_csv, tmp_path,
                                                      capsys):
     # An empty override would make every class minority while the run JSON

@@ -129,6 +129,16 @@ def test_load_sparse_errors(tmp_path):
         load_sparse(write(tmp_path / "nnz.txt", "1 3 2\n1 1.0\n"), l1)
 
 
+@pytest.mark.parametrize("header,rows", [
+    ("0 -5 0", ""), ("2 -1 0", "\n\n"), ("60 -5 240", ""),
+    ("-1 20 240", ""), ("1 3 -1", "\n")])
+def test_load_sparse_negative_header_field(tmp_path, header, rows):
+    labels = write(tmp_path / "m.labels", "x\ny\n")
+    matrix = write(tmp_path / "m.txt", f"{header}\n{rows}")
+    with pytest.raises(DataError, match="negative header field"):
+        load_sparse(matrix, labels)
+
+
 def test_sparse_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     import scipy.sparse as sp

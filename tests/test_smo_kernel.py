@@ -128,6 +128,7 @@ def test_poly_kernel_with_non_finite_rows(layout):
     assert not np.isfinite(a.data).all()
     for degree in (1, 2, 3):
         _check_kernel(a, b, degree)
+        _check_kernel(a, a, degree)  # NaN on both sides of a product
         for i in range(a.shape[0]):
             _check_kernel(a[i:i + 1], b, degree)
 
