@@ -16,10 +16,9 @@ failing compiler is an ``ImportError``; there is no Python copy of any
 loop.  The flags keep the bits of the numpy and scipy forms:
 ``-ffp-contract=off`` stops the compiler from fusing a multiply and an add
 into one FMA instruction, which rounds once where numpy and scipy round
-twice (the default contracts wherever the
-target has FMA, as on aarch64), and without ``-ffast-math`` or
-``-march=native`` the compiler may neither reassociate operations nor
-choose instructions per machine.
+twice (the default contracts wherever the target has FMA, as on aarch64),
+and without ``-ffast-math`` or ``-march=native`` the compiler may neither
+reassociate operations nor choose instructions per machine.
 """
 
 from __future__ import annotations

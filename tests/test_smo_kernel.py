@@ -194,3 +194,33 @@ def test_trained_smo_on_non_finite_rows(monkeypatch, layout):
     _check_model(monkeypatch, model, x)
     for i in range(x.shape[0]):
         _check_model(monkeypatch, model, x[i:i + 1])
+
+
+@pytest.mark.parametrize("breaker", ["index_high", "index_negative",
+                                     "indptr_down", "indptr_past_end"])
+def test_malformed_csr_is_value_error(breaker):
+    # C reads where indptr and indices of a predicted row point, so they
+    # are checked first.  (The right operand is a model's or a fit's own
+    # matrix, and scipy itself transposes it.)
+    rng = np.random.default_rng(8)
+    a = _csr(rng, 6, 5, "sorted", np.int64)
+    b = _csr(rng, 4, 5, "sorted", np.int64)
+    while a.indptr[2] - a.indptr[1] < 1 or a.indptr[-1] < 3:
+        a = _csr(rng, 6, 5, "sorted", np.int64)
+    if breaker == "index_high":
+        a.indices[0] = 5
+    elif breaker == "index_negative":
+        a.indices[0] = -1
+    elif breaker == "indptr_down":
+        a.indptr[1] = a.indptr[2] + 1
+    else:
+        a.indptr[1:] = a.nnz + 1
+    with pytest.raises(ValueError, match="malformed CSR"):
+        smo_mod._poly_kernel(a, b, 2)
+
+
+def test_kernel_of_rows_of_other_widths_is_value_error():
+    rng = np.random.default_rng(9)
+    with pytest.raises(ValueError, match="column rows"):
+        smo_mod._poly_kernel(_csr(rng, 3, 5, "sorted", np.int32),
+                             _csr(rng, 3, 6, "sorted", np.int32), 2)
