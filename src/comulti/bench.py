@@ -15,7 +15,7 @@ import math
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,39 +57,51 @@ _THRESHOLD_LAYERS = tuple(name for model in _TWO_LAYER.values()
                           for name, _ in model.LAYERS)
 
 
+def _keyed(key: str, default=MISSING):
+    """A field whose config-file key is ``key``, not its name."""
+    return field(default=default, metadata={"key": key})
+
+
+def _param(key: str, cls, param: str):
+    """A field with config-file key ``key`` that sets parameter ``param`` of
+    ``cls`` (a classifier spec or sampler config); its default is the
+    class's."""
+    return field(default=getattr(cls, param),
+                 metadata={"key": key, "cls": cls, "param": param})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs.
 
-    Each field has one config-file key, its name unless ``_KEYS`` renames
-    it; ``thresholds`` is filled by ``thresholds.<layer>`` lines.  The CLI has flags for the
-    dataset fields, ``model``, ``sampling``, ``seed``, ``seeds``, ``split``,
-    ``majority`` and ``delta``, and they win over the file; the other keys
-    are set in a config file only.
+    Each field has one config-file key, its name unless the field's
+    metadata gives another; ``thresholds`` is filled by
+    ``thresholds.<layer>`` lines.
     """
 
-    dataset_path: str
-    dataset_format: str = "csv"  # one of FORMATS
-    label_column: str = "label"
-    labels_path: Optional[str] = None
-    schema_path: Optional[str] = None
+    dataset_path: str = _keyed("dataset.path")
+    dataset_format: str = _keyed("dataset.format", "csv")  # one of FORMATS
+    label_column: str = _keyed("dataset.label_column", "label")
+    labels_path: Optional[str] = _keyed("dataset.labels_path", None)
+    schema_path: Optional[str] = _keyed("dataset.schema", None)
     model: str = "auto"
     sampling: str = "none"
-    split_fraction: float = 0.8
+    split_fraction: float = _keyed("split", 0.8)
     seed: int = 0
     seeds: int = 1
-    majority_override: Optional[tuple[str, ...]] = None
+    majority_override: Optional[tuple[str, ...]] = _keyed("majority", None)
     thresholds: dict = field(default_factory=dict)  # layer -> tuple of floats
     delta: float = DEFAULT_DELTA
-    per_factor_delta: bool = False
-    smote_k: int = 5
-    smote_rate: float = 1.0
-    undersample_fraction: float = 0.9
-    trees: int = 100
-    degree: int = 1
-    c: float = 1.0
-    tol: float = 1e-3
-    max_iter: int = 200_000
+    per_factor_delta: bool = _keyed("delta_per_factor", False)
+    smote_k: int = _param("smote.k_neighbors", SmoteConfig, "k_neighbors")
+    smote_rate: float = _param("smote.rate", SmoteConfig, "rate")
+    undersample_fraction: float = _param("undersample.fraction",
+                                         UndersampleConfig, "target_fraction")
+    trees: int = _param("forest.trees", ForestSpec, "trees")
+    degree: int = _param("smo.degree", SmoSpec, "degree")
+    c: float = _param("smo.c", SmoSpec, "c")
+    tol: float = _param("smo.tol", SmoSpec, "tol")
+    max_iter: int = _param("smo.max_iter", SmoSpec, "max_iter")
     name: Optional[str] = None
 
     def __post_init__(self):
@@ -120,15 +132,17 @@ class ExperimentConfig:
         for layer in self.thresholds:
             if layer not in _THRESHOLD_LAYERS:
                 raise ConfigError(f"unknown threshold layer {layer!r}")
-        for cls in _PARAMS:
+        for cls in dict.fromkeys(f.metadata["cls"] for f in fields(self)
+                                 if "cls" in f.metadata):
             self.build(cls)
 
     def build(self, cls, **extra):
-        """A classifier spec or sampler config set from this config's
-        fields (``_PARAMS``) and ``extra``.  Each class checks its own
-        ranges with a message that starts with the parameter's name; a
-        value out of range is a ConfigError naming its config key."""
-        names = _PARAMS[cls]
+        """A classifier spec or sampler config set from the fields that
+        name ``cls`` and from ``extra``.  Each class checks its own ranges
+        with a message that starts with the parameter's name; a value out
+        of range is a ConfigError naming its config key."""
+        names = {f.metadata["param"]: f.name for f in fields(self)
+                 if f.metadata.get("cls") is cls}
         try:
             return cls(**{p: getattr(self, f) for p, f in names.items()},
                        **extra)
@@ -157,43 +171,17 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 # Config file parsing: flat `key = value` lines with dotted sections.
 
-# Config-file key of each field whose key is not the field name.
-_KEYS = {
-    "dataset_path": "dataset.path",
-    "dataset_format": "dataset.format",
-    "label_column": "dataset.label_column",
-    "labels_path": "dataset.labels_path",
-    "schema_path": "dataset.schema",
-    "split_fraction": "split",
-    "majority_override": "majority",
-    "per_factor_delta": "delta_per_factor",
-    "smote_k": "smote.k_neighbors",
-    "smote_rate": "smote.rate",
-    "undersample_fraction": "undersample.fraction",
-    "trees": "forest.trees",
-    "degree": "smo.degree",
-    "c": "smo.c",
-    "tol": "smo.tol",
-    "max_iter": "smo.max_iter",
-}
+_KEY_OF_FIELD = {f.name: f.metadata.get("key", f.name)
+                 for f in fields(ExperimentConfig)}
 
 
 def _config_key(field_name: str) -> str:
-    return _KEYS.get(field_name, field_name)
-
-
-# The config field behind each parameter of the classes a run builds.
-_PARAMS = {
-    ForestSpec: {"trees": "trees"},
-    SmoSpec: {p: p for p in ("degree", "c", "tol", "max_iter")},
-    SmoteConfig: {"k_neighbors": "smote_k", "rate": "smote_rate"},
-    UndersampleConfig: {"target_fraction": "undersample_fraction"},
-}
+    return _KEY_OF_FIELD[field_name]
 
 
 _TYPES = typing.get_type_hints(ExperimentConfig)
-_FIELD_OF_KEY = {_config_key(f.name): f.name for f in fields(ExperimentConfig)
-                 if f.name != "thresholds"}
+_FIELD_OF_KEY = {key: name for name, key in _KEY_OF_FIELD.items()
+                 if name != "thresholds"}
 
 
 def parse_field(field_name: str, raw: str):

@@ -42,7 +42,7 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 
 
-def default_stage_specs(forest: ForestSpec = ForestSpec(trees=100),
+def default_stage_specs(forest: ForestSpec = ForestSpec(),
                         smo: SmoSpec = SmoSpec()) -> list[ClassifierSpec]:
     """The 3-stage recipe: forest, margin classifier, then the
     max-confidence combiner over the first two stages."""

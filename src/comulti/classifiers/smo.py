@@ -96,13 +96,16 @@ def _poly_kernel(a, b, degree: int, order: str = "K",
 
     Two sparse operands multiply in C, in float64, bit for bit as scipy's
     ``(a @ b.T).toarray()`` of the CSR form of ``a`` (scipy multiplies a
-    CSC ``a`` in another order); ``b_t`` is ``b.T`` prepared once by the
-    caller, or None.  Dense and mixed operands multiply as ``a @ b.T``.
+    CSC ``a`` in another order); a sparse ``a`` may come prepared once by
+    the caller as a ``_Csr``, and ``b_t`` is ``b.T`` prepared so, or None.
+    Dense and mixed operands multiply as ``a @ b.T``.
     ``order="F"`` lays the result out column by column; the values do not
     depend on the layout.
     """
     if sp.issparse(a) and sp.issparse(b):
-        prod = _sparse_product(_Csr(a), _Csr(b.T) if b_t is None else b_t)
+        a = _Csr(a)
+    if isinstance(a, _Csr):
+        prod = _sparse_product(a, _Csr(b.T) if b_t is None else b_t)
     else:
         prod = np.asarray(a @ b.T, dtype=np.float64)
     prod = np.add(prod, 1.0, order=order)
@@ -124,12 +127,14 @@ class _Kernel:
 
     def __init__(self, x, degree: int):
         self.x = x
+        # The left operand of every column and block, prepared once.
+        self._a = _Csr(x) if sp.issparse(x) else x
         self.degree = degree
         self.n = x.shape[0]
         # Overflow is reported below as one error, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             if self.n <= _FULL_GRAM_ROWS:
-                self.full = _poly_kernel(x, x, degree, order="F")
+                self.full = _poly_kernel(self._a, x, degree, order="F")
                 self.diag = np.diag(self.full).copy()
                 self._cache = None
             else:
@@ -148,11 +153,10 @@ class _Kernel:
                 "training rows (feature values too large)")
 
     def col(self, i: int) -> np.ndarray:
-        if self.full is not None:
-            return self.full[:, i]
+        """Column ``i``; the solver reads a full Gram matrix in place."""
         got = self._cache.get(i)
         if got is None:
-            got = _poly_kernel(self.x, self.x[i:i + 1], self.degree).ravel()
+            got = _poly_kernel(self._a, self.x[i:i + 1], self.degree).ravel()
             if len(self._cache) >= _COLUMN_CACHE:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[i] = got
@@ -162,7 +166,7 @@ class _Kernel:
         """(n, len(cols)) slab of kernel values."""
         if self.full is not None:
             return self.full[:, cols]
-        return _poly_kernel(self.x, self.x[cols], self.degree)
+        return _poly_kernel(self._a, self.x[cols], self.degree)
 
 
 def _column_source(kernel: _Kernel):
@@ -404,11 +408,19 @@ class TrainedSmo(Classifier):
     def from_dict(doc: dict) -> "TrainedSmo":
         sv_doc = doc["sv_x"]
         if sv_doc["sparse"]:
-            sv = sp.csr_matrix(
+            coo = sp.coo_matrix(  # checks each entry's row and column
                 (np.asarray(sv_doc["data"], dtype=np.float64),
                  (sv_doc["row"], sv_doc["col"])),
                 shape=tuple(sv_doc["shape"]),
             )
+            # Rows in order and each row's entries as stored, none summed:
+            # COO -> CSR would sum a column stored twice in a row (see
+            # load_sparse), and kernels would not sum as fitted.
+            order = np.argsort(coo.row, kind="stable")
+            indptr = np.searchsorted(coo.row[order],
+                                     np.arange(coo.shape[0] + 1))
+            sv = sp.csr_matrix((coo.data[order], coo.col[order], indptr),
+                               shape=coo.shape)
         else:
             sv = np.asarray(sv_doc["values"], dtype=np.float64)
             if sv.ndim == 1:

@@ -80,35 +80,30 @@ class MultistageModel:
     def predict_batch(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(distributions, stage_used) for a batch.
 
-        Stage outputs are cached so a combiner stage reuses the raw
-        distributions of the stages it wraps instead of re-predicting.
+        Each stage predicts only the rows no earlier stage settled.  Every
+        stage's output on those rows is kept, so a combiner stage reuses the
+        raw distributions of the stages it wraps instead of re-predicting.
         """
         n = x.shape[0]
-        k = len(self.space)
-        out = np.zeros((n, k))
+        out = np.zeros((n, len(self.space)))
         stage_used = np.zeros(n, dtype=np.int64)
-        cache: list[np.ndarray] = []
-        remaining = np.arange(n)
+        rows = np.arange(n)  # not settled yet
+        outputs: list[np.ndarray] = []  # each stage's output on ``rows``
         for s, (clf, thr) in enumerate(zip(self.stages, self.thresholds.values)):
-            stage_out = np.full((n, k), np.nan)
-            if remaining.size:
-                spec = getattr(clf, "spec", None)
-                if isinstance(spec, CombinerSpec):
-                    dists = combine_rows(cache[spec.left][remaining],
-                                         cache[spec.right][remaining])
-                else:
-                    dists = clf.predict_proba_batch(take_rows(x, remaining))
-                stage_out[remaining] = dists
-            cache.append(stage_out)
-            if remaining.size == 0:
-                continue
-            last = s == self.n_stages - 1
-            conf = stage_out[remaining].max(axis=1)
-            hit = np.ones(remaining.size, dtype=bool) if last else conf >= thr
-            done = remaining[hit]
-            out[done] = stage_out[done]
-            stage_used[done] = s + 1
-            remaining = remaining[~hit]
+            if not rows.size:
+                break
+            spec = getattr(clf, "spec", None)
+            if isinstance(spec, CombinerSpec):
+                dists = combine_rows(outputs[spec.left], outputs[spec.right])
+            else:
+                dists = clf.predict_proba_batch(take_rows(x, rows))
+            hit = dists.max(axis=1) >= thr
+            if s == self.n_stages - 1:
+                hit[:] = True  # the last stage is unconditionally terminal
+            out[rows[hit]] = dists[hit]
+            stage_used[rows[hit]] = s + 1
+            rows = rows[~hit]
+            outputs = [o[~hit] for o in outputs + [dists]]
         return out, stage_used
 
     def stage_histogram(self, stage_used: np.ndarray) -> list[int]:

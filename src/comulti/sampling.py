@@ -54,12 +54,9 @@ class UndersampleConfig:
             )
 
 
-def _pairwise_sq_dists(a) -> np.ndarray:
-    """Squared Euclidean distances between all row pairs (dense result)."""
-    if sp.issparse(a):
-        gram = (a @ a.T).toarray()
-    else:
-        gram = a @ a.T
+def _pairwise_sq_dists(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between all row pairs of a dense array."""
+    gram = a @ a.T
     sq = np.diag(gram).copy()
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
@@ -148,9 +145,7 @@ def undersample(ds: Dataset, stats: ClassStats, cfg: UndersampleConfig) -> Datas
     n_out = round_half_up(cfg.target_fraction * ds.n_instances)
     counts = ds.class_counts()
     present = counts > 0
-    weights = np.zeros(ds.n_instances, dtype=np.float64)
-    per_class = 1.0 / (present.sum() * counts[ds.y])
-    weights[:] = per_class
+    weights = 1.0 / (present.sum() * counts[ds.y])
     weights /= weights.sum()  # exact normalization against float drift
     picks = rng.choice(ds.n_instances, size=n_out, replace=True, p=weights)
     return ds.take(picks)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from comulti.classifiers.base import Classifier
 from comulti.dataset import Dataset, FeatureSchema
@@ -70,3 +71,23 @@ def two_separable_clusters(n_per_side=10, seed=0, gap=8.0) -> Dataset:
 @pytest.fixture
 def separable_clusters():
     return two_separable_clusters
+
+
+def duplicate_csr_dataset() -> Dataset:
+    """90 rows over 30 columns, 3 classes; every row stores one column
+    twice, as ``load_sparse`` stores a line that names a column twice, and
+    the values are not integers, so the order in which the two entries are
+    summed shows in the bits."""
+    rng = np.random.default_rng(9)
+    indptr, indices = [0], []
+    for _ in range(90):
+        cols = rng.choice(30, size=int(rng.integers(2, 9)), replace=False)
+        indices.extend([*cols.tolist(), int(cols[0])])
+        indptr.append(len(indices))
+    data = rng.uniform(0.1, 3.0, size=len(indices))
+    x = sp.csr_matrix((data, np.asarray(indices, dtype=np.int32),
+                       np.asarray(indptr, dtype=np.int64)), shape=(90, 30))
+    assert x.nnz == len(indices) and not x.has_canonical_format
+    y = rng.integers(0, 3, size=90)
+    y[:3] = [0, 1, 2]
+    return Dataset(FeatureSchema.numeric(30), x, y, ("a", "b", "c"))

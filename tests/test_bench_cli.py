@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import comulti
+from comulti import bench
 from comulti.bench import (
     ExperimentConfig,
     auto_select,
@@ -23,6 +24,7 @@ from comulti.bench import (
     run_grid,
     run_many,
 )
+from comulti.classifiers import ForestSpec, SmoSpec
 from comulti.cli import main
 from comulti.dataset import (
     class_stats,
@@ -33,7 +35,9 @@ from comulti.dataset import (
 )
 from comulti.datagen import gaussian_blobs
 from comulti.errors import ConfigError, DataError
+from comulti.metrics import REPORTED
 from comulti.multistage import StageThresholds
+from comulti.sampling import SmoteConfig, UndersampleConfig
 
 from conftest import make_dataset
 
@@ -150,6 +154,12 @@ def test_config_to_dict_golden_every_key():
         '"b":[1.0,1.0,1.0],"binary":[0.9,1.0,1.0],"m1":[0.7,1.0,1.0],'
         '"m2":[0.6,1.0,1.0],"m3":[0.5,1.0,1.0],"multi":[0.8,1.0,1.0]},'
         '"tol":0.0001,"trees":50,"undersample_fraction":0.8}\n')
+
+
+@pytest.mark.parametrize("cls", [ForestSpec, SmoSpec, SmoteConfig,
+                                 UndersampleConfig])
+def test_config_defaults_are_the_class_defaults(cls):
+    assert ExperimentConfig(dataset_path="data.csv").build(cls) == cls()
 
 
 @pytest.mark.parametrize("line,err", [
@@ -362,6 +372,23 @@ def test_run_many_aggregates(blobs_csv):
     assert summary["macro_f1"]["std"] == pytest.approx(np.std(vals))
 
 
+def test_run_experiment_baseline_smo_fits_the_configured_spec(
+        blobs_csv, monkeypatch):
+    specs = []
+    real_fit = bench.fit
+
+    def fit(spec, *args):
+        specs.append(spec)
+        return real_fit(spec, *args)
+
+    monkeypatch.setattr(bench, "fit", fit)
+    res = run_experiment(small_cfg(blobs_csv, model="baseline-smo",
+                                   sampling="over", degree=2, c=0.5))
+    assert specs == [SmoSpec(degree=2, c=0.5)]
+    assert res.resolved_model == "baseline-smo" and res.routing == {}
+    assert res.report.cm.total == res.n_test
+
+
 # ---------------------------------------------------------------------------
 # run_grid
 
@@ -388,6 +415,20 @@ def test_run_grid_parallel_matches_serial(blobs_csv):
     assert serial.to_json() == parallel.to_json()
 
 
+def test_run_grid_multi_seed_column(blobs_csv):
+    cfg = small_cfg(blobs_csv, model="cmc", seeds=2, name="two seeds")
+    grid = run_grid([cfg])
+    assert grid.errors == (None,)
+    assert grid.results[0].to_json() == run_many(cfg).to_json()
+    summary = grid.results[0].summary()
+    for name, key in REPORTED:
+        mean, std = summary[key]["mean"], summary[key]["std"]
+        assert grid.cells[0][name] == (
+            f"{mean:.1f}" if key == "zero_recall_count"
+            else f"{mean:.3f}±{std:.3f}")
+    assert grid.cells[0]["Macro-F1"] in grid.to_text()
+
+
 def test_run_grid_requires_configs():
     with pytest.raises(ConfigError):
         run_grid([])
@@ -409,6 +450,26 @@ def test_cli_run_json_deterministic(blobs_csv, capsys):
     doc = json.loads(first)
     assert doc["resolved_model"] == "cmc"
     assert "duration" not in json.dumps(doc)  # timings excluded from canon
+
+
+def test_cli_run_seeds_deterministic(blobs_csv, tmp_path, capsys):
+    conf = tmp_path / "seeds.conf"
+    conf.write_text(f"dataset.path = {blobs_csv}\nmodel = cmc\n"
+                    "forest.trees = 5\n")
+    outs = {}
+    for fmt in ("text", "json"):
+        argv = ["run", "--config", str(conf), "--seeds", "2",
+                *(["--json"] if fmt == "json" else [])]
+        assert main(argv) == 0
+        outs[fmt] = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == outs[fmt]
+    doc = json.loads(outs["json"])
+    assert [run["seed"] for run in doc["runs"]] == [0, 1]
+    assert set(doc["summary"]) == {key for _, key in REPORTED}
+    assert "seeds: 2" in outs["text"]
+    for key, s in doc["summary"].items():
+        assert f"{key:>18}  {s['mean']:.3f} ± {s['std']:.3f}" in outs["text"]
 
 
 def test_cli_run_with_config_file(blobs_csv, tmp_path, capsys):

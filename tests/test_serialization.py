@@ -27,7 +27,7 @@ from comulti.dataset import Dataset, FeatureSchema, class_stats
 from comulti.errors import ConfigError, DataError
 from comulti.multistage import MultistageModel, StageThresholds, fit_multistage
 
-from conftest import make_dataset
+from conftest import duplicate_csr_dataset, make_dataset
 
 
 def probe(rng, n, d):
@@ -167,10 +167,7 @@ def test_smo_round_trip_bit_exact(tmp_path, separable_clusters):
 
 def test_smo_copies_predict_as_the_fitted_model():
     # Sparse support vectors with unsorted indices and a column stored
-    # twice in a row, as load_sparse reads a line that names it twice.  The
-    # document stores such a column once, summed; small counts, in the
-    # model and in the predicted rows, keep every sum exact, so the bits
-    # cannot depend on that.
+    # twice in a row, as load_sparse reads a line that names it twice.
     rng = np.random.default_rng(4)
     indptr, indices = [0], []
     for _ in range(50):
@@ -263,20 +260,63 @@ def test_missing_model_key_names_the_model_kind():
 
 
 def test_smo_sparse_round_trip(tmp_path):
-    import scipy.sparse as sp
-
-    from comulti.dataset import Dataset, FeatureSchema
-
     rng = np.random.default_rng(2)
     dense = np.abs(rng.normal(size=(30, 6))) * (rng.random((30, 6)) < 0.4)
     y = np.array([0] * 20 + [1] * 10)
-    ds = Dataset(FeatureSchema.numeric(6), sp.csr_matrix(dense), y, ("a", "b"))
-    model = fit(SmoSpec(), ds, seed=0)
-    save_model(model, tmp_path / "s.json")
-    again = load_model(tmp_path / "s.json")
-    x = np.abs(rng.normal(size=(10, 6)))
-    assert np.array_equal(model.predict_proba_batch(x),
-                          again.predict_proba_batch(x))
+    two_labels = Dataset(FeatureSchema.numeric(6), sp.csr_matrix(dense), y,
+                         ("a", "b"))
+    # Every row of the second stores one column twice: reloaded, the
+    # support vectors keep both entries, in order, so kernels sum as fitted.
+    for ds, spec in ((two_labels, SmoSpec()),
+                     (duplicate_csr_dataset(), SmoSpec(degree=2))):
+        model = fit(spec, ds, seed=0)
+        save_model(model, tmp_path / "s.json")
+        again = load_model(tmp_path / "s.json")
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(again.sv_x, part),
+                                  getattr(model.sv_x, part))
+        probes = np.abs(rng.normal(size=(10, ds.x.shape[1])))
+        for x in (ds.x, probes):
+            assert again.predict_proba_batch(x).tobytes() == \
+                model.predict_proba_batch(x).tobytes()
+
+
+def _sparse_smo_doc():
+    doc = model_to_dict(fit(SmoSpec(degree=2), duplicate_csr_dataset(),
+                            seed=0))
+    assert doc["sv_x"]["sparse"]
+    return doc
+
+
+def _sparse_col_past_end(sv):
+    sv["col"][-1] = sv["shape"][1]
+
+
+def _sparse_col_negative(sv):
+    sv["col"][0] = -1
+
+
+def _sparse_row_past_end(sv):
+    sv["row"][-1] = sv["shape"][0]
+
+
+def _sparse_row_negative(sv):
+    sv["row"][0] = -1
+
+
+def _sparse_data_short(sv):
+    sv["data"].pop()
+
+
+@pytest.mark.parametrize("breaker", [
+    _sparse_col_past_end, _sparse_col_negative, _sparse_row_past_end,
+    _sparse_row_negative, _sparse_data_short])
+def test_malformed_sparse_smo_document_is_data_error_at_load(breaker):
+    doc = _sparse_smo_doc()
+    model_from_dict(json.loads(json.dumps(doc)))  # the unbroken one loads
+    breaker(doc["sv_x"])
+    with pytest.raises(DataError, match="smo_margin"):
+        model_from_dict(doc)
 
 
 def test_combiner_round_trip(tmp_path, separable_clusters):

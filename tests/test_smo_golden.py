@@ -33,6 +33,8 @@ from comulti.dataset import (
     make_view,
 )
 
+from conftest import duplicate_csr_dataset
+
 
 def _fingerprint(model) -> str:
     text = json.dumps(model.to_dict(), sort_keys=True)
@@ -73,26 +75,6 @@ def _unsorted_sparse_case():
     x = _unsorted_csr(x)
     assert not x.has_sorted_indices
     return Dataset(FeatureSchema.numeric(40), x, y, ("a", "b", "c"))
-
-
-def _duplicate_csr_case():
-    """90 rows over 30 columns, 3 classes; every row stores one column
-    twice, as ``load_sparse`` stores a line that names a column twice, and
-    the values are not integers, so the order in which the two entries are
-    summed shows in the bits."""
-    rng = np.random.default_rng(9)
-    indptr, indices = [0], []
-    for _ in range(90):
-        cols = rng.choice(30, size=int(rng.integers(2, 9)), replace=False)
-        indices.extend([*cols.tolist(), int(cols[0])])
-        indptr.append(len(indices))
-    data = rng.uniform(0.1, 3.0, size=len(indices))
-    x = sp.csr_matrix((data, np.asarray(indices, dtype=np.int32),
-                       np.asarray(indptr, dtype=np.int64)), shape=(90, 30))
-    assert x.nnz == len(indices) and not x.has_canonical_format
-    y = rng.integers(0, 3, size=90)
-    y[:3] = [0, 1, 2]
-    return Dataset(FeatureSchema.numeric(30), x, y, ("a", "b", "c"))
 
 
 def _blobs():
@@ -138,7 +120,7 @@ def _case(name):
     if name.startswith("unsorted_csr_degree"):
         return _unsorted_sparse_case(), SmoSpec(degree=int(name[-1]))
     if name == "duplicate_csr":
-        return _duplicate_csr_case(), SmoSpec(degree=2)
+        return duplicate_csr_dataset(), SmoSpec(degree=2)
     if name == "capped_blobs":
         return _blobs(), SmoSpec(max_iter=25)
     return _topics_view(name[len("topics_"):]), SmoSpec()
