@@ -44,7 +44,14 @@ from .dataset import (
     split_indices,
 )
 from .errors import ComultiError, ConfigError, DataError
-from .metrics import DEFAULT_DELTA, REPORTED, MetricsReport, confusion, evaluate
+from .metrics import (
+    DEFAULT_DELTA,
+    REPORTED,
+    MetricsReport,
+    cells_text,
+    confusion,
+    evaluate,
+)
 from .multistage import StageThresholds
 from .sampling import SmoteConfig, UndersampleConfig, smote, undersample
 
@@ -437,6 +444,17 @@ class MultiSeedResult:
                         "std": float(vals.std(ddof=0))}
         return out
 
+    def cells(self) -> dict:
+        """Display name -> shown value of each ``REPORTED`` measure: the
+        mean and std, the zero-recall count as a mean alone."""
+        s = self.summary()
+        return {name: f"{s[key]['mean']:.1f}" if key == "zero_recall_count"
+                else f"{s[key]['mean']:.3f}±{s[key]['std']:.3f}"
+                for name, key in REPORTED}
+
+    def to_text(self) -> str:
+        return cells_text(self.cells())
+
     def to_dict(self) -> dict:
         return {
             "config": self.config,
@@ -464,10 +482,7 @@ def run_many(cfg: ExperimentConfig) -> MultiSeedResult:
 def _cell_from_result(result) -> dict:
     if isinstance(result, RunResult):
         return result.report.cells()
-    s = result.summary()
-    return {name: f"{s[key]['mean']:.1f}" if key == "zero_recall_count"
-            else f"{s[key]['mean']:.3f}±{s[key]['std']:.3f}"
-            for name, key in REPORTED}
+    return result.cells()
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,37 @@ enum {
     SMO_NO_COLUMN = 3  /* the column callback failed */
 };
 
+/* The first index of a working pair: i, the argmax of yg over up rows, at
+ * value m_val, and lo, the min of yg over low rows, each NaN-sticky. */
+struct smo_pick {
+    ptrdiff_t i;
+    double m_val, lo;
+    int m_nan, lo_nan;
+};
+
+/* The pick over no rows. */
+static struct smo_pick smo_pick_none(void)
+{
+    return (struct smo_pick){0, -INFINITY, INFINITY, 0, 0};
+}
+
+/* Row t, with yg[t] == g, enters the pick. */
+static void smo_pick_row(struct smo_pick *p, ptrdiff_t t, double g,
+                         int is_up, int is_low)
+{
+    const double u = is_up ? g : -INFINITY;
+    if (!p->m_nan && !(u <= p->m_val)) {
+        p->m_val = u;
+        p->i = t;
+        p->m_nan = isnan(u);
+    }
+    const double l = is_low ? g : INFINITY;
+    if (!p->lo_nan && !(l >= p->lo)) {
+        p->lo = l;
+        p->lo_nan = isnan(l);
+    }
+}
+
 /* Solve one binary problem from the state the caller set up.
  *
  * y, neg_y: labels (+/-1) and their negation, which is passed in because
@@ -45,6 +76,12 @@ enum {
  * dual gradient and the index-set flags, updated in place.  yg: n doubles
  * of scratch.  On return *gap_out is the last violation gap and *it_out
  * the number of iterations done.
+ *
+ * An iteration makes two passes over the rows: the second-order choice of
+ * j, and one pass that updates the gradient with the pair's step and, on
+ * the new gradient and index sets, picks the next iteration's i and gap.
+ * The gram (or column cache) may be shared by several calls in turn; it is
+ * only read here.
  */
 int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
               const double *diag, const double *gram, smo_column_fn column,
@@ -60,6 +97,14 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
         n_up += up[t] != 0;
         n_low += low[t] != 0;
     }
+    /* The first iteration's pick; each later one is taken in the pass that
+     * updates the gradient. */
+    struct smo_pick pick = smo_pick_none();
+    for (ptrdiff_t t = 0; t < n; t++) {
+        const double g = neg_y[t] * grad[t];
+        yg[t] = g;
+        smo_pick_row(&pick, t, g, up[t], low[t]);
+    }
     double gap = INFINITY;
     long long it = 0;
     int status = SMO_CAP;
@@ -69,26 +114,9 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
             status = SMO_EMPTY_SET;
             break;
         }
-        /* i = argmax over up rows of yg; lo = min over low rows of yg. */
-        ptrdiff_t i = 0;
-        double m_val = -INFINITY, lo = INFINITY;
-        int m_nan = 0, lo_nan = 0;
-        for (ptrdiff_t t = 0; t < n; t++) {
-            double g = neg_y[t] * grad[t];
-            yg[t] = g;
-            double u = up[t] ? g : -INFINITY;
-            if (!m_nan && !(u <= m_val)) {
-                m_val = u;
-                i = t;
-                m_nan = isnan(u);
-            }
-            double l = low[t] ? g : INFINITY;
-            if (!lo_nan && !(l >= lo)) {
-                lo = l;
-                lo_nan = isnan(l);
-            }
-        }
-        gap = m_val - lo;
+        const ptrdiff_t i = pick.i;
+        const double m_val = pick.m_val;
+        gap = m_val - pick.lo;
         if (gap < tol) {
             status = SMO_CONVERGED;
             break;
@@ -101,23 +129,24 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
         }
         /* Second-order selection among violators (low rows below m_val):
          * the largest decrease (m_val - yg)^2 / quad of the dual objective
-         * for the pair (i, t). */
+         * for the pair (i, t).  Any other row scores -inf, which is never
+         * picked, so it is skipped. */
         const double d_i = diag[i];
         ptrdiff_t j = 0;
         double best = -INFINITY;
         int best_nan = 0;
         for (ptrdiff_t t = 0; t < n; t++) {
+            if (!low[t] || !(yg[t] < m_val))
+                continue;
             double quad_t = (d_i + diag[t]) - 2.0 * k_i[t];
             if (!(quad_t > 0))
                 quad_t = 1e-12;
             double b = m_val - yg[t];
             b = (b * b) / quad_t;
-            double l = low[t] ? yg[t] : INFINITY;
-            double v = l < m_val ? b : -INFINITY;
-            if (!best_nan && !(v <= best)) {
-                best = v;
+            if (!best_nan && !(b <= best)) {
+                best = b;
                 j = t;
-                best_nan = isnan(v);
+                best_nan = isnan(b);
             }
         }
 
@@ -190,11 +219,6 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
         }
         alpha[i] = ai;
         alpha[j] = aj;
-        /* grad += (y * yi * k_i) * (ai - old_ai) + (y * yj * k_j) * (aj - old_aj),
-         * with each +/-1 factor applied where it rounds nothing. */
-        const double s_i = yi * (ai - old_ai), s_j = yj * (aj - old_aj);
-        for (ptrdiff_t t = 0; t < n; t++)
-            grad[t] = grad[t] + (y[t] * (k_i[t] * s_i) + y[t] * (k_j[t] * s_j));
 
         const ptrdiff_t rows[2] = {i, j};
         for (int r = 0; r < 2; r++) {
@@ -212,6 +236,20 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
             }
         }
         it++;
+
+        /* grad += (y * yi * k_i) * (ai - old_ai) + (y * yj * k_j) * (aj - old_aj),
+         * with each +/-1 factor applied where it rounds nothing; in the same
+         * pass, yg and the next iteration's i, m_val and lo.  After the last
+         * iteration the selection goes unused: gap stays the one this
+         * iteration began with. */
+        const double s_i = yi * (ai - old_ai), s_j = yj * (aj - old_aj);
+        pick = smo_pick_none();
+        for (ptrdiff_t t = 0; t < n; t++) {
+            grad[t] = grad[t] + (y[t] * (k_i[t] * s_i) + y[t] * (k_j[t] * s_j));
+            const double g = neg_y[t] * grad[t];
+            yg[t] = g;
+            smo_pick_row(&pick, t, g, up[t], low[t]);
+        }
     }
     *gap_out = gap;
     *it_out = it;

@@ -9,20 +9,25 @@ Decision scores are mapped to probabilities by a per-class logistic (Platt)
 fit on the training scores, then normalized across classes.
 
 Up to ``_FULL_GRAM_ROWS`` training rows the whole Gram matrix is computed
-once per fit, in Fortran order, so the kernel column each SMO step reads is
+once, in Fortran order, so the kernel column each SMO step reads is
 contiguous; larger problems compute columns on demand.  Fits of several
-label views of one training matrix can share every binary problem solved
-on it (the ``shared`` argument of :func:`fit_smo`): a one-vs-rest problem
-that two views pose is solved and calibrated once, its iteration-cap
-warning, if any, is raised once, and a view whose problems were all solved
-before builds no Gram matrix.
+label views of one training matrix share one kernel and every binary
+problem solved on it (the ``shared`` argument of :func:`fit_smo`): the
+Gram matrix is built on the first problem any view has to solve and lives
+until the caller drops ``shared``, and a one-vs-rest problem that two
+views pose is solved and calibrated once, its iteration-cap warning, if
+any, raised once.
 
 The solver's iterations run in C, and so does the kernel product of two
 sparse matrices: the loop of :func:`solve_binary` and ``sparse_product``
 are compiled at import, with the forest's tree grower and walk, by
-:mod:`._native`, and run without the GIL.  The product is scipy's own loop,
-so a sparse kernel has the bits of ``(a @ b.T).toarray()``; a fitted
-model transposes sparse support vectors once, not on every prediction.
+:mod:`._native`, and run without the GIL.  An iteration makes two passes
+over the rows: the second-order choice of the pair's second index, which
+skips rows that are not violators, and one pass that updates the gradient
+and takes the next iteration's first index and gap.  The product is
+scipy's own loop, so a sparse kernel has the bits of
+``(a @ b.T).toarray()``; a fitted model transposes sparse support vectors
+once, not on every prediction.
 """
 
 from __future__ import annotations
@@ -460,19 +465,19 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     the argument is accepted for interface parity with other classifiers.
 
     ``shared`` is a dict owned by a caller that fits several label views of
-    one training matrix.  It keeps every binary problem solved on a
-    (matrix, degree), so a one-vs-rest problem that recurs in another view
-    is solved (and calibrated) once.  The kernel itself is not kept: it is
-    built on the first problem a fit has to solve and freed with the fit,
-    since holding it while the next view's forest is grown raised peak
-    memory by about two Gram matrices.
+    one training matrix.  It keeps, per (matrix, degree), every binary
+    problem solved so far and the kernel, so a one-vs-rest problem that
+    recurs in another view is solved (and calibrated) once, and the kernel
+    is built once, on the first problem any view has to solve.  Both live
+    as long as the dict: a two-layer fit drops it when it returns, so the
+    fitted model holds no Gram matrix.  Without ``shared`` the kernel lives
+    for this fit only.
     """
     del seed
     n_classes = len(space)
     if n_classes < 2:
         raise TrainingError("margin classifier needs at least 2 labels")
-    solutions = _solutions_for(x, spec.degree, shared)
-    kernel = None
+    problems = _problems_for(x, spec.degree, shared)
     n = x.shape[0]
     alphas = np.zeros((n_classes, n))
     bias = np.zeros(n_classes)
@@ -482,10 +487,9 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     for cls in range(n_classes):
         y_bin = np.where(y == cls, 1.0, -1.0)
         key = (spec.c, spec.tol, spec.max_iter, y_bin.tobytes())
-        solved = solutions.get(key)
+        solved = problems.solved.get(key)
         if solved is None:
-            if kernel is None:
-                kernel = _Kernel(x, spec.degree)
+            kernel = problems.kernel()
             alpha, b, gap, _ = solve_binary(kernel, y_bin, spec.c, spec.tol,
                                             spec.max_iter)
             sv = np.nonzero(alpha > 1e-12)[0]
@@ -496,7 +500,7 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
                     f"SMO stage: the problem for label {space[cls]!r} has a "
                     "non-finite bias, KKT gap or Platt fit")
             solved = (alpha, b, gap, platt)
-            solutions[key] = solved
+            problems.solved[key] = solved
         alphas[cls], bias[cls], gaps[cls], platt = solved
         platt_a[cls], platt_b[cls] = platt
 
@@ -514,10 +518,29 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
                       platt_a, platt_b, gaps)
 
 
-def _solutions_for(x, degree: int, shared: Optional[dict]) -> dict:
-    """The binary problems solved on (``x``, ``degree``) so far, kept in
-    ``shared``.  The entry holds ``x`` itself, so the matrix's id cannot be
-    reused while the entry lives."""
+class _Problems:
+    """The binary problems solved on one training matrix at one degree, and
+    its kernel, built when first asked for.  It holds the matrix itself, so
+    the matrix's id, its key in a ``shared`` dict, cannot be reused while
+    it lives."""
+
+    __slots__ = ("x", "degree", "solved", "_kernel")
+
+    def __init__(self, x, degree: int):
+        self.x = x
+        self.degree = degree
+        self.solved: dict = {}
+        self._kernel: Optional[_Kernel] = None
+
+    def kernel(self) -> _Kernel:
+        if self._kernel is None:
+            self._kernel = _Kernel(self.x, self.degree)
+        return self._kernel
+
+
+def _problems_for(x, degree: int, shared: Optional[dict]) -> _Problems:
+    """The problems of (``x``, ``degree``): kept in ``shared`` for later
+    views, or for this fit alone when ``shared`` is None."""
     if shared is None:
-        return {}
-    return shared.setdefault((id(x), degree), (x, {}))[1]
+        return _Problems(x, degree)
+    return shared.setdefault((id(x), degree), _Problems(x, degree))

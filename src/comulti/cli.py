@@ -100,10 +100,10 @@ def _cmd_run(args) -> int:
         if args.json:
             _emit(result.to_json(), args.out)
         else:
-            lines = [f"dataset: {cfg.dataset_path}   model: {cfg.model}   "
-                     f"sampling: {cfg.sampling}   seeds: {cfg.seeds}"]
-            for key, s in result.summary().items():
-                lines.append(f"{key:>18}  {s['mean']:.3f} ± {s['std']:.3f}")
+            lines = [f"dataset: {cfg.dataset_path}   "
+                     f"model: {result.runs[0].resolved_model}   "
+                     f"sampling: {cfg.sampling}   seeds: {cfg.seeds}",
+                     result.to_text()]
             _emit("\n".join(lines), args.out)
     else:
         result = run_experiment(cfg)

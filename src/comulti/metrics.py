@@ -173,10 +173,13 @@ class MetricsReport:
         return out
 
     def to_text(self) -> str:
-        cells = self.cells()
-        width = max(len(name) for name in cells)
-        return "\n".join(f"{name:>{width}}  {val}"
-                         for name, val in cells.items())
+        return cells_text(self.cells())
+
+
+def cells_text(cells: dict) -> str:
+    """One line per measure: its display name, right-aligned, and value."""
+    width = max(len(name) for name in cells)
+    return "\n".join(f"{name:>{width}}  {val}" for name, val in cells.items())
 
 
 def evaluate(cm: ConfusionMatrix, delta: float = DEFAULT_DELTA,

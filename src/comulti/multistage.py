@@ -255,7 +255,10 @@ class TwoLayerModel:
         """Per layer in ``LAYERS`` order, its view and the other arguments of
         its :func:`fit_multistage` call: the 3-stage recipe by default,
         thresholds by layer name (1.0 if absent), a seed spawned from
-        ``seed``, and one ``shared`` dict, so an SMO problem is solved once."""
+        ``seed``, and one ``shared`` dict, so the layers' SMO stages build
+        one Gram matrix and solve each problem once.  The dict lives as
+        long as the plan: a caller that drops the plan when its fit
+        returns frees the Gram matrix with it."""
         cls.check_stats(stats)
         specs = list(specs) if specs is not None else default_stage_specs()
         thresholds = dict(thresholds or {})

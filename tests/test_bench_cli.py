@@ -468,8 +468,27 @@ def test_cli_run_seeds_deterministic(blobs_csv, tmp_path, capsys):
     assert [run["seed"] for run in doc["runs"]] == [0, 1]
     assert set(doc["summary"]) == {key for _, key in REPORTED}
     assert "seeds: 2" in outs["text"]
-    for key, s in doc["summary"].items():
-        assert f"{key:>18}  {s['mean']:.3f} ± {s['std']:.3f}" in outs["text"]
+    for name, _ in REPORTED:
+        assert name in outs["text"]
+
+
+def test_cli_run_seeds_text_shows_resolved_model_and_grid_cells(
+        blobs_csv, tmp_path, capsys):
+    conf = tmp_path / "auto.conf"
+    conf.write_text(f"dataset.path = {blobs_csv}\nforest.trees = 5\n"
+                    "seeds = 2\n")
+    assert main(["run", "--config", str(conf)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    cfg = load_config(conf)
+    assert cfg.model == "auto"
+    grid = run_grid([cfg])
+    resolved = grid.results[0].runs[0].resolved_model
+    assert f"model: {resolved}   " in header and "auto" not in header
+    width = max(len(name) for name, _ in REPORTED)
+    assert rows == [f"{name:>{width}}  {grid.cells[0][name]}"
+                    for name, _ in REPORTED]
+    zero = grid.results[0].summary()["zero_recall_count"]["mean"]
+    assert rows[-1].endswith(f"# R_i=0  {zero:.1f}")
 
 
 def test_cli_run_with_config_file(blobs_csv, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Two-layer fits solve each distinct one-vs-rest SMO problem once and
-build a Gram matrix only for views that pose a new one, without changing
-what they fit."""
+build one Gram matrix, freed when the fit returns, without changing what
+they fit."""
 
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -113,18 +114,29 @@ def test_one_solve_per_distinct_problem(monkeypatch, model, make, kinds):
     solved = [args[1].tobytes() for args in solves]
     assert len(solved) == len(set(solved)) == len(problems)
     assert set(solved) == problems
-    # A Gram matrix is built only by views that pose a new problem.
-    seen, new = set(), 0
-    for posed in _problems_by_view(ds, kinds):
-        new += bool(posed - seen)
-        seen |= posed
-    assert len(grams) == new
-    if model == "cmcm":
-        assert new == len(kinds) - 1  # the full view repeats earlier ones
+    assert len(grams) == 1  # one Gram matrix for all the views
     # The shared solves stay below the layers' fit boundary: each view
     # still fits its own SMO stage.
     assert len(fits) == len(kinds)
     assert len({id(args[1]) for args in fits}) == 1  # one training matrix
+
+
+@pytest.mark.parametrize("model,make,kinds", CASES)
+def test_fitted_model_holds_no_gram(monkeypatch, model, make, kinds):
+    built = []
+    original = smo_mod._Kernel
+
+    def kernel(*args):
+        made = original(*args)
+        built.append(weakref.ref(made))
+        return made
+
+    monkeypatch.setattr(smo_mod, "_Kernel", kernel)
+    fitted = _fit(model, make(), _specs())
+    assert len(built) == 1
+    # Freed when the fit returned, without a garbage collection.
+    assert built[0]() is None
+    assert fitted.to_dict()["kind"] == model
 
 
 @pytest.mark.parametrize("model,make,kinds", CASES)
