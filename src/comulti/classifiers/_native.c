@@ -1,7 +1,7 @@
 /* The compiled loops of comulti.classifiers: the SMO working-pair loop of
- * smo.solve_binary, the sparse kernel product of smo._poly_kernel, the tree
- * grower of forest.fit_forest and the walk of
- * forest.TrainedForest.predict_proba_batch.
+ * smo.solve_binary, the sparse kernel product of smo._poly_kernel and the
+ * in-place transpose that lays out a full Gram matrix, the tree grower of
+ * forest.fit_forest and the walk of forest.TrainedForest.predict_proba_batch.
  *
  * Plain C with no Python API: _native.py compiles this file at import and
  * calls it through ctypes, which releases the GIL for each call.  The
@@ -287,6 +287,26 @@ void sparse_product(ptrdiff_t n_rows, ptrdiff_t n_out, const ptrdiff_t *ap,
     }
 }
 
+/* Transpose the n x n row-major matrix a in place, tile by tile so that
+ * both sides of each swap stay in cache: a product written row by row
+ * becomes the same matrix column by column, with no second n x n buffer.
+ * Values are moved, not computed, so every bit stays. */
+void transpose_square(ptrdiff_t n, double *a)
+{
+    enum { TILE = 32 };
+    for (ptrdiff_t i0 = 0; i0 < n; i0 += TILE)
+        for (ptrdiff_t j0 = i0; j0 < n; j0 += TILE) {
+            const ptrdiff_t i1 = i0 + TILE < n ? i0 + TILE : n;
+            const ptrdiff_t j1 = j0 + TILE < n ? j0 + TILE : n;
+            for (ptrdiff_t i = i0; i < i1; i++)
+                for (ptrdiff_t j = j0 == i0 ? i + 1 : j0; j < j1; j++) {
+                    const double t = a[i * n + j];
+                    a[i * n + j] = a[j * n + i];
+                    a[j * n + i] = t;
+                }
+        }
+}
+
 /* ---------------------------------------------------------------------
  * Forest.  One forest's trees packed into one node table, with node ids
  * absolute in it: roots[t] is tree t's root, an inner node (feature >= 0)
@@ -305,13 +325,15 @@ struct forest_table {
 
 /* Walk every (row, tree) pair of the n rows of x (row-major, n_features
  * doubles per row) and add each leaf's vote to counts (row-major, n_labels
- * int64 per row). */
+ * doubles per row).  A count stays a whole number below 2^53, so each
+ * + 1.0 is exact, and the caller divides the counts in place by the tree
+ * count, to the bits of numpy's int64 counts / n_trees. */
 void forest_counts(const struct forest_table *f, ptrdiff_t n,
-                   const double *x, int64_t *counts)
+                   const double *x, double *counts)
 {
     for (ptrdiff_t r = 0; r < n; r++) {
         const double *row = x + r * f->n_features;
-        int64_t *row_counts = counts + r * f->n_labels;
+        double *row_counts = counts + r * f->n_labels;
         for (ptrdiff_t t = 0; t < f->n_trees; t++) {
             ptrdiff_t node = f->roots[t];
             ptrdiff_t feat = f->feature[node];
@@ -320,7 +342,7 @@ void forest_counts(const struct forest_table *f, ptrdiff_t n,
                                                        : f->right[node];
                 feat = f->feature[node];
             }
-            row_counts[f->vote[node]]++;
+            row_counts[f->vote[node]] += 1.0;
         }
     }
 }

@@ -3,7 +3,8 @@
 ``_native.c``, next to this module, holds the loops that run in C and
 nothing else (no Python API): the SMO working-pair loop of
 :func:`comulti.classifiers.smo.solve_binary`, the sparse kernel product of
-its ``_poly_kernel``, the tree grower of
+its ``_poly_kernel`` and the in-place transpose that lays out its full Gram
+matrix, the tree grower of
 :func:`comulti.classifiers.forest.fit_forest` and the forest walk of
 :meth:`comulti.classifiers.forest.TrainedForest.predict_proba_batch`.  At
 import it is compiled with ``cc -O2 -shared -fPIC -ffp-contract=off`` into
@@ -100,6 +101,8 @@ def _load_library() -> ctypes.CDLL:
     lib.sparse_product.restype = None
     lib.sparse_product.argtypes = [  # n_rows, n_out, A, bt, out
         size, size, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.transpose_square.restype = None
+    lib.transpose_square.argtypes = [size, ptr]  # n, a
     lib.grow_tree.restype = size
     lib.grow_tree.argtypes = [  # 4 sizes, values .. y, rng, n, boot, nodes
         size, size, size, size, ptr, ptr, ptr, ptr, ptr, size, ptr,

@@ -28,9 +28,12 @@ a node when its value of the node's feature is ``<=`` the threshold, so NaN
 goes right.  One compiled loop (``forest_counts`` in ``_native.c``, built
 by :mod:`._native`) walks every (row, tree) pair of a dense block of rows,
 a single row and a batch alike, and adds each leaf's vote to the row's
-count of that label, so probabilities are exact vote counts divided by the
-number of trees.  C makes the same float64 ``<=`` as numpy (IEEE 754, NaN
-included), so it reaches the same leaves.  C also trusts the table, so the
+float64 count of that label.  A count is a whole number below 2^53, so it
+is exact, and dividing the counts in place by the number of trees gives the
+bits of int64 counts over the tree count.  The table's C struct, and the
+reference to it that each call passes, are built once per forest.  C makes
+the same float64 ``<=`` as numpy (IEEE 754, NaN included), so it reaches
+the same leaves.  C also trusts the table, so the
 table is checked when a forest is built, from a fit or from a model file:
 every inner node's feature lies in ``[0, n_features)``, both its children
 lie after it and inside its tree, and every leaf's vote names a label.
@@ -126,6 +129,8 @@ class TrainedForest(Classifier):
                         np.concatenate([t.threshold for t in trees]))
         self._table = ForestTable(len(trees), n_features, len(space),
                                   *(a.ctypes.data for a in self._arrays))
+        # forest_counts' first argument, made once per table.
+        self._table_ref = ctypes.byref(self._table)
 
     def __reduce__(self):
         # A copy packs its own table: this one holds raw addresses.
@@ -137,15 +142,17 @@ class TrainedForest(Classifier):
             raise DataError(f"input has {x.shape[1]} features, model expects "
                             f"{self.n_features}")
         n = x.shape[0]
-        counts = np.zeros((n, self.n_labels), dtype=np.int64)
+        counts = np.zeros((n, self.n_labels))
+        out, row_bytes = counts.ctypes.data, counts.strides[0]
         step = max(1, _CHUNK_CELLS // max(1, self.n_features))
         for lo in range(0, n, step):
             # An input of one chunk is not sliced: slicing a one-row CSR
             # matrix costs more than walking it.
             dense = _dense(x if n <= step else x[lo:lo + step])
-            LIB.forest_counts(ctypes.byref(self._table), dense.shape[0],
-                              dense.ctypes.data, counts[lo:].ctypes.data)
-        return counts / len(self.trees)
+            LIB.forest_counts(self._table_ref, dense.shape[0],
+                              dense.ctypes.data, out + lo * row_bytes)
+        counts /= len(self.trees)
+        return counts
 
     def to_dict(self) -> dict:
         return {

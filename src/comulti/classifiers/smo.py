@@ -10,13 +10,14 @@ fit on the training scores, then normalized across classes.
 
 Up to ``_FULL_GRAM_ROWS`` training rows the whole Gram matrix is computed
 once, in Fortran order, so the kernel column each SMO step reads is
-contiguous; larger problems compute columns on demand.  Fits of several
-label views of one training matrix share one kernel and every binary
-problem solved on it (the ``shared`` argument of :func:`fit_smo`): the
-Gram matrix is built on the first problem any view has to solve and lives
-until the caller drops ``shared``, and a one-vs-rest problem that two
-views pose is solved and calibrated once, its iteration-cap warning, if
-any, raised once.
+contiguous: the product is written row by row and transposed in place, so
+the build holds one Gram-size array.  Larger problems compute columns on
+demand.  Fits of several label views of one training matrix share one
+kernel and every binary problem solved on it (the ``shared`` argument of
+:func:`fit_smo`): the Gram matrix is built on the first problem any view
+has to solve and lives until the caller drops ``shared``, and a
+one-vs-rest problem that two views pose is solved and calibrated once, its
+iteration-cap warning, if any, raised once.
 
 The solver's iterations run in C, and so does the kernel product of two
 sparse matrices: the loop of :func:`solve_binary` and ``sparse_product``
@@ -28,6 +29,16 @@ and takes the next iteration's first index and gap.  The product is
 scipy's own loop, so a sparse kernel has the bits of
 ``(a @ b.T).toarray()``; a fitted model transposes sparse support vectors
 once, not on every prediction.
+
+How a model predicts, for one row as for a batch.  The kernel of the rows
+against every support vector is computed once.  Each label's scores are
+then one numpy product with its own support vectors' columns, written into
+one (labels, rows) buffer: numpy sums a one-row product as a dot product
+and a batch as a matrix-vector product, and one product over every label
+would sum in another order.  The biases are added at once, and every
+label's logistic map is applied in one element-wise pass over the
+row-major (rows, labels) scores, each element rounded as a map of its
+label alone would round it.
 """
 
 from __future__ import annotations
@@ -95,17 +106,17 @@ def _sparse_product(a: _Csr, bt: _Csr) -> np.ndarray:
     return out
 
 
-def _poly_kernel(a, b, degree: int, order: str = "K",
+def _poly_kernel(a, b, degree: int,
                  b_t: Optional[_Csr] = None) -> np.ndarray:
-    """(a . b + 1)^degree as a dense array; absent sparse entries are 0.
+    """(a . b + 1)^degree as a dense array of its own; absent sparse entries
+    are 0.
 
     Two sparse operands multiply in C, in float64, bit for bit as scipy's
     ``(a @ b.T).toarray()`` of the CSR form of ``a`` (scipy multiplies a
     CSC ``a`` in another order); a sparse ``a`` may come prepared once by
     the caller as a ``_Csr``, and ``b_t`` is ``b.T`` prepared so, or None.
-    Dense and mixed operands multiply as ``a @ b.T``.
-    ``order="F"`` lays the result out column by column; the values do not
-    depend on the layout.
+    Dense and mixed operands multiply as ``a @ b.T``.  The ``+ 1`` and the
+    power are applied in place on the fresh product.
     """
     if sp.issparse(a) and sp.issparse(b):
         a = _Csr(a)
@@ -113,7 +124,7 @@ def _poly_kernel(a, b, degree: int, order: str = "K",
         prod = _sparse_product(a, _Csr(b.T) if b_t is None else b_t)
     else:
         prod = np.asarray(a @ b.T, dtype=np.float64)
-    prod = np.add(prod, 1.0, order=order)
+    prod += 1.0
     if degree != 1:
         prod **= degree
     return prod
@@ -139,7 +150,11 @@ class _Kernel:
         # Overflow is reported below as one error, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             if self.n <= _FULL_GRAM_ROWS:
-                self.full = _poly_kernel(self._a, x, degree, order="F")
+                # Written row by row, then transposed in place: one n x n
+                # buffer, in the layout the solver reads.
+                full = np.ascontiguousarray(_poly_kernel(self._a, x, degree))
+                LIB.transpose_square(self.n, full.ctypes.data)
+                self.full = full.T
                 self.diag = np.diag(self.full).copy()
                 self._cache = None
             else:
@@ -361,18 +376,19 @@ class TrainedSmo(Classifier):
             raise DataError(f"input has {x.shape[1]} features, model expects "
                             f"{self.n_features}")
         gram = _poly_kernel(x, self.sv_x, self.spec.degree, b_t=self._sv_t)
-        scores = np.empty((x.shape[0], self.n_labels))
-        for cls in range(self.n_labels):
-            scores[:, cls] = gram[:, self.sv_index[cls]] @ self.sv_coef[cls] \
-                + self.bias[cls]
-        return scores
+        # One product per label, which numpy sums as a dot product for one
+        # row and a matrix-vector product for more; a product over every
+        # label at once would sum in another order.
+        scores = np.empty((self.n_labels, x.shape[0]))
+        for cls, (index, coef) in enumerate(zip(self.sv_index, self.sv_coef)):
+            np.matmul(gram[:, index], coef, out=scores[cls])
+        scores += self.bias[:, None]
+        # Row-major: predict_proba_batch sums across labels, and numpy sums
+        # an axis of another layout in another order.
+        return np.ascontiguousarray(scores.T)
 
     def predict_proba_batch(self, x) -> np.ndarray:
-        scores = self.decision_scores(x)
-        cal = np.empty_like(scores)
-        for cls in range(self.n_labels):
-            cal[:, cls] = _sigmoid(self.platt_a[cls] * scores[:, cls]
-                                   + self.platt_b[cls])
+        cal = _sigmoid(self.platt_a * self.decision_scores(x) + self.platt_b)
         totals = cal.sum(axis=1, keepdims=True)
         flat = (totals == 0.0).ravel()
         if flat.any():

@@ -9,8 +9,11 @@ it was first written, one feature at a time, as a reference, and compares
 whole trees with it on random matrices.
 """
 
+import copy
+import gc
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -253,8 +256,9 @@ def _reference_votes(tree, dense):
 
 
 def _check_walk(model, x):
-    """``predict_proba_batch`` equals the reference's vote fractions on
-    ``x`` as one batch and on each of its rows alone."""
+    """``predict_proba_batch`` equals the reference's vote fractions, int64
+    counts over the tree count, on ``x`` as one batch and on each of its
+    rows alone."""
     dense = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
     want = np.array([_reference_votes(t, dense) for t in model.trees],
                     dtype=np.int32).reshape(len(model.trees), -1)
@@ -349,3 +353,30 @@ def test_walk_matches_level_reference_in_chunks(monkeypatch):
         chunks.clear()
         _check_walk(model, x_in)
         assert chunks == [4, 4, 4, 3] + [1] * 15
+
+
+@pytest.mark.parametrize("trees", [1, 3, 7, 10])
+def test_walk_gives_int64_counts_over_trees(monkeypatch, trees):
+    # The walk adds votes into float64 counts and divides them in place.
+    x, y = _random_case(1)
+    model = forest_mod.fit_forest(ForestSpec(trees=trees), x, y,
+                                  tuple(f"c{i}" for i in range(int(y.max())
+                                                                + 1)), trees)
+    rng = np.random.default_rng(trees)
+    probe = _edge_values(model, x[:20], rng)  # thresholds, +/-inf, NaN
+    assert np.isnan(probe).any()
+    _check_walk(model, probe)
+    _check_walk(model, _unsorted_csr(probe, rng))  # one-row CSR inputs too
+    want = model.predict_proba_batch(probe).tobytes()
+    with monkeypatch.context() as m:
+        m.setattr(forest_mod, "_CHUNK_CELLS", 3 * x.shape[1])
+        _check_walk(model, probe)  # 7 chunks, the last of 2 rows
+        _check_walk(model, sp.csr_matrix(probe))
+    # A copy builds its own table and walk arguments: it predicts alike
+    # once the original is gone.
+    copies = [copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
+    del model
+    gc.collect()
+    for again in copies:
+        assert again.predict_proba_batch(probe).tobytes() == want
+        _check_walk(again, probe)

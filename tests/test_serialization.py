@@ -151,6 +151,7 @@ def test_forest_copies_pack_their_own_table():
         own = [a.ctypes.data for a in again._arrays]
         assert [table.roots, table.feature, table.left, table.right,
                 table.vote, table.threshold] == own
+        assert again._table_ref._obj is table
         assert again.predict_proba_batch(x).tobytes() == want
 
 

@@ -1,17 +1,21 @@
-"""The SMO kernel, bit for bit against scipy's sparse product.
+"""The SMO kernel and calibration, bit for bit against independent forms.
 
-``_poly_kernel`` and a fitted model's ``decision_scores`` and
-``predict_proba_batch`` are compared byte for byte with a reference built
-here: ``(a @ b.T).toarray()`` from scipy, then ``+ 1`` and ``** degree`` in
-numpy.  The inputs cover what a CSR matrix may legally hold and what
-prediction may be given: indices in any order, a column stored twice in a
-row, explicitly stored zeros of either sign, empty rows, no rows or no
-columns at all, int32 and int64 index arrays, infinities and NaN in the
-predicted rows, one-row inputs and the ``(n, 1)`` columns of the SMO column
-cache.
+``_poly_kernel``, a full Gram matrix of ``_Kernel`` and a fitted model's
+``decision_scores`` are compared byte for byte with a reference built
+here: ``(a @ b.T).toarray()`` from scipy (or ``a @ b.T`` for dense rows),
+then ``+ 1`` and ``** degree`` in numpy, and one product per label.
+``predict_proba_batch`` is compared with the per-label calibration loop,
+copied here: one logistic map per label, then normalization, with a row
+whose every label calibrates to 0 made uniform.  The inputs cover what a
+CSR matrix may legally hold and what prediction may be given: indices in
+any order, a column stored twice in a row, explicitly stored zeros of
+either sign, empty rows, no rows or no columns at all, int32 and int64
+index arrays, infinities and NaN in the predicted rows, one-row inputs,
+the ``(n, 1)`` columns of the SMO column cache, and models of 14 and 17
+labels.
 """
 
-import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ import scipy.sparse as sp
 
 from comulti.classifiers import SmoSpec, fit
 from comulti.classifiers import smo as smo_mod
+from comulti.datagen import MULTISKEW_SIZES, gaussian_blobs, sparse_topics
 from comulti.dataset import Dataset, FeatureSchema
 
 LAYOUTS = ["sorted", "unsorted", "duplicates", "zeros"]
@@ -76,11 +81,15 @@ def _assert_bits(got, want):
 
 def _check_kernel(a, b, degree):
     with np.errstate(over="ignore", invalid="ignore"):
-        for order in ("K", "F"):
-            got = smo_mod._poly_kernel(a, b, degree, order)
-            _assert_bits(got, _reference_kernel(a, b, degree, order))
-            if order == "F":
-                assert got.flags.f_contiguous
+        got = smo_mod._poly_kernel(a, b, degree)
+        _assert_bits(got, _reference_kernel(a, b, degree))
+
+
+def _check_gram(x, degree):
+    """A full Gram matrix has the reference's values, column-major."""
+    got = smo_mod._Kernel(x, degree).full
+    assert got.flags.f_contiguous
+    _assert_bits(got, _reference_kernel(x, x, degree, order="F"))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -92,7 +101,9 @@ def test_poly_kernel_matches_scipy_product(layout, index_dtype, degree):
     a = _csr(rng, 11, 14, layout, index_dtype)
     b = _csr(rng, 9, 14, layout, index_dtype)
     _check_kernel(a, b, degree)  # a prediction block
-    _check_kernel(b, b, degree)  # a full Gram
+    _check_kernel(b, b, degree)  # a block of every column
+    _check_gram(a, degree)  # a full Gram
+    _check_gram(b, degree)
     for i in range(a.shape[0]):
         _check_kernel(a[i:i + 1], b, degree)  # one predicted row
     for i in range(b.shape[0]):
@@ -110,6 +121,35 @@ def test_poly_kernel_on_empty_shapes(shape_a, shape_b, index_dtype):
     b = _csr(rng, *shape_b, "unsorted", index_dtype)
     for degree in (1, 2, 3):
         _check_kernel(a, b, degree)
+        _check_gram(a, degree)
+        _check_gram(b, degree)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_dense_gram_matches_numpy_product(degree):
+    # BLAS may sum a product of a matrix with its own transpose once per
+    # pair and mirror it; the Gram's layout must not rest on that.
+    rng = np.random.default_rng(degree + 20)
+    x = rng.normal(size=(37, 6)) * 3
+    for rows in (x, np.asfortranarray(x), x[:, ::2], x[:1], x[:0]):
+        _check_gram(rows, degree)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_full_gram_is_built_in_one_buffer(sparse):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2000, 8))
+    if sparse:
+        x = sp.csr_matrix(np.where(rng.random(x.shape) < 0.5, x, 0.0))
+    gram_bytes = 2000 * 2000 * 8
+    tracemalloc.start()
+    try:
+        kernel = smo_mod._Kernel(x, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.full.flags.f_contiguous
+    assert gram_bytes <= peak < 1.25 * gram_bytes
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -154,35 +194,58 @@ def _reference_scores(model, x):
     return scores
 
 
-def _check_model(monkeypatch, model, x):
+def _reference_sigmoid(f):
+    out = np.empty_like(f)
+    pos = f >= 0
+    e = np.exp(-f[pos])
+    out[pos] = e / (1.0 + e)
+    e = np.exp(f[~pos])
+    out[~pos] = 1.0 / (1.0 + e)
+    return out
+
+
+def _reference_proba(model, x):
+    """Each label calibrated by its own logistic map, one label at a time,
+    then normalized; a row that calibrates to 0 everywhere is uniform."""
+    scores = _reference_scores(model, x)
+    cal = np.empty_like(scores)
+    for cls in range(model.n_labels):
+        cal[:, cls] = _reference_sigmoid(model.platt_a[cls] * scores[:, cls]
+                                         + model.platt_b[cls])
+    totals = cal.sum(axis=1, keepdims=True)
+    flat = (totals == 0.0).ravel()
+    if flat.any():
+        cal[flat] = 1.0
+        totals = cal.sum(axis=1, keepdims=True)
+    return cal / totals
+
+
+def _check_model(model, x):
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _reference_scores(model, x)
-        _assert_bits(model.decision_scores(x), want)
+        scores = model.decision_scores(x)
+        _assert_bits(scores, _reference_scores(model, x))
         got = model.predict_proba_batch(x)
-        with monkeypatch.context() as m:
-            m.setattr(model, "decision_scores",
-                      functools.partial(_reference_scores, model))
-            want = model.predict_proba_batch(x)
-    _assert_bits(got, want)
+        _assert_bits(got, _reference_proba(model, x))
+    assert scores.flags.c_contiguous and got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_trained_smo_predicts_as_scipy_product(monkeypatch, layout, degree):
+def test_trained_smo_predicts_as_scipy_product(layout, degree):
     model, train = _sparse_model(layout, degree)
     assert sp.issparse(model.sv_x) and model.sv_x.shape[0]
     rng = np.random.default_rng(degree + 7)
     for index_dtype in (np.int32, np.int64):
         x = _csr(rng, 25, 10, layout, index_dtype)
-        _check_model(monkeypatch, model, x)
+        _check_model(model, x)
         for i in range(x.shape[0]):
-            _check_model(monkeypatch, model, x[i:i + 1])
-    _check_model(monkeypatch, model, train)
-    _check_model(monkeypatch, model, _csr(rng, 0, 10, layout, np.int32))
+            _check_model(model, x[i:i + 1])
+    _check_model(model, train)
+    _check_model(model, _csr(rng, 0, 10, layout, np.int32))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_trained_smo_on_non_finite_rows(monkeypatch, layout):
+def test_trained_smo_on_non_finite_rows(layout):
     model, _ = _sparse_model(layout, 2)
     rng = np.random.default_rng(LAYOUTS.index(layout) + 90)
 
@@ -191,9 +254,71 @@ def test_trained_smo_on_non_finite_rows(monkeypatch, layout):
 
     x = _csr(rng, 20, 10, layout, np.int64, values=wild)
     assert not np.isfinite(x.data).all()
-    _check_model(monkeypatch, model, x)
+    _check_model(model, x)
     for i in range(x.shape[0]):
-        _check_model(monkeypatch, model, x[i:i + 1])
+        _check_model(model, x[i:i + 1])
+
+
+def _many_labels(kind, degree):
+    """A model of 17 labels fitted on sparse topic counts, or of 14 on
+    dense Gaussian clusters, and rows to predict that it was not fitted
+    on (with infinities and NaN in a few)."""
+    if kind == "topics":
+        ds = sparse_topics(tuple(max(4, n // 5) for n in MULTISKEW_SIZES),
+                           n_features=400, n_common=150, signature_size=12,
+                           seed=degree)
+    else:
+        ds = gaussian_blobs((60,) + (15,) * 13, n_features=6,
+                            separation=3.0, seed=degree)
+    rng = np.random.default_rng(degree)
+    held = rng.random(ds.n_instances) < 0.2
+    model = fit(SmoSpec(degree=degree), ds.take(np.flatnonzero(~held)),
+                seed=0)
+    x = ds.x[np.flatnonzero(held)]
+    wild = x.copy()
+    if kind == "topics":
+        wild.data[rng.random(wild.data.size) < 0.05] = np.nan
+        wild.data[rng.random(wild.data.size) < 0.05] = np.inf
+    else:
+        wild[rng.random(wild.shape) < 0.05] = np.nan
+        wild[rng.random(wild.shape) < 0.05] = -np.inf
+    return model, x, wild
+
+
+def _with_platt_b(model, platt_b):
+    return smo_mod.TrainedSmo(model.spec, model.space, model.sv_x,
+                              model.sv_index, model.sv_coef, model.bias,
+                              model.platt_a, platt_b, model.kkt_gaps)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("kind", ["topics", "blobs"])
+def test_calibration_matches_per_label_reference(kind, degree):
+    model, x, wild = _many_labels(kind, degree)
+    assert model.n_labels >= 14 and x.shape[0] >= 20
+    for rows in (x, wild):
+        _check_model(model, rows)
+        for i in range(rows.shape[0]):
+            _check_model(model, rows[i:i + 1])
+
+
+@pytest.mark.parametrize("kind", ["topics", "blobs"])
+def test_calibration_of_flat_rows_matches_per_label_reference(kind):
+    # Every label of a flat row calibrates to 0 (exp(-f) underflows), so
+    # the row is made uniform.  Shifting each Platt offset so that about
+    # half the rows are flat gives a batch of both.
+    model, x, _ = _many_labels(kind, 2)
+    f = model.platt_a * _reference_scores(model, x) + model.platt_b
+    shift = 746.0 - np.median(f.min(axis=1))
+    shifted = _with_platt_b(model, model.platt_b + shift)
+    flat = (_reference_sigmoid(f + shift) == 0.0).all(axis=1)
+    assert 0 < flat.sum() < flat.size
+    _check_model(shifted, x)
+    for i in range(x.shape[0]):
+        _check_model(shifted, x[i:i + 1])
+    got = shifted.predict_proba_batch(x)
+    assert (got[flat] == 1.0 / model.n_labels).all()
+    assert (got[~flat] != 1.0 / model.n_labels).any(axis=1).all()
 
 
 @pytest.mark.parametrize("breaker", ["index_high", "index_negative",
