@@ -26,6 +26,7 @@ from .errors import DataError
 from .multistage import (
     StageThresholds,
     TwoLayerModel,
+    csr_rows,
     fit_multistage,
     single_row,
     take_rows,
@@ -73,6 +74,7 @@ class CmcModel(TwoLayerModel):
     def route(self, x) -> CmcRouting:
         """Route every row of a batch through the gate and, for the rows
         it does not settle, the multiclass layer (evaluated lazily)."""
+        x = csr_rows(x)
         b_dists, b_stages = self.binary.predict_batch(x)
         gated = b_dists[:, 0] > b_dists[:, 1]  # strict: ties fall through
         labels = np.full(x.shape[0], self.stats.majority[0], dtype=np.int64)

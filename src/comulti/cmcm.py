@@ -42,6 +42,7 @@ from .dataset import (
 from .multistage import (
     StageThresholds,
     TwoLayerModel,
+    csr_rows,
     fit_multistage,
     single_row,
     take_rows,
@@ -100,6 +101,7 @@ class CmcmModel(TwoLayerModel):
     def route(self, x) -> CmcmRouting:
         """Route every row of a batch through the quorum; ``m3`` is
         evaluated only on the rows the quorum sends to it."""
+        x = csr_rows(x)
         db, sb = self.b.predict_batch(x)
         d1, s1 = self.m1.predict_batch(x)
         d2, s2 = self.m2.predict_batch(x)
@@ -107,30 +109,33 @@ class CmcmModel(TwoLayerModel):
         p1, p2 = d1[:, 0], d2[:, 0]
         majority = (p_b_maj > p_b_min) & (p1 > p2)
         minority = (p_b_maj < p_b_min) & (p1 < p2)
-        branch = np.select([majority, minority], [0, 1], 2)  # BRANCHES index
+        # The BRANCHES index: majority and minority exclude each other.
+        branch = 2 - 2 * majority - minority
+        stage_used = np.where(majority, s1, s2)
 
         labels = np.empty(x.shape[0], dtype=np.int64)
         pseudo = np.zeros(x.shape[0], dtype=bool)
         # A pick of the cluster (slot 0) is resolved by the other model's
         # argmax over its member slots.
         for rows, picked, members, other, other_members in (
-                (np.nonzero(majority)[0], d1, self._m1_slot_to_orig,
+                (majority, d1, self._m1_slot_to_orig,
                  d2, self._m2_slot_to_orig),
-                (np.nonzero(minority)[0], d2, self._m2_slot_to_orig,
+                (minority, d2, self._m2_slot_to_orig,
                  d1, self._m1_slot_to_orig)):
-            top = np.argmax(picked[rows], axis=1)
-            inside = np.argmax(other[rows, 1:], axis=1)
-            pseudo[rows] = top == 0
-            labels[rows] = np.where(top == 0, other_members[inside],
-                                    members[top - 1])
+            if rows.any():
+                top = np.argmax(picked[rows], axis=1)
+                inside = np.argmax(other[rows, 1:], axis=1)
+                pseudo[rows] = top == 0
+                labels[rows] = np.where(top == 0, other_members[inside],
+                                        members[top - 1])
         s3 = np.zeros_like(sb)
         rows = np.nonzero(branch == 2)[0]
         if rows.size:
             d3, used = self.m3.predict_batch(take_rows(x, rows))
             labels[rows] = np.argmax(d3, axis=1)
-            s3[rows] = used
-        return CmcmRouting(labels, branch, np.choose(branch, (s1, s2, s3)),
-                           pseudo, p_b_maj, p_b_min, p1, p2,
+            s3[rows] = stage_used[rows] = used
+        return CmcmRouting(labels, branch, stage_used, pseudo, p_b_maj,
+                           p_b_min, p1, p2,
                            {"b": sb, "m1": s1, "m2": s2, "m3": s3})
 
     def route_counts(self, r: CmcmRouting) -> dict:

@@ -80,30 +80,44 @@ class MultistageModel:
     def predict_batch(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(distributions, stage_used) for a batch.
 
-        Each stage predicts only the rows no earlier stage settled.  Every
-        stage's output on those rows is kept, so a combiner stage reuses the
-        raw distributions of the stages it wraps instead of re-predicting.
+        Each stage predicts only the rows no earlier stage settled, and the
+        loop ends at the stage that settles the last of them; when that is
+        the first stage, its distributions are returned as they are.
+        Every stage's output on the open rows is kept, so a combiner stage
+        reuses the raw distributions of the stages it wraps instead of
+        re-predicting.
         """
+        x = csr_rows(x)
         n = x.shape[0]
-        out = np.zeros((n, len(self.space)))
         stage_used = np.zeros(n, dtype=np.int64)
+        if not n:
+            return np.zeros((0, len(self.space))), stage_used
+        out = None  # made when a stage settles some rows and not all
         rows = np.arange(n)  # not settled yet
         outputs: list[np.ndarray] = []  # each stage's output on ``rows``
+        last = self.n_stages - 1
         for s, (clf, thr) in enumerate(zip(self.stages, self.thresholds.values)):
-            if not rows.size:
-                break
             spec = getattr(clf, "spec", None)
             if isinstance(spec, CombinerSpec):
                 dists = combine_rows(outputs[spec.left], outputs[spec.right])
             else:
                 dists = clf.predict_proba_batch(take_rows(x, rows))
+            if s == last:
+                break  # the last stage is unconditionally terminal
             hit = dists.max(axis=1) >= thr
-            if s == self.n_stages - 1:
-                hit[:] = True  # the last stage is unconditionally terminal
+            if hit.all():
+                break
+            if out is None:
+                out = np.zeros((n, len(self.space)))
             out[rows[hit]] = dists[hit]
             stage_used[rows[hit]] = s + 1
             rows = rows[~hit]
             outputs = [o[~hit] for o in outputs + [dists]]
+        # Stage s settles every row still open.
+        stage_used[rows] = s + 1
+        if out is None:
+            return dists, stage_used
+        out[rows] = dists
         return out, stage_used
 
     def stage_histogram(self, stage_used: np.ndarray) -> list[int]:
@@ -146,6 +160,13 @@ def _bind_combiner(spec: CombinerSpec, stages: Sequence[Classifier],
     return TrainedCombiner(spec, stages[spec.left], stages[spec.right])
 
 
+def csr_rows(x):
+    """A batch as the layers read it: sparse in CSR, whose rows can be
+    taken (converted once, where a model takes the batch in), any other
+    input as it is."""
+    return x.tocsr() if sp.issparse(x) else x
+
+
 def take_rows(x, rows: np.ndarray):
     """``x[rows]`` for increasing row ids; ``x`` itself when they are all
     of its rows, so a step that passes every row on copies nothing."""
@@ -154,11 +175,12 @@ def take_rows(x, rows: np.ndarray):
 
 def single_row(x):
     """One feature vector as a one-row batch: a sparse one-row matrix as
-    it is, any other array-like as float64, a 1-D vector as one row."""
+    it is, any other array-like as float64, a 1-D vector (sparse or not)
+    as one row."""
     if not sp.issparse(x):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
+    if x.ndim == 1:
+        x = x.reshape((1, -1))
     if x.ndim != 2 or x.shape[0] != 1:
         raise DataError("expected a single feature vector")
     return x

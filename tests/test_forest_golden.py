@@ -355,6 +355,51 @@ def test_walk_matches_level_reference_in_chunks(monkeypatch):
         assert chunks == [4, 4, 4, 3] + [1] * 15
 
 
+CSR_LAYOUTS = ["unsorted", "duplicates", "zeros", "non_finite", "empty_rows"]
+
+
+def _walk_csr(model, rng, n_rows, layout):
+    """A CSR batch for ``model`` stored as ``layout`` says, each row's
+    indices in random order: ``duplicates`` stores a column twice in every
+    row, ``zeros`` stores +0.0 and -0.0, ``non_finite`` NaN and +/-inf,
+    and ``empty_rows`` leaves every other row empty.  About half the values
+    are split thresholds, so rows go both ways at many nodes."""
+    width = model.n_features
+    cuts = np.concatenate([[0.0]] + [t.threshold[t.feature >= 0]
+                                     for t in model.trees])
+    indptr, indices = [0], []
+    for r in range(n_rows):
+        k = 0 if layout == "empty_rows" and r % 2 else \
+            int(rng.integers(1, width + 1))
+        cols = rng.permutation(width)[:k]
+        if layout == "duplicates":
+            cols = np.append(cols, cols[0])
+        indices.extend(cols.tolist())
+        indptr.append(len(indices))
+    nnz = len(indices)
+    data = np.where(rng.random(nnz) < 0.5, rng.choice(cuts, size=nnz),
+                    rng.normal(size=nnz) * 3)
+    special = {"zeros": [0.0, -0.0],
+               "non_finite": [np.nan, np.inf, -np.inf]}.get(layout)
+    if special:
+        at = rng.random(nnz) < 0.3
+        data[at] = rng.choice(special, size=int(at.sum()))
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, width))
+
+
+@pytest.mark.parametrize("layout", CSR_LAYOUTS)
+@pytest.mark.parametrize("seed", [1, 4])
+def test_walk_matches_level_reference_on_csr(layout, seed):
+    # A sparse batch and each of its rows are walked as their toarray()
+    # values, whatever the stored layout: duplicates summed, -0.0 kept.
+    x, y = _random_case(seed)
+    model = forest_mod.fit_forest(ForestSpec(trees=5), x, y,
+                                  tuple(f"c{i}" for i in range(int(y.max())
+                                                                + 1)), seed)
+    rng = np.random.default_rng(seed)
+    _check_walk(model, _walk_csr(model, rng, 30, layout))
+
+
 @pytest.mark.parametrize("trees", [1, 3, 7, 10])
 def test_walk_gives_int64_counts_over_trees(monkeypatch, trees):
     # The walk adds votes into float64 counts and divides them in place.

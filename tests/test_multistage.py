@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from comulti.classifiers import CombinerSpec, ForestSpec, SmoSpec
-from comulti.errors import ConfigError
-from comulti.multistage import MultistageModel, StageThresholds, fit_multistage
+from comulti.errors import ConfigError, DataError
+from comulti.multistage import (
+    MultistageModel,
+    StageThresholds,
+    fit_multistage,
+    single_row,
+)
 
-from conftest import LookupStub, make_dataset
+from conftest import NOT_ONE_ROW, LookupStub, make_dataset
 
 
 def stub_stage(dists, space=("a", "b")):
@@ -114,6 +120,30 @@ def test_returned_distribution_is_never_a_blend():
 
 # ---------------------------------------------------------------------------
 # Construction and fitting
+
+
+def test_no_stage_runs_after_every_row_is_settled():
+    m = model_of([[[0.95, 0.05]] * 3, [[0.5, 0.5]] * 3], [0.9, 1.0])
+    dists, used = m.predict_batch(x_rows(3))
+    assert used.tolist() == [1, 1, 1]
+    assert dists.tolist() == [[0.95, 0.05]] * 3
+    assert [s.calls for s in m.stages] == [1, 0]
+    dists, used = m.predict_batch(x_rows(0))  # an empty batch runs none
+    assert dists.shape == (0, 2) and used.shape == (0,)
+    assert [s.calls for s in m.stages] == [1, 0]
+
+
+def test_single_row_takes_one_vector_of_any_kind():
+    want = np.array([[0.0, 1.5, 0.0, 2.0]])
+    for x in (want[0], want[0].tolist(), want, sp.coo_array(want[0]),
+              sp.csr_array(want[0]), sp.csr_matrix(want)):
+        got = single_row(x)
+        assert got.shape == (1, 4)
+        assert (got.toarray() if sp.issparse(got) else got).tolist() \
+            == want.tolist()
+    for x in NOT_ONE_ROW + [sp.csr_matrix(np.ones((2, 4)))]:
+        with pytest.raises(DataError, match="single feature vector"):
+            single_row(x)
 
 
 def test_threshold_validation():
