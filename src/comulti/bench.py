@@ -43,7 +43,7 @@ from .dataset import (
     read_lines,
     split_indices,
 )
-from .errors import ComultiError, ConfigError, DataError
+from .errors import ComultiError, ConfigError, DataError, reading
 from .metrics import (
     DEFAULT_DELTA,
     REPORTED,
@@ -263,10 +263,8 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
 
 def load_schema_json(path) -> FeatureSchema:
     """A JSON list of ``{"name", "kind", "categories"}`` feature objects."""
-    try:
+    with reading(f"{path}: schema"):
         doc = json.loads("".join(read_lines(path)))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, list):
         raise DataError(f"{path}: schema must be a JSON list of features")
     feats = []

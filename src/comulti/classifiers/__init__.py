@@ -7,8 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..dataset import Dataset
-from ..errors import DataError, TrainingError
+from ..dataset import Dataset, read_lines
+from ..errors import DataError, TrainingError, reading
 from .base import (
     ClassifierSpec,
     Classifier,
@@ -94,11 +94,11 @@ def model_to_dict(model: Classifier) -> dict:
 def model_from_dict(doc: dict) -> Classifier:
     """The model a document describes; a malformed one is a DataError that
     names its kind."""
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {version!r}")
-    kind = doc.get("kind")
-    try:
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    with reading(f"{kind} model" if kind else "model"):
+        version = doc.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise DataError(f"unsupported model format version {version!r}")
         if kind == "random_forest":
             return TrainedForest.from_dict(doc)
         if kind == "smo_margin":
@@ -109,10 +109,6 @@ def model_from_dict(doc: dict) -> Classifier:
                 model_from_dict(doc["a"]),
                 model_from_dict(doc["b"]),
             )
-    except KeyError as exc:
-        raise DataError(f"{kind} model document: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{kind} model document: {exc}") from None
     raise DataError(f"unknown model kind {kind!r}")
 
 
@@ -124,5 +120,5 @@ def save_model(model: Classifier, path) -> None:
 
 
 def load_model(path) -> Classifier:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    with reading(f"{path}: model"):
+        return model_from_dict(json.loads("".join(read_lines(path))))

@@ -308,19 +308,26 @@ void transpose_square(ptrdiff_t n, double *a)
 }
 
 /* ---------------------------------------------------------------------
- * Forest.  One forest's trees packed into one node table, with node ids
- * absolute in it: roots[t] is tree t's root, an inner node (feature >= 0)
- * sends a row to left[node] when row[feature] <= threshold[node] and to
- * right[node] otherwise (NaN compares false, so it goes right), and a leaf
- * (feature < 0) votes vote[node].  The caller has checked the table: every
- * feature is below n_features, every child lies after its parent and in
- * its own tree, and every vote is below n_labels, so each walk ends inside
- * the table and each count inside its row.
+ * Forest.  A tree is an array of node records, its root first, with child
+ * ids local to the tree: an inner node (feature >= 0) sends a row to
+ * tree[left] when row[feature] <= threshold and to tree[right] otherwise
+ * (NaN compares false, so it goes right); a leaf (feature < 0) votes vote.
+ * The grower writes these records and a forest's walk reads its trees one
+ * after another from nodes, tree t from record roots[t].  The caller has
+ * checked the records: every feature is below n_features, every child lies
+ * after its parent and inside its tree, and every vote is below n_labels,
+ * so each walk ends inside its tree and each count inside its row.
  */
+struct node {
+    int32_t feature, vote;
+    int64_t left, right;
+    double threshold;
+};
+
 struct forest_table {
     ptrdiff_t n_trees, n_features, n_labels;
-    const ptrdiff_t *roots, *feature, *left, *right, *vote;
-    const double *threshold;
+    const ptrdiff_t *roots;
+    const struct node *nodes;
 };
 
 /* Walk every (row, tree) pair of the n rows of x (row-major, n_features
@@ -335,14 +342,11 @@ void forest_counts(const struct forest_table *f, ptrdiff_t n,
         const double *row = x + r * f->n_features;
         double *row_counts = counts + r * f->n_labels;
         for (ptrdiff_t t = 0; t < f->n_trees; t++) {
-            ptrdiff_t node = f->roots[t];
-            ptrdiff_t feat = f->feature[node];
-            while (feat >= 0) {
-                node = row[feat] <= f->threshold[node] ? f->left[node]
-                                                       : f->right[node];
-                feat = f->feature[node];
-            }
-            row_counts[f->vote[node]] += 1.0;
+            const struct node *tree = f->nodes + f->roots[t], *node = tree;
+            while (node->feature >= 0)
+                node = tree + (row[node->feature] <= node->threshold
+                               ? node->left : node->right);
+            row_counts[node->vote] += 1.0;
         }
     }
 }
@@ -417,8 +421,8 @@ struct span {
 };
 
 /* Grow one tree over the n samples boot (rows, repeats included; reordered
- * in place), depth first and left child first, into node arrays with room
- * for 2n - 1 nodes (at least 1).  A split scores the first n_candidates
+ * in place), depth first and left child first, into node records with
+ * room for 2n - 1 (at least 1).  A split scores the first n_candidates
  * features that vary, sorting only nonzero values: a node's zeros are one
  * run.  Dense, feature f of row r is values[f * n_rows + r]; sparse (indptr
  * not NULL), feature f holds values[p] in row indices[p] for p in
@@ -430,8 +434,7 @@ ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
                     const double *values, const ptrdiff_t *indptr,
                     const ptrdiff_t *indices, const ptrdiff_t *y,
                     bitgen_t *rng, ptrdiff_t n, ptrdiff_t *boot,
-                    int32_t *feature, double *threshold, int32_t *left,
-                    int32_t *right, int32_t *vote)
+                    struct node *nodes)
 {
     ptrdiff_t n_nodes = -1, depth = 1;
     /* Zeroed scratch, one element more than needed so no size is 0. */
@@ -456,9 +459,7 @@ ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
             counts[y[r[i]]]++;
         for (ptrdiff_t k = 1; k < n_classes; k++)
             top = counts[k] > counts[top] ? k : top;
-        feature[id] = left[id] = right[id] = -1;
-        threshold[id] = 0.0;
-        vote[id] = (int32_t)top;
+        nodes[id] = (struct node){-1, (int32_t)top, -1, -1, 0.0};
         if (m < 2 || counts[top] == m)
             continue;
 
@@ -543,11 +544,8 @@ ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
         if (indptr)
             for (ptrdiff_t p = indptr[best_f]; p < indptr[best_f + 1]; p++)
                 val[indices[p]] = 0.0;
-        feature[id] = (int32_t)best_f;
-        threshold[id] = thr;
-        left[id] = (int32_t)n_nodes;
-        right[id] = (int32_t)(n_nodes + 1);
-        vote[id] = -1;
+        nodes[id] = (struct node){(int32_t)best_f, -1, n_nodes, n_nodes + 1,
+                                  thr};
         stack[depth++] = (struct span){n_nodes + 1, s.start + n_left, s.end};
         stack[depth++] = (struct span){n_nodes, s.start, s.start + n_left};
         n_nodes += 2;

@@ -7,9 +7,9 @@ its ``_poly_kernel`` and the in-place transpose that lays out its full Gram
 matrix, the tree grower of
 :func:`comulti.classifiers.forest.fit_forest` and the forest walk of
 :meth:`comulti.classifiers.forest.TrainedForest.predict_proba_batch`.  At
-import it is compiled with ``cc -O2 -shared -fPIC -ffp-contract=off`` into
-this package's ``__pycache__/``, under a file name that carries the SHA-256
-of the source and the flags: later imports load that file without
+import it is compiled with ``cc`` and :data:`CFLAGS` into :data:`LIBRARY`,
+in this package's ``__pycache__/``, under a file name that carries the
+SHA-256 of the source and the flags: later imports load that file without
 compiling, and an edited source gets a file of its own.  The library is
 loaded with ``ctypes.CDLL``, which releases the GIL for each call, so grid
 threads solve, multiply, grow and predict at the same time.  A missing or
@@ -20,6 +20,8 @@ into one FMA instruction, which rounds once where numpy and scipy round
 twice (the default contracts wherever the target has FMA, as on aarch64),
 and without ``-ffast-math`` or ``-march=native`` the compiler may neither
 reassociate operations nor choose instructions per machine.
+``-falign-functions=64`` starts each function on its own cache line, so an
+edit to one function does not shift where the others start.
 """
 
 from __future__ import annotations
@@ -33,26 +35,25 @@ from pathlib import Path
 from typing import Optional
 
 SOURCE = Path(__file__).with_name("_native.c")
-CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off",
+          "-falign-functions=64")
+_TAG = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode())
+LIBRARY = SOURCE.parent / "__pycache__" / f"_native-{_TAG.hexdigest()}.so"
 # smo_solve's kernel column callback (smo_column_fn).
 COLUMN_FN = ctypes.CFUNCTYPE(ctypes.c_void_p, ctypes.c_ssize_t)
 
 
 class ForestTable(ctypes.Structure):
-    """``struct forest_table``: a packed forest's sizes and the addresses
-    of its node arrays (``intp``, ``threshold`` float64).  It holds raw
-    pointers, so its owner keeps the arrays alive and is never copied with
-    it."""
+    """``struct forest_table``: a forest's sizes, the first record of each
+    tree (``intp``) and the address of its records (``forest.NODE``).  It
+    holds raw pointers, so its owner keeps the arrays alive and is never
+    copied with it."""
 
     _fields_ = [("n_trees", ctypes.c_ssize_t),
                 ("n_features", ctypes.c_ssize_t),
                 ("n_labels", ctypes.c_ssize_t),
                 ("roots", ctypes.c_void_p),
-                ("feature", ctypes.c_void_p),
-                ("left", ctypes.c_void_p),
-                ("right", ctypes.c_void_p),
-                ("vote", ctypes.c_void_p),
-                ("threshold", ctypes.c_void_p)]
+                ("nodes", ctypes.c_void_p)]
 
 
 def _compile(cmd: list) -> Optional[str]:
@@ -69,27 +70,23 @@ def _compile(cmd: list) -> Optional[str]:
 
 def _load_library() -> ctypes.CDLL:
     """Compile ``_native.c`` once per source and flags, then load it."""
-    tag = hashlib.sha256(SOURCE.read_bytes()
-                         + " ".join(CFLAGS).encode()).hexdigest()
-    cache = SOURCE.parent / "__pycache__"
-    target = cache / f"_native-{tag}.so"
-    if not target.is_file():
-        cache.mkdir(exist_ok=True)
+    if not LIBRARY.is_file():
+        LIBRARY.parent.mkdir(exist_ok=True)
         # Built under a name of its own, then renamed: a process that
         # imports at the same time sees no library or a whole one.
         fd, tmp = tempfile.mkstemp(prefix="_native-", suffix=".tmp",
-                                   dir=cache)
+                                   dir=LIBRARY.parent)
         os.close(fd)
         cmd = ["cc", *CFLAGS, "-o", tmp, str(SOURCE)]
         try:
             error = _compile(cmd)
             if error is not None:
                 raise ImportError(f"{' '.join(cmd)}: {error}")
-            os.replace(tmp, target)
+            os.replace(tmp, LIBRARY)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    lib = ctypes.CDLL(str(target))
+    lib = ctypes.CDLL(str(LIBRARY))
     ptr, f64, i64, size = (ctypes.c_void_p, ctypes.c_double,
                             ctypes.c_longlong, ctypes.c_ssize_t)
     lib.smo_solve.restype = ctypes.c_int
@@ -105,8 +102,7 @@ def _load_library() -> ctypes.CDLL:
     lib.transpose_square.argtypes = [size, ptr]  # n, a
     lib.grow_tree.restype = size
     lib.grow_tree.argtypes = [  # 4 sizes, values .. y, rng, n, boot, nodes
-        size, size, size, size, ptr, ptr, ptr, ptr, ptr, size, ptr,
-        ptr, ptr, ptr, ptr, ptr]
+        size, size, size, size, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr]
     lib.forest_counts.restype = None
     lib.forest_counts.argtypes = [
         ctypes.POINTER(ForestTable), ctypes.c_ssize_t, ptr, ptr]  # x, counts

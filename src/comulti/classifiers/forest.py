@@ -21,24 +21,26 @@ and a sparse one from CSC arrays, by type, and sorts only a node's nonzero
 values, its zeros being one run.  :func:`fit_forest` checks the labels and
 values C trusts.
 
-How a forest predicts.  The fitted trees are packed into one node table
-per forest: ``feature``, ``threshold``, ``left``/``right`` as absolute node
-ids and ``vote``, plus the node id of each tree's root.  A row goes left at
-a node when its value of the node's feature is ``<=`` the threshold, so NaN
-goes right.  One compiled loop (``forest_counts`` in ``_native.c``, built
-by :mod:`._native`) walks every (row, tree) pair of a dense block of rows,
-a single row and a batch alike, and adds each leaf's vote to the row's
-float64 count of that label.  A count is a whole number below 2^53, so it
-is exact, and dividing the counts in place by the number of trees gives the
-bits of int64 counts over the tree count.  The table's C struct, and the
-reference to it that each call passes, are built once per forest.  C makes
-the same float64 ``<=`` as numpy (IEEE 754, NaN included), so it reaches
-the same leaves.  C also trusts the table, so the
-table is checked when a forest is built, from a fit or from a model file:
-every inner node's feature lies in ``[0, n_features)``, both its children
-lie after it and inside its tree, and every leaf's vote names a label.
-Because every step moves to a higher node id in the same tree, each walk
-ends at a leaf after fewer steps than the tree has nodes.
+How a forest predicts.  A forest keeps its trees in one read-only array of
+``NODE`` records, tree after tree, with child ids local to their tree as a
+model document stores them, and the index of each tree's root record.  The
+grower writes the records, ``trees`` slices them and ``to_dict`` writes the
+slices.  A row goes left at a node when its value of the node's feature is
+``<=`` the threshold, so NaN goes right.  One compiled loop
+(``forest_counts`` in ``_native.c``, built by :mod:`._native`) walks every
+(row, tree) pair of a dense block of rows, a single row and a batch alike,
+and adds each leaf's vote to the row's float64 count of that label.  A
+count is a whole number below 2^53, so it is exact, and dividing the
+counts in place by the number of trees gives the bits of int64 counts over
+the tree count.  The table's C struct, and the reference to it that each
+call passes, are built once per forest.  C makes the same float64 ``<=``
+as numpy (IEEE 754, NaN included), so it reaches the same leaves.  C also
+trusts the records, so they are checked when a forest is built, from a fit
+or from a model file: every inner node's feature lies in
+``[0, n_features)``, both its children lie after it and inside its tree,
+and every leaf's vote names a label.  Because every step moves to a higher
+node id in the same tree, each walk ends at a leaf after fewer steps than
+the tree has nodes.
 """
 
 from __future__ import annotations
@@ -56,19 +58,13 @@ from .base import Classifier, ForestSpec
 # sparse input densifies one chunk at a time.
 _CHUNK_CELLS = 10_000_000
 
-
-class _Tree:
-    """One tree's flat node arrays, with node ids local to the tree:
-    feature < 0 marks a leaf voting ``vote``."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "vote")
-
-    def __init__(self, feature, threshold, left, right, vote):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.vote = np.asarray(vote, dtype=np.int32)
+# ``struct node`` in _native.c: 32 bytes, child ids local to the tree.
+NODE = np.dtype([("feature", np.int32), ("vote", np.int32), ("left", np.int64),
+                 ("right", np.int64), ("threshold", np.float64)], align=True)
+# A model document's node arrays, in the order it writes them, with the
+# dtypes it is read in: an id beyond int32 is refused.
+_FIELDS = (("feature", np.int32), ("threshold", np.float64),
+           ("left", np.int32), ("right", np.int32), ("vote", np.int32))
 
 
 def _dense(x) -> np.ndarray:
@@ -79,61 +75,57 @@ def _dense(x) -> np.ndarray:
 
 
 class TrainedForest(Classifier):
-    """A fitted forest.  ``trees`` keeps each tree's own arrays (what
-    ``to_dict`` writes); prediction walks one node table packed from them
-    (see "How a forest predicts" in the module docstring)."""
+    """A fitted forest, built from each tree's ``NODE`` records, which it
+    copies into one read-only array (see "How a forest predicts" in the
+    module docstring)."""
 
     def __init__(self, spec: ForestSpec, space: tuple[str, ...],
-                 trees: list[_Tree], n_features: int):
+                 trees: list[np.ndarray], n_features: int):
         self.spec = spec
         self.space = space
-        self.trees = trees
         self.n_features = n_features
-        if not isinstance(n_features, int) or n_features < 0:
+        if type(n_features) is not int or n_features < 0:  # not bool
             raise DataError(f"forest n_features must be an integer >= 0, "
                             f"got {n_features!r}")
         if not trees:
             raise DataError("forest has no trees")
-        for i, t in enumerate(trees):
-            shape = t.feature.shape
-            if len(shape) != 1 or not shape[0] or any(
-                    a.shape != shape
-                    for a in (t.threshold, t.left, t.right, t.vote)):
-                raise DataError(f"forest tree {i}: node arrays must be "
-                                "non-empty and of one length")
-        sizes = np.array([t.feature.size for t in trees], dtype=np.intp)
-        starts = np.cumsum(sizes) - sizes
-        feature, left, right, vote = (
-            np.concatenate([getattr(t, name) for t in trees]).astype(np.intp)
-            for name in ("feature", "left", "right", "vote"))
-        offset = np.repeat(starts, sizes)
-        left += offset  # child ids become absolute in the table
-        right += offset
-        # C trusts the table: each feature indexes a row, each child lies
+        nodes = np.concatenate(trees, dtype=NODE)
+        sizes = np.array([t.size for t in trees], dtype=np.intp)
+        roots = np.cumsum(sizes) - sizes
+        # C trusts the records: each feature indexes a row, each child lies
         # after its node in the same tree (so every walk ends), and each
         # vote indexes a row of counts.
-        node = np.arange(feature.size)
-        end = offset + np.repeat(sizes, sizes)
+        local = np.arange(nodes.size) - np.repeat(roots, sizes)
+        end = np.repeat(sizes, sizes)
+        feature, left, right, vote = (
+            nodes[name] for name in ("feature", "left", "right", "vote"))
         bad = np.where(
             feature >= 0,
-            (feature >= n_features) | (left <= node) | (left >= end)
-            | (right <= node) | (right >= end),
+            (feature >= n_features) | (left <= local) | (left >= end)
+            | (right <= local) | (right >= end),
             (vote < 0) | (vote >= len(space)))
         if bad.any():
             at = int(np.argmax(bad))
-            i = int(np.searchsorted(starts, at, side="right")) - 1
+            i = int(np.searchsorted(roots, at, side="right")) - 1
             what = ("feature or child out of range" if feature[at] >= 0
                     else f"vote {vote[at]} names no label")
-            raise DataError(f"forest tree {i} node {at - starts[i]}: {what}")
-        self._arrays = (starts, feature, left, right, vote,
-                        np.concatenate([t.threshold for t in trees]))
-        self._table = ForestTable(len(trees), n_features, len(space),
-                                  *(a.ctypes.data for a in self._arrays))
+            raise DataError(f"forest tree {i} node {local[at]}: {what}")
+        for a in (nodes, roots):
+            a.setflags(write=False)
+        self._nodes, self._roots = nodes, roots
+        self._table = ForestTable(sizes.size, n_features, len(space),
+                                  roots.ctypes.data, nodes.ctypes.data)
         # forest_counts' first argument, made once per table.
         self._table_ref = ctypes.byref(self._table)
 
+    @property
+    def trees(self) -> list[np.recarray]:
+        """Each tree's records, read-only, with the arrays ``feature``, ...,
+        ``vote``: ``feature`` < 0 marks a leaf voting ``vote``."""
+        return np.split(self._nodes.view(np.recarray), self._roots[1:])
+
     def __reduce__(self):
-        # A copy packs its own table: this one holds raw addresses.
+        # A copy builds its own table: this one holds raw addresses.
         return TrainedForest, (self.spec, self.space, self.trees,
                                self.n_features)
 
@@ -151,7 +143,7 @@ class TrainedForest(Classifier):
             dense = _dense(x if n <= step else x[lo:lo + step])
             LIB.forest_counts(self._table_ref, dense.shape[0],
                               dense.ctypes.data, out + lo * row_bytes)
-        counts /= len(self.trees)
+        counts /= self._table.n_trees
         return counts
 
     def to_dict(self) -> dict:
@@ -160,24 +152,23 @@ class TrainedForest(Classifier):
             "trees": self.spec.trees,
             "space": list(self.space),
             "n_features": self.n_features,
-            "forest": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "vote": t.vote.tolist(),
-                }
-                for t in self.trees
-            ],
+            "forest": [{name: t[name].tolist() for name, _ in _FIELDS}
+                       for t in self.trees],
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainedForest":
-        trees = [
-            _Tree(t["feature"], t["threshold"], t["left"], t["right"], t["vote"])
-            for t in doc["forest"]
-        ]
+        trees = []
+        for i, t in enumerate(doc["forest"]):
+            arrays = {name: np.asarray(t[name], dtype=dtype)
+                      for name, dtype in _FIELDS}
+            shape = arrays["feature"].shape
+            if len(shape) != 1 or not shape[0] \
+                    or any(a.shape != shape for a in arrays.values()):
+                raise DataError(f"forest tree {i}: node arrays must be "
+                                "non-empty and of one length")
+            trees.append(np.rec.fromarrays(
+                [arrays[name] for name in NODE.names], dtype=NODE))
         return TrainedForest(ForestSpec(trees=doc["trees"]),
                              tuple(doc["space"]), trees, doc["n_features"])
 
@@ -206,17 +197,15 @@ def fit_forest(spec: ForestSpec, x, y: np.ndarray, space: tuple[str, ...],
     data = (n, n_features, max(1, int(np.sqrt(n_features))), len(space),
             values.ctypes.data, *(a if a is None else a.ctypes.data
                                   for a in index), y.ctypes.data)
-    # Room for the largest tree; each tree keeps a copy of its own nodes.
-    out = [np.empty(max(1, 2 * n - 1), dtype=t) for t in
-           (np.int32, np.float64, np.int32, np.int32, np.int32)]
+    # Room for the largest tree, which each tree's records are copied out of.
+    scratch = np.empty(max(1, 2 * n - 1), dtype=NODE)
     trees = []
     for child in np.random.SeedSequence(seed).spawn(spec.trees):
         rng = np.random.default_rng(child)
         boot = rng.integers(0, n, size=n).astype(np.intp, copy=False)
         count = LIB.grow_tree(*data, rng.bit_generator.ctypes.bit_generator,
-                              n, boot.ctypes.data,
-                              *(a.ctypes.data for a in out))
+                              n, boot.ctypes.data, scratch.ctypes.data)
         if count < 0:
             raise MemoryError("no memory to grow a tree")
-        trees.append(_Tree(*(a[:count].copy() for a in out)))
+        trees.append(scratch[:count].copy())
     return TrainedForest(spec, space, trees, n_features)

@@ -50,6 +50,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ..dataset import freeze
 from ..errors import DataError, TrainingError
 from ._native import COLUMN_FN, LIB
 from .base import Classifier, SmoSpec
@@ -361,6 +362,9 @@ class TrainedSmo(Classifier):
         self.platt_b = platt_b
         self.kkt_gaps = kkt_gaps
         self.n_features = sv_x.shape[1]
+        # Read-only, so what predicts is what to_dict writes.
+        for a in (sv_x, *sv_index, *sv_coef, bias, platt_a, platt_b, kkt_gaps):
+            freeze(a)
         # Sparse support vectors are transposed once per model, here, for
         # every later prediction: a fit, from_dict and a copy alike.
         self._sv_t = _Csr(sv_x.T) if sp.issparse(sv_x) else None

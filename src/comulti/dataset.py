@@ -90,7 +90,8 @@ class FeatureSchema:
 Matrix = Union[np.ndarray, sp.csr_matrix]
 
 
-def _freeze(x: Matrix) -> Matrix:
+def freeze(x: Matrix) -> Matrix:
+    """``x``, its arrays made read-only in place."""
     if sp.issparse(x):
         for buf in (x.data, x.indices, x.indptr):
             buf.setflags(write=False)
@@ -133,7 +134,7 @@ class Dataset:
         values = x.data if sp.issparse(x) else x
         if values.size and not np.isfinite(values).all():
             raise DataError("feature matrix contains NaN or infinity")
-        _freeze(x)
+        freeze(x)
         y.setflags(write=False)
 
     @property

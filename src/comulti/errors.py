@@ -4,6 +4,8 @@ The CLI maps these onto exit codes (config 1, data 2, training 3), so
 raising the right subclass matters more than the message wording.
 """
 
+from contextlib import contextmanager
+
 
 class ComultiError(Exception):
     """Base class for all package errors."""
@@ -19,3 +21,16 @@ class DataError(ComultiError):
 
 class TrainingError(ComultiError):
     """A classifier or ensemble could not be fitted."""
+
+
+@contextmanager
+def reading(what: str):
+    """Raise what a malformed ``what`` document makes its reader raise as
+    one line, ``DataError("<what> document: ...")``; a DataError passes."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{what} document: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError, OverflowError,
+            RecursionError, ConfigError) as exc:  # deep JSON recurses
+        raise DataError(f"{what} document: {exc}") from None

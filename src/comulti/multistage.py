@@ -29,7 +29,7 @@ from .classifiers import (
     default_stage_specs,
 )
 from .dataset import ClassStats, Dataset, make_view
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 
 
 @dataclass(frozen=True)
@@ -137,26 +137,32 @@ class MultistageModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "MultistageModel":
+        with reading("multistage model"):
+            return MultistageModel._read(doc)
+
+    @staticmethod
+    def _read(doc: dict) -> "MultistageModel":
+        """``from_dict`` for a reader that names the document itself."""
         stages: list[Classifier] = []
         for item in doc["stages"]:
             if item.get("kind") == "combiner_ref":
                 spec = CombinerSpec(left=item.get("left"),
                                     right=item.get("right"))
-                stages.append(_bind_combiner(spec, stages, DataError))
+                stages.append(_bind_combiner(spec, stages))
             else:
                 stages.append(classifiers.model_from_dict(item))
         return MultistageModel(stages, StageThresholds(tuple(doc["thresholds"])))
 
 
-def _bind_combiner(spec: CombinerSpec, stages: Sequence[Classifier],
-                  error: type) -> TrainedCombiner:
+def _bind_combiner(spec: CombinerSpec,
+                   stages: Sequence[Classifier]) -> TrainedCombiner:
     """The combiner that follows ``stages``, bound to the two of them it
-    references; any other reference raises ``error``."""
+    references; any other reference is a ConfigError."""
     s = len(stages)
     if not all(isinstance(i, int) and 0 <= i < s
                for i in (spec.left, spec.right)):
-        raise error(f"combiner at stage {s + 1} must reference earlier "
-                    f"stages, got {spec.left} and {spec.right}")
+        raise ConfigError(f"combiner at stage {s + 1} must reference earlier "
+                          f"stages, got {spec.left} and {spec.right}")
     return TrainedCombiner(spec, stages[spec.left], stages[spec.right])
 
 
@@ -205,7 +211,7 @@ def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
     stages: list[Classifier] = []
     for s, spec in enumerate(specs):
         if isinstance(spec, CombinerSpec):
-            stages.append(_bind_combiner(spec, stages, ConfigError))
+            stages.append(_bind_combiner(spec, stages))
         else:
             child_seed = int(children[s].generate_state(1)[0])
             stages.append(classifiers.fit(spec, ds, child_seed, shared))
@@ -260,14 +266,9 @@ class TwoLayerModel:
                 and all(k in doc for k in keys)):
             raise DataError(f"not a {cls.KIND} model document: expected kind "
                             f"{cls.KIND!r} with {', '.join(keys)}")
-        try:
-            return cls([MultistageModel.from_dict(doc[k]) for k in keys[:-1]],
+        with reading(f"{cls.KIND} model"):
+            return cls([MultistageModel._read(doc[k]) for k in keys[:-1]],
                        ClassStats.from_dict(doc["stats"]))
-        except KeyError as exc:
-            raise DataError(f"{cls.KIND} model document: missing key "
-                            f"{exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise DataError(f"{cls.KIND} model document: {exc}") from None
 
     @classmethod
     def fit_plan(cls, stats: ClassStats,

@@ -569,7 +569,8 @@ def _one_line_error(capsys, prefix):
 def test_cli_malformed_schema_is_data_error(blobs_csv, tmp_path, capsys):
     for i, text in enumerate(['[{"name": "f0"', "[1, 2]", '{"name": "f0"}',
                               '[{"kind": "numeric"}]',
-                              '[{"name": "f0", "kind": "ordinal"}]']):
+                              '[{"name": "f0", "kind": "ordinal"}]',
+                              "[" * 100_000]):
         schema = tmp_path / f"schema{i}.json"
         schema.write_text(text)
         assert main(["profile", "--dataset", str(blobs_csv),

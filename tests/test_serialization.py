@@ -2,7 +2,9 @@ import copy
 import gc
 import json
 import pickle
+import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from comulti.classifiers import (
 )
 from comulti.cmc import CmcModel, fit_cmc
 from comulti.cmcm import CmcmModel, fit_cmcm
+from comulti.datagen import sparse_topics
 from comulti.dataset import Dataset, FeatureSchema, class_stats
 from comulti.errors import ConfigError, DataError
 from comulti.multistage import MultistageModel, StageThresholds, fit_multistage
@@ -148,11 +151,54 @@ def test_forest_copies_pack_their_own_table():
     gc.collect()
     for again in copies:
         table = again._table
-        own = [a.ctypes.data for a in again._arrays]
-        assert [table.roots, table.feature, table.left, table.right,
-                table.vote, table.threshold] == own
+        assert [table.roots, table.nodes] == [again._roots.ctypes.data,
+                                              again._nodes.ctypes.data]
         assert again._table_ref._obj is table
         assert again.predict_proba_batch(x).tobytes() == want
+
+
+def test_fitted_arrays_are_read_only():
+    """What a model predicts from is what it saves: writing through any
+    array it shows raises, and its document stays as it was."""
+    rng = np.random.default_rng(8)
+    dense = make_dataset(rng.normal(size=(40, 2)), np.arange(40) % 3)
+    forest, smo, sparse_smo = (
+        fit(ForestSpec(trees=3), dense, seed=0),
+        fit(SmoSpec(), dense, seed=0),
+        fit(SmoSpec(degree=2), duplicate_csr_dataset(), seed=0))
+    docs = [json.dumps(model_to_dict(m)) for m in (forest, smo, sparse_smo)]
+    arrays = [getattr(t, name) for t in forest.trees
+              for name in ("feature", "threshold", "left", "right", "vote")]
+    for m in (smo, sparse_smo):
+        arrays += [*m.sv_index, *m.sv_coef, m.bias, m.platt_a, m.platt_b,
+                   m.kkt_gaps]
+    arrays += [smo.sv_x, sparse_smo.sv_x.data, sparse_smo.sv_x.indices,
+               sparse_smo.sv_x.indptr]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        forest.trees[0].threshold = 0.5
+    assert [json.dumps(model_to_dict(m))
+            for m in (forest, smo, sparse_smo)] == docs
+
+
+def test_forest_keeps_one_32_byte_record_per_node():
+    """A 100-tree forest on the full sparse_topics keeps its nodes once:
+    with the tree list and table, at most 40 bytes per node stay
+    allocated after the fit."""
+    ds = sparse_topics(seed=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = fit(ForestSpec(trees=100), ds, seed=0)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nodes = sum(t.feature.size for t in model.trees)
+    assert kept <= 40 * nodes, kept / nodes
 
 
 def test_smo_round_trip_bit_exact(tmp_path, separable_clusters):
@@ -529,6 +575,89 @@ def test_malformed_two_layer_document_is_one_data_error(fitted, breaker):
     with pytest.raises(DataError, match=f"^{model.KIND} model document: "
                                         r"[^\n]+$"):
         type(model).from_dict(doc)
+
+
+def _edit(what, edit):
+    """A breaker that applies ``edit`` to the fitted ``what`` document and
+    returns that document."""
+    def make(docs):
+        edit(docs[what])
+        return docs[what]
+    return make
+
+
+# Payloads no reader may take, each built from the fitted documents, with
+# the reader it is aimed at and the message that reader gives.
+BREAK_DOCUMENT = {
+    "multistage-threshold": (
+        "multistage", r"^multistage model document: threshold 1.5 outside",
+        _edit("multistage", lambda d: d["thresholds"].__setitem__(0, 1.5))),
+    "multistage-2-thresholds": (
+        "multistage", r"^multistage model document: 3 stages but 2 thresh",
+        _edit("multistage", lambda d: d["thresholds"].pop())),
+    "multistage-empty": (
+        "multistage", r"^multistage model document: missing key 'stages'$",
+        lambda docs: {}),
+    "multistage-int-stage": (
+        "multistage", r"^multistage model document: ",
+        _edit("multistage", lambda d: d["stages"].__setitem__(0, 7))),
+    "cmc-threshold": (
+        "cmc", r"^cmc model document: threshold 1.5 outside",
+        _edit("cmc", lambda d: d["multi"]["thresholds"].__setitem__(2, 1.5))),
+    "cmc-2-thresholds": (
+        "cmc", r"^cmc model document: 3 stages but 2 thresholds$",
+        _edit("cmc", lambda d: d["binary"]["thresholds"].pop())),
+    "cmcm-threshold": (
+        "cmcm", r"^cmcm model document: threshold 1.5 outside",
+        _edit("cmcm", lambda d: d["m2"]["thresholds"].__setitem__(1, 1.5))),
+    "forest-bool-n-features": (
+        "model", r"n_features must be an integer >= 0, got True",
+        _edit("forest", lambda d: d.__setitem__("n_features", True))),
+    "list": ("file", r"^model document: ", lambda docs: []),
+    "not-json": ("file", r"\.json: model document: Expecting",
+                 lambda docs: b"{"),
+    "not-utf8": ("file", r"not valid UTF-8",
+                 lambda docs: b'{"kind": "\xff"}'),
+    "deep-json": ("file", r"\.json: model document: maximum recursion",
+                  lambda docs: b"[" * 100_000),
+}
+
+
+def _read_file(payload, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(payload if isinstance(payload, bytes)
+                     else json.dumps(payload).encode())
+    return load_model(path)
+
+
+READERS = {
+    "model": lambda payload, tmp_path: model_from_dict(payload),
+    "file": _read_file,
+    "multistage": lambda payload, tmp_path: MultistageModel.from_dict(payload),
+    "cmc": lambda payload, tmp_path: CmcModel.from_dict(payload),
+    "cmcm": lambda payload, tmp_path: CmcmModel.from_dict(payload),
+}
+
+
+@pytest.fixture(scope="module")
+def fitted_documents():
+    cmc_doc = _fitted_cmc()[0].to_dict()
+    return json.dumps({"forest": model_to_dict(_noisy_forest()),
+                       "multistage": cmc_doc["binary"], "cmc": cmc_doc,
+                       "cmcm": _fitted_cmcm()[0].to_dict()})
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("breaker", sorted(BREAK_DOCUMENT))
+def test_malformed_document_is_one_data_error_from_every_reader(
+        breaker, reader, fitted_documents, tmp_path):
+    target, message, make = BREAK_DOCUMENT[breaker]
+    payload = make(json.loads(fitted_documents))
+    with pytest.raises(DataError) as raised:
+        READERS[reader](payload, tmp_path)
+    assert "\n" not in str(raised.value)
+    if reader == target:
+        assert re.search(message, str(raised.value)), raised.value
 
 
 # ---------------------------------------------------------------------------
