@@ -1,7 +1,10 @@
 /* The compiled loops of comulti.classifiers: the SMO working-pair loop of
  * smo.solve_binary, the sparse kernel product of smo._poly_kernel and the
  * in-place transpose that lays out a full Gram matrix, the tree grower of
- * forest.fit_forest and the walk of forest.TrainedForest.predict_proba_batch.
+ * forest.fit_forest, the walk of forest.TrainedForest.predict_proba_batch,
+ * and the pass that checks a CSR matrix's arrays, and may densify it, before
+ * any other loop or scipy reads them (_native.Csr).  New functions go at
+ * the end, so that those above keep their addresses.
  *
  * Plain C with no Python API: _native.py compiles this file at import and
  * calls it through ctypes, which releases the GIL for each call.  The
@@ -557,4 +560,32 @@ done:
     free(e);
     free(stack);
     return n_nodes;
+}
+
+/* ---------------------------------------------------------------------
+ * CSR input.  Check the CSR arrays of an n_rows x n_cols matrix with nnz
+ * stored entries: n_rows + 1 row pointers starting at 0, never
+ * decreasing and ending at most at nnz, and every index of the nnz
+ * entries a column.  Returns 0 when they hold; then, if dense is not NULL,
+ * adds each entry into dense (n_rows x n_cols row-major doubles, zeroed by
+ * the caller) in stored order, as scipy's csr_todense does, so repeated
+ * columns sum as there.  Returns -1, writing nothing, when they do not.
+ */
+int csr_dense(ptrdiff_t n_rows, ptrdiff_t n_cols, ptrdiff_t nnz,
+              const ptrdiff_t *indptr, const ptrdiff_t *indices,
+              const double *data, double *dense)
+{
+    if (indptr[0] != 0 || indptr[n_rows] > nnz)
+        return -1;
+    for (ptrdiff_t r = 0; r < n_rows; r++)
+        if (indptr[r + 1] < indptr[r])
+            return -1;
+    for (ptrdiff_t p = 0; p < nnz; p++)
+        if (indices[p] < 0 || indices[p] >= n_cols)
+            return -1;
+    if (dense)
+        for (ptrdiff_t r = 0; r < n_rows; r++)
+            for (ptrdiff_t p = indptr[r]; p < indptr[r + 1]; p++)
+                dense[r * n_cols + indices[p]] += data[p];
+    return 0;
 }

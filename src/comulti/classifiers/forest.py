@@ -40,7 +40,10 @@ or from a model file: every inner node's feature lies in
 ``[0, n_features)``, both its children lie after it and inside its tree,
 and every leaf's vote names a label.  Because every step moves to a higher
 node id in the same tree, each walk ends at a leaf after fewer steps than
-the tree has nodes.
+the tree has nodes.  A sparse batch is converted to CSR once and densified
+a chunk of rows at a time by ``csr_dense``, which checks the chunk's arrays
+first (a malformed CSR is a ``ValueError``) and adds the stored values as
+scipy's ``toarray`` does.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DataError
-from ._native import LIB, ForestTable
+from ._native import LIB, Csr, ForestTable, address
 from .base import Classifier, ForestSpec
 
 # A batch is predicted in chunks of at most this many dense cells, so a
@@ -67,11 +70,16 @@ _FIELDS = (("feature", np.int32), ("threshold", np.float64),
            ("left", np.int32), ("right", np.int32), ("vote", np.int32))
 
 
-def _dense(x) -> np.ndarray:
-    """``x`` as a C-contiguous float64 array."""
-    if sp.issparse(x):
-        x = x.toarray()
-    return np.ascontiguousarray(x, dtype=np.float64)
+def _dense(x) -> tuple[np.ndarray, int]:
+    """``x`` as a C-contiguous float64 array, and its address; a sparse
+    ``x`` is CSR, checked and densified in one compiled pass (``Csr``)."""
+    if not sp.issparse(x):
+        dense = np.ascontiguousarray(x, dtype=np.float64)
+        return dense, address(dense)
+    dense = np.zeros(x.shape)
+    at = address(dense)
+    Csr(x, at)
+    return dense, at
 
 
 class TrainedForest(Classifier):
@@ -134,15 +142,19 @@ class TrainedForest(Classifier):
             raise DataError(f"input has {x.shape[1]} features, model expects "
                             f"{self.n_features}")
         n = x.shape[0]
-        counts = np.zeros((n, self.n_labels))
-        out, row_bytes = counts.ctypes.data, counts.strides[0]
         step = max(1, _CHUNK_CELLS // max(1, self.n_features))
+        if sp.issparse(x):  # CSR, whose rows can be sliced
+            x = x.tocsr()
+            if n > step:  # scipy's slicing trusts the arrays too
+                Csr(x)
+        counts = np.zeros((n, self.n_labels))
+        out, row_bytes = address(counts), counts.strides[0]
         for lo in range(0, n, step):
             # An input of one chunk is not sliced: slicing a one-row CSR
             # matrix costs more than walking it.
-            dense = _dense(x if n <= step else x[lo:lo + step])
-            LIB.forest_counts(self._table_ref, dense.shape[0],
-                              dense.ctypes.data, out + lo * row_bytes)
+            dense, at = _dense(x if n <= step else x[lo:lo + step])
+            LIB.forest_counts(self._table_ref, dense.shape[0], at,
+                              out + lo * row_bytes)
         counts /= self._table.n_trees
         return counts
 

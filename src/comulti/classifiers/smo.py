@@ -13,11 +13,11 @@ once, in Fortran order, so the kernel column each SMO step reads is
 contiguous: the product is written row by row and transposed in place, so
 the build holds one Gram-size array.  Larger problems compute columns on
 demand.  Fits of several label views of one training matrix share one
-kernel and every binary problem solved on it (the ``shared`` argument of
-:func:`fit_smo`): the Gram matrix is built on the first problem any view
-has to solve and lives until the caller drops ``shared``, and a
-one-vs-rest problem that two views pose is solved and calibrated once, its
-iteration-cap warning, if any, raised once.
+``_Kernel``, which keeps every binary problem solved on it (the ``shared``
+argument of :func:`fit_smo`): the first view's fit builds the Gram matrix,
+which lives until the caller drops ``shared``, and a one-vs-rest problem
+that two views pose is solved and calibrated once, its iteration-cap
+warning, if any, raised once.
 
 The solver's iterations run in C, and so does the kernel product of two
 sparse matrices: the loop of :func:`solve_binary` and ``sparse_product``
@@ -28,7 +28,9 @@ skips rows that are not violators, and one pass that updates the gradient
 and takes the next iteration's first index and gap.  The product is
 scipy's own loop, so a sparse kernel has the bits of
 ``(a @ b.T).toarray()``; a fitted model transposes sparse support vectors
-once, not on every prediction.
+once, not on every prediction.  Every sparse left operand, also one
+multiplied by scipy against dense support vectors, is checked in C first
+(``Csr``), so a malformed CSR batch is a ``ValueError``.
 
 How a model predicts, for one row as for a batch.  The kernel of the rows
 against every support vector is computed once.  Each label's scores are
@@ -52,7 +54,7 @@ import scipy.sparse as sp
 
 from ..dataset import freeze
 from ..errors import DataError, TrainingError
-from ._native import COLUMN_FN, LIB
+from ._native import COLUMN_FN, LIB, Csr, address
 from .base import Classifier, SmoSpec
 
 _CAP = 2  # smo_solve's status after max_iter iterations (SMO_CAP)
@@ -70,59 +72,32 @@ _FULL_GRAM_ROWS = 6000
 _COLUMN_CACHE = 1024
 
 
-class _Csr:
-    """A sparse matrix's CSR arrays as ``sparse_product`` reads them: intp
-    ``indptr`` and ``indices``, float64 ``data``.  C trusts them, so they
-    are checked here: each row's entries lie inside the arrays and each
-    index is a column."""
-
-    __slots__ = ("shape", "indptr", "indices", "data")
-
-    def __init__(self, m):
-        m = m.tocsr()
-        self.shape = m.shape
-        self.indptr = np.asarray(m.indptr, dtype=np.intp)
-        self.indices = np.asarray(m.indices, dtype=np.intp)
-        self.data = np.asarray(m.data, dtype=np.float64)
-        ptr, idx = self.indptr, self.indices
-        if ptr.shape != (m.shape[0] + 1,) or ptr[0] != 0 \
-                or (ptr[1:] < ptr[:-1]).any() \
-                or ptr[-1] > min(idx.size, self.data.size) or (idx.size and (
-                    idx.min() < 0 or idx.max() >= m.shape[1])):
-            raise ValueError("malformed CSR matrix: indptr or indices out "
-                             "of range")
-
-
-def _sparse_product(a: _Csr, bt: _Csr) -> np.ndarray:
-    """``a @ bt.T`` as a dense array, summed as scipy sums it (see
-    ``sparse_product`` in ``_native.c``)."""
-    if a.shape[1] != bt.shape[0]:
-        raise ValueError(f"kernel of {a.shape[1]}-column rows with "
-                         f"{bt.shape[0]}-column rows")
-    out = np.zeros((a.shape[0], bt.shape[1]))
-    LIB.sparse_product(a.shape[0], bt.shape[1], a.indptr.ctypes.data,
-                       a.indices.ctypes.data, a.data.ctypes.data,
-                       bt.indptr.ctypes.data, bt.indices.ctypes.data,
-                       bt.data.ctypes.data, out.ctypes.data)
-    return out
-
-
-def _poly_kernel(a, b, degree: int,
-                 b_t: Optional[_Csr] = None) -> np.ndarray:
+def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
     """(a . b + 1)^degree as a dense array of its own; absent sparse entries
     are 0.
 
-    Two sparse operands multiply in C, in float64, bit for bit as scipy's
-    ``(a @ b.T).toarray()`` of the CSR form of ``a`` (scipy multiplies a
-    CSC ``a`` in another order); a sparse ``a`` may come prepared once by
-    the caller as a ``_Csr``, and ``b_t`` is ``b.T`` prepared so, or None.
-    Dense and mixed operands multiply as ``a @ b.T``.  The ``+ 1`` and the
-    power are applied in place on the fresh product.
+    A sparse ``a`` is checked as a ``Csr`` whatever ``b`` is, since C and
+    scipy both read where its arrays point.  Two sparse operands multiply
+    in C, in float64, bit for bit as scipy's ``(a @ b.T).toarray()`` of the
+    CSR form of ``a`` (scipy multiplies a CSC ``a`` in another order); a
+    sparse ``a`` may come prepared once by the caller as a ``Csr``, and
+    ``b_t`` is ``b.T`` prepared so, or None.  Dense and mixed operands
+    multiply as ``a @ b.T``.  The ``+ 1`` and the power are applied in place
+    on the fresh product.
     """
     if sp.issparse(a) and sp.issparse(b):
-        a = _Csr(a)
-    if isinstance(a, _Csr):
-        prod = _sparse_product(a, _Csr(b.T) if b_t is None else b_t)
+        a = Csr(a)
+    elif sp.issparse(a):
+        Csr(a)  # the check alone: scipy's product reads the arrays too
+    if isinstance(a, Csr):
+        bt = Csr(b.T) if b_t is None else b_t
+        if a.shape[1] != bt.shape[0]:
+            raise ValueError(f"kernel of {a.shape[1]}-column rows with "
+                             f"{bt.shape[0]}-column rows")
+        # sparse_product in _native.c, summed as scipy sums.
+        prod = np.zeros((a.shape[0], bt.shape[1]))
+        LIB.sparse_product(a.shape[0], bt.shape[1], *a.at, *bt.at,
+                           address(prod))
     else:
         prod = np.asarray(a @ b.T, dtype=np.float64)
     prod += 1.0
@@ -133,7 +108,11 @@ def _poly_kernel(a, b, degree: int,
 
 class _Kernel:
     """Kernel columns over one training matrix, precomputed or cached, all
-    by :func:`_poly_kernel` (in C for a sparse matrix).
+    by :func:`_poly_kernel` (in C for a sparse matrix), and the binary
+    problems solved on them: ``solved`` maps ``(c, tol, max_iter,
+    y_bin.tobytes())`` to ``(alpha, bias, gap, platt)``.  It holds the
+    matrix itself, so the matrix's id, its key in a ``shared`` dict, cannot
+    be reused while it lives.
 
     A full Gram matrix is stored in Fortran order, so the column the solver
     reads for a row is contiguous memory.  A sparse Gram is not always
@@ -144,8 +123,9 @@ class _Kernel:
 
     def __init__(self, x, degree: int):
         self.x = x
+        self.solved: dict = {}
         # The left operand of every column and block, prepared once.
-        self._a = _Csr(x) if sp.issparse(x) else x
+        self._a = Csr(x) if sp.issparse(x) else x
         self.degree = degree
         self.n = x.shape[0]
         # Overflow is reported below as one error, not as numpy warnings.
@@ -367,7 +347,7 @@ class TrainedSmo(Classifier):
             freeze(a)
         # Sparse support vectors are transposed once per model, here, for
         # every later prediction: a fit, from_dict and a copy alike.
-        self._sv_t = _Csr(sv_x.T) if sp.issparse(sv_x) else None
+        self._sv_t = Csr(sv_x.T) if sp.issparse(sv_x) else None
 
     def __reduce__(self):
         # A copy prepares its own transpose.
@@ -485,11 +465,11 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     the argument is accepted for interface parity with other classifiers.
 
     ``shared`` is a dict owned by a caller that fits several label views of
-    one training matrix.  It keeps, per (matrix, degree), every binary
-    problem solved so far and the kernel, so a one-vs-rest problem that
-    recurs in another view is solved (and calibrated) once, and the kernel
-    is built once, on the first problem any view has to solve.  Both live
-    as long as the dict: a two-layer fit drops it when it returns, so the
+    one training matrix.  It keeps one ``_Kernel`` per (matrix, degree),
+    built by the first view's fit, with every binary problem solved on it,
+    so the Gram matrix is built once and a one-vs-rest problem that recurs
+    in another view is solved (and calibrated) once.  The kernel lives as
+    long as the dict: a two-layer fit drops it when it returns, so the
     fitted model holds no Gram matrix.  Without ``shared`` the kernel lives
     for this fit only.
     """
@@ -497,7 +477,11 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     n_classes = len(space)
     if n_classes < 2:
         raise TrainingError("margin classifier needs at least 2 labels")
-    problems = _problems_for(x, spec.degree, shared)
+    kernel = None if shared is None else shared.get((id(x), spec.degree))
+    if kernel is None:
+        kernel = _Kernel(x, spec.degree)
+        if shared is not None:
+            shared[id(x), spec.degree] = kernel
     n = x.shape[0]
     alphas = np.zeros((n_classes, n))
     bias = np.zeros(n_classes)
@@ -507,9 +491,8 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     for cls in range(n_classes):
         y_bin = np.where(y == cls, 1.0, -1.0)
         key = (spec.c, spec.tol, spec.max_iter, y_bin.tobytes())
-        solved = problems.solved.get(key)
+        solved = kernel.solved.get(key)
         if solved is None:
-            kernel = problems.kernel()
             alpha, b, gap, _ = solve_binary(kernel, y_bin, spec.c, spec.tol,
                                             spec.max_iter)
             sv = np.nonzero(alpha > 1e-12)[0]
@@ -519,8 +502,7 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
                 raise TrainingError(
                     f"SMO stage: the problem for label {space[cls]!r} has a "
                     "non-finite bias, KKT gap or Platt fit")
-            solved = (alpha, b, gap, platt)
-            problems.solved[key] = solved
+            solved = kernel.solved[key] = (alpha, b, gap, platt)
         alphas[cls], bias[cls], gaps[cls], platt = solved
         platt_a[cls], platt_b[cls] = platt
 
@@ -536,31 +518,3 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
         sv_coef.append(alphas[cls][keep] * np.where(y[keep] == cls, 1.0, -1.0))
     return TrainedSmo(spec, space, sv_x, sv_index, sv_coef, bias,
                       platt_a, platt_b, gaps)
-
-
-class _Problems:
-    """The binary problems solved on one training matrix at one degree, and
-    its kernel, built when first asked for.  It holds the matrix itself, so
-    the matrix's id, its key in a ``shared`` dict, cannot be reused while
-    it lives."""
-
-    __slots__ = ("x", "degree", "solved", "_kernel")
-
-    def __init__(self, x, degree: int):
-        self.x = x
-        self.degree = degree
-        self.solved: dict = {}
-        self._kernel: Optional[_Kernel] = None
-
-    def kernel(self) -> _Kernel:
-        if self._kernel is None:
-            self._kernel = _Kernel(self.x, self.degree)
-        return self._kernel
-
-
-def _problems_for(x, degree: int, shared: Optional[dict]) -> _Problems:
-    """The problems of (``x``, ``degree``): kept in ``shared`` for later
-    views, or for this fit alone when ``shared`` is None."""
-    if shared is None:
-        return _Problems(x, degree)
-    return shared.setdefault((id(x), degree), _Problems(x, degree))

@@ -279,9 +279,9 @@ class TwoLayerModel:
         its :func:`fit_multistage` call: the 3-stage recipe by default,
         thresholds by layer name (1.0 if absent), a seed spawned from
         ``seed``, and one ``shared`` dict, so the layers' SMO stages build
-        one Gram matrix and solve each problem once.  The dict lives as
-        long as the plan: a caller that drops the plan when its fit
-        returns frees the Gram matrix with it."""
+        one kernel per degree and solve each problem on it once.  The dict
+        lives as long as the plan: a caller that drops the plan when its
+        fit returns frees the Gram matrices with it."""
         cls.check_stats(stats)
         specs = list(specs) if specs is not None else default_stage_specs()
         thresholds = dict(thresholds or {})

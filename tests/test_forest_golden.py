@@ -355,6 +355,23 @@ def test_walk_matches_level_reference_in_chunks(monkeypatch):
         assert chunks == [4, 4, 4, 3] + [1] * 15
 
 
+@pytest.mark.parametrize("fmt", ["coo", "csc"])
+def test_other_sparse_formats_walk_as_csr_in_chunks(monkeypatch, fmt):
+    # A batch of another sparse format is converted to CSR once, before it
+    # is cut into chunks, so a COO batch, which has no rows to slice, is
+    # walked too.
+    x, y = _random_case(5)
+    model = forest_mod.fit_forest(ForestSpec(trees=4), x, y,
+                                  tuple(f"c{i}" for i in range(int(y.max())
+                                                                + 1)), 5)
+    monkeypatch.setattr(forest_mod, "_CHUNK_CELLS", 4 * x.shape[1])
+    rng = np.random.default_rng(2)
+    csr = _unsorted_csr(_edge_values(model, x[:15], rng), rng)
+    _check_walk(model, csr)  # in 4 chunks
+    assert model.predict_proba_batch(csr.asformat(fmt)).tobytes() \
+        == model.predict_proba_batch(csr).tobytes()
+
+
 CSR_LAYOUTS = ["unsorted", "duplicates", "zeros", "non_finite", "empty_rows"]
 
 

@@ -21,10 +21,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from comulti.classifiers import SmoSpec, fit
+from comulti.classifiers import ForestSpec, SmoSpec, default_stage_specs, fit
+from comulti.classifiers import forest as forest_mod
 from comulti.classifiers import smo as smo_mod
+from comulti.cmc import fit_cmc
+from comulti.cmcm import fit_cmcm
 from comulti.datagen import MULTISKEW_SIZES, gaussian_blobs, sparse_topics
-from comulti.dataset import Dataset, FeatureSchema
+from comulti.dataset import Dataset, FeatureSchema, class_stats
 
 LAYOUTS = ["sorted", "unsorted", "duplicates", "zeros"]
 
@@ -342,6 +345,66 @@ def test_malformed_csr_is_value_error(breaker):
         a.indptr[1:] = a.nnz + 1
     with pytest.raises(ValueError, match="malformed CSR"):
         smo_mod._poly_kernel(a, b, 2)
+
+
+def _broken(x, breaker):
+    """A copy of the CSR matrix ``x``, whose first row stores its first
+    column, broken as in ``test_malformed_csr_is_value_error``; in a
+    one-row matrix ``indptr_down`` points below the row's start."""
+    x = x.copy()
+    if breaker == "index_high":
+        x.indices[0] = x.shape[1]
+    elif breaker == "index_negative":
+        x.indices[0] = -1
+    elif breaker == "indptr_down":
+        x.indptr[1] = x.indptr[2] + 1 if x.shape[0] > 1 else -1
+    else:
+        x.indptr[1:] = x.nnz + 1
+    return x
+
+
+@pytest.fixture(scope="module")
+def dense_fitted():
+    """A forest, an SMO model, a cmc and a cmcm model fitted on dense rows
+    of 5 features, so SMO multiplies a sparse batch by scipy's product."""
+    single = gaussian_blobs((70, 20, 15, 12), seed=3)
+    multi = gaussian_blobs((45, 40, 12, 10, 8), seed=4)
+    specs = default_stage_specs(ForestSpec(trees=2))
+    return {"forest": fit(ForestSpec(trees=2), multi, 0),
+            "smo": fit(SmoSpec(degree=2), multi, 0),
+            "cmc": fit_cmc(single, class_stats(single), seed=0, specs=specs),
+            "cmcm": fit_cmcm(multi, class_stats(multi), seed=0, specs=specs)}
+
+
+BREAKERS = ["index_high", "index_negative", "indptr_down", "indptr_past_end"]
+
+
+@pytest.mark.parametrize("model,method", [
+    ("forest", "predict_proba_batch"), ("smo", "predict_proba_batch"),
+    ("cmc", "predict_batch"), ("cmc", "predict"),
+    ("cmcm", "predict_batch"), ("cmcm", "predict")])
+@pytest.mark.parametrize("breaker", BREAKERS)
+def test_malformed_csr_is_value_error_from_every_reader(dense_fitted, model,
+                                                        method, breaker):
+    # Every stored entry of a 6 x 5 batch; predict takes its first row.  A
+    # forest densifies the rows, and scipy multiplies them by a dense SMO
+    # model's support vectors: both read where indptr and indices point.
+    x = sp.csr_matrix(np.random.default_rng(8).normal(size=(6, 5)))
+    if method == "predict":
+        x = x[:1]
+    with pytest.raises(ValueError, match="malformed CSR"):
+        getattr(dense_fitted[model], method)(_broken(x, breaker))
+
+
+@pytest.mark.parametrize("breaker", BREAKERS)
+def test_malformed_csr_in_chunks_is_value_error(monkeypatch, dense_fitted,
+                                                breaker):
+    # scipy's row slicing reads where indptr points and drops the entries
+    # of other columns, so a batch of several chunks is checked whole.
+    monkeypatch.setattr(forest_mod, "_CHUNK_CELLS", 2 * 5)
+    x = sp.csr_matrix(np.random.default_rng(8).normal(size=(6, 5)))
+    with pytest.raises(ValueError, match="malformed CSR"):
+        dense_fitted["forest"].predict_proba_batch(_broken(x, breaker))
 
 
 def test_kernel_of_rows_of_other_widths_is_value_error():

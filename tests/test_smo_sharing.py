@@ -121,8 +121,8 @@ def test_one_solve_per_distinct_problem(monkeypatch, model, make, kinds):
     assert len({id(args[1]) for args in fits}) == 1  # one training matrix
 
 
-@pytest.mark.parametrize("model,make,kinds", CASES)
-def test_fitted_model_holds_no_gram(monkeypatch, model, make, kinds):
+def _weak_kernels(monkeypatch) -> list:
+    """Weak references to every ``_Kernel`` built from now on."""
     built = []
     original = smo_mod._Kernel
 
@@ -132,11 +132,66 @@ def test_fitted_model_holds_no_gram(monkeypatch, model, make, kinds):
         return made
 
     monkeypatch.setattr(smo_mod, "_Kernel", kernel)
+    return built
+
+
+def _unshared_doc(monkeypatch, model, ds, specs) -> str:
+    """The model document of a fit whose layers share no kernel."""
+    module = cmc_mod if model == "cmc" else cmcm_mod
+    original = module.fit_multistage
+
+    def unshared(specs, thresholds, ds, seed, shared=None):
+        return original(specs, thresholds, ds, seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "fit_multistage", unshared)
+        return json.dumps(_fit(model, ds, specs).to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("model,make,kinds", CASES)
+def test_fitted_model_holds_no_gram(monkeypatch, model, make, kinds):
+    built = _weak_kernels(monkeypatch)
     fitted = _fit(model, make(), _specs())
     assert len(built) == 1
     # Freed when the fit returned, without a garbage collection.
     assert built[0]() is None
     assert fitted.to_dict()["kind"] == model
+
+
+TWO_SMO_STAGES = {
+    # One kernel, on which each problem is solved once per c.
+    "two_c": [ForestSpec(trees=2), SmoSpec(c=1.0), SmoSpec(c=0.5),
+              CombinerSpec(left=1, right=2)],
+    # One kernel per degree.
+    "two_degrees": [ForestSpec(trees=2), SmoSpec(degree=1),
+                    SmoSpec(degree=2), CombinerSpec(left=1, right=2)],
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(TWO_SMO_STAGES))
+@pytest.mark.parametrize("model,make,kinds", CASES)
+def test_two_smo_stages_share_one_kernel_per_degree(monkeypatch, model, make,
+                                                    kinds, recipe):
+    specs = TWO_SMO_STAGES[recipe]
+    smo_specs = [s for s in specs if isinstance(s, SmoSpec)]
+    ds = make()
+    built = _weak_kernels(monkeypatch)
+    solved = []  # (degree, c, problem) of each solve; holds no kernel
+    solve = smo_mod.solve_binary
+
+    def counting_solve(kernel, y, c, tol, max_iter):
+        solved.append((kernel.degree, c, y.tobytes()))
+        return solve(kernel, y, c, tol, max_iter)
+
+    monkeypatch.setattr(smo_mod, "solve_binary", counting_solve)
+    doc = json.dumps(_fit(model, ds, specs).to_dict(), sort_keys=True)
+    assert len(built) == len({s.degree for s in smo_specs})
+    assert all(ref() is None for ref in built)  # freed when the fit returned
+    problems = _distinct_problems(ds, kinds)
+    assert len(solved) == len(set(solved)) == len(smo_specs) * len(problems)
+    assert set(solved) == {(s.degree, s.c, p)
+                           for s in smo_specs for p in problems}
+    assert doc == _unshared_doc(monkeypatch, model, ds, specs)
 
 
 @pytest.mark.parametrize("model,make,kinds", CASES)
