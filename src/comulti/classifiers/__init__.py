@@ -15,7 +15,6 @@ from .base import (
     CombinerSpec,
     ForestSpec,
     SmoSpec,
-    TrainedCombiner,
     combine_rows,
 )
 from .forest import TrainedForest, fit_forest
@@ -27,7 +26,6 @@ __all__ = [
     "CombinerSpec",
     "ForestSpec",
     "SmoSpec",
-    "TrainedCombiner",
     "TrainedForest",
     "TrainedSmo",
     "combine_rows",
@@ -78,9 +76,6 @@ def model_to_dict(model: Classifier) -> dict:
     """A forest or margin classifier as JSON.  A combiner has no form of
     its own: its multistage model saves it as a reference to two stages."""
     name = type(model).__name__
-    if isinstance(model, TrainedCombiner):
-        raise DataError(f"cannot serialize {name} on its own; a combiner is "
-                        "saved with its multistage model")
     if not isinstance(model, (TrainedForest, TrainedSmo)):
         raise DataError(f"model_to_dict saves a forest or a margin "
                         f"classifier, not a {name}"
@@ -103,12 +98,6 @@ def model_from_dict(doc: dict) -> Classifier:
             return TrainedForest.from_dict(doc)
         if kind == "smo_margin":
             return TrainedSmo.from_dict(doc)
-        if kind == "max_confidence_pair":  # standalone combiners in older files
-            return TrainedCombiner(
-                CombinerSpec(left=doc["left"], right=doc["right"]),
-                model_from_dict(doc["a"]),
-                model_from_dict(doc["b"]),
-            )
     raise DataError(f"unknown model kind {kind!r}")
 
 

@@ -82,12 +82,13 @@ class Csr:
     checks them first: the row pointers start at 0, never decrease and end
     within the stored entries, and every index is a column.  Given
     ``dense``, the address of a zeroed C-order float64 array of the
-    matrix's shape, the same pass adds the stored values into it."""
+    matrix's shape, the same pass adds the stored values into it.  A
+    matrix of another format is converted by :func:`as_csr`."""
 
     __slots__ = ("shape", "index", "data", "at")
 
     def __init__(self, m, dense: Optional[int] = None):
-        m = m.tocsr()
+        m = as_csr(m)
         n_rows, n_cols = self.shape = m.shape
         ptr = m.indptr
         self.index = np.concatenate((ptr, m.indices), dtype=np.intp)
@@ -100,6 +101,27 @@ class Csr:
                 or LIB.csr_dense(n_rows, n_cols, nnz, *self.at, dense):
             raise ValueError("malformed CSR matrix: indptr or indices out "
                              "of range")
+
+
+def as_csr(m):
+    """A sparse matrix in CSR.  scipy's conversions trust the arrays they
+    read, so a CSC or COO matrix is checked first (a ``ValueError``): a CSC
+    matrix's arrays are the CSR arrays of its transpose, checked as a
+    ``Csr``, and a COO matrix's row and column indices must lie within its
+    shape.  A CSR matrix is returned as it is, for ``Csr`` to check; other
+    formats are converted unchecked."""
+    if m.format == "csc":
+        try:
+            Csr(m.T)
+        except ValueError:
+            raise ValueError("malformed CSC matrix: indptr or indices out "
+                             "of range") from None
+    elif m.format == "coo":
+        for index, size in zip((m.row, m.col), m.shape):
+            if index.size and not 0 <= index.min() <= index.max() < size:
+                raise ValueError("malformed COO matrix: row or col out of "
+                                 "range")
+    return m.tocsr()
 
 
 def _compile(cmd: list) -> Optional[str]:

@@ -1,4 +1,6 @@
-"""Shared classifier plumbing: specs, the batch classifier base, combiner.
+"""Shared classifier plumbing: specs, the batch classifier base and
+:func:`combine_rows`, the rule of a combiner stage.  A combiner has nothing
+fitted, so a multistage model keeps its ``CombinerSpec`` as the stage.
 
 Every trained model predicts over a fixed label space (the tuple of view
 label names it was fitted on) and must be deterministic after training.
@@ -55,7 +57,8 @@ class SmoSpec:
 @dataclass(frozen=True)
 class CombinerSpec:
     """Max-confidence pair combiner over two earlier multistage stages
-    (0-based stage indices); trainable only inside a multistage fit."""
+    (0-based stage indices); a stage of a multistage model, never fitted
+    on its own."""
 
     left: int = 0
     right: int = 1
@@ -86,22 +89,6 @@ class Classifier:
     def predict_batch(self, x) -> np.ndarray:
         """Argmax labels for a batch; ties break toward the lowest id."""
         return np.argmax(self.predict_proba_batch(x), axis=1)
-
-
-class TrainedCombiner(Classifier):
-    """Pair combiner bound to two already-trained stage models."""
-
-    def __init__(self, spec: CombinerSpec, a: Classifier, b: Classifier):
-        if a.space != b.space:
-            raise DataError(f"label space mismatch: {a.space} vs {b.space}")
-        self.spec = spec
-        self.a = a
-        self.b = b
-        self.space = a.space
-
-    def predict_proba_batch(self, x) -> np.ndarray:
-        return combine_rows(self.a.predict_proba_batch(x),
-                            self.b.predict_proba_batch(x))
 
 
 def combine_rows(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:

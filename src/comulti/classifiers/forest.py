@@ -19,7 +19,8 @@ and the random stream left for later draws are those of the numpy reference
 in ``tests/test_forest_golden.py``.  C reads a dense input from a dense copy
 and a sparse one from CSC arrays, by type, and sorts only a node's nonzero
 values, its zeros being one run.  :func:`fit_forest` checks the labels and
-values C trusts.
+values C trusts, and a sparse input's arrays (``Csr``) before scipy copies
+them into CSC.
 
 How a forest predicts.  A forest keeps its trees in one read-only array of
 ``NODE`` records, tree after tree, with child ids local to their tree as a
@@ -40,10 +41,11 @@ or from a model file: every inner node's feature lies in
 ``[0, n_features)``, both its children lie after it and inside its tree,
 and every leaf's vote names a label.  Because every step moves to a higher
 node id in the same tree, each walk ends at a leaf after fewer steps than
-the tree has nodes.  A sparse batch is converted to CSR once and densified
-a chunk of rows at a time by ``csr_dense``, which checks the chunk's arrays
-first (a malformed CSR is a ``ValueError``) and adds the stored values as
-scipy's ``toarray`` does.
+the tree has nodes.  A sparse batch is converted to CSR once, by
+``as_csr``, which checks a CSC or COO batch before scipy converts it, and
+densified a chunk of rows at a time by ``csr_dense``, which checks the
+chunk's arrays first (a malformed CSR is a ``ValueError``) and adds the
+stored values as scipy's ``toarray`` does.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DataError
-from ._native import LIB, Csr, ForestTable, address
+from ._native import LIB, Csr, ForestTable, address, as_csr
 from .base import Classifier, ForestSpec
 
 # A batch is predicted in chunks of at most this many dense cells, so a
@@ -144,7 +146,7 @@ class TrainedForest(Classifier):
         n = x.shape[0]
         step = max(1, _CHUNK_CELLS // max(1, self.n_features))
         if sp.issparse(x):  # CSR, whose rows can be sliced
-            x = x.tocsr()
+            x = as_csr(x)
             if n > step:  # scipy's slicing trusts the arrays too
                 Csr(x)
         counts = np.zeros((n, self.n_labels))
@@ -198,6 +200,7 @@ def fit_forest(spec: ForestSpec, x, y: np.ndarray, space: tuple[str, ...],
         raise DataError(f"forest needs {n} labels in [0, {len(space)})")
     index = [None, None]  # CSC indptr and indices of a sparse input
     if sp.issparse(x):
+        Csr(x)  # scipy's conversion trusts the arrays
         csc = sp.csc_matrix(x, dtype=np.float64, copy=True)
         csc.sum_duplicates()
         values = csc.data

@@ -30,7 +30,7 @@ scipy's own loop, so a sparse kernel has the bits of
 ``(a @ b.T).toarray()``; a fitted model transposes sparse support vectors
 once, not on every prediction.  Every sparse left operand, also one
 multiplied by scipy against dense support vectors, is checked in C first
-(``Csr``), so a malformed CSR batch is a ``ValueError``.
+(``Csr``), so a malformed CSR, CSC or COO batch is a ``ValueError``.
 
 How a model predicts, for one row as for a batch.  The kernel of the rows
 against every support vector is computed once.  Each label's scores are

@@ -131,6 +131,15 @@ class Dataset:
             raise DataError("label names must be unique")
         if y.size and (y.min() < 0 or y.max() >= len(self.labels)):
             raise DataError("label id out of range")
+        if sp.issparse(x):
+            # Checked once here, so every reader of the frozen arrays (row
+            # subsets, SMOTE, the views and the fits) reads checked ones.
+            # Imported here: the classifiers import this module.
+            from .classifiers._native import Csr
+            try:
+                Csr(x)
+            except ValueError as exc:
+                raise DataError(str(exc)) from None
         values = x.data if sp.issparse(x) else x
         if values.size and not np.isfinite(values).all():
             raise DataError("feature matrix contains NaN or infinity")

@@ -6,6 +6,9 @@ threshold of 1.0 per stage almost nothing passes early, so the last stage is
 unconditionally terminal: whatever distribution it produces is the answer.
 The returned distribution is always some stage's raw output, never a blend.
 
+A stage is a trained classifier or a :class:`CombinerSpec`, which has
+nothing fitted: it is the max-confidence rule over two earlier stages.
+
 :class:`TwoLayerModel` is the skeleton of both co-multistage models: named
 multistage layers, each trained on one label view of the same training set.
 Each model's routing rule (the gate or the quorum) stays in its module.
@@ -14,7 +17,7 @@ Each model's routing rule (the gate or the quorum) stays in its module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,12 +27,14 @@ from .classifiers import (
     Classifier,
     ClassifierSpec,
     CombinerSpec,
-    TrainedCombiner,
     combine_rows,
     default_stage_specs,
 )
+from .classifiers._native import as_csr
 from .dataset import ClassStats, Dataset, make_view
 from .errors import ConfigError, DataError, reading
+
+Stage = Union[Classifier, CombinerSpec]  # a stage of a multistage model
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,10 @@ class StageThresholds:
 
 
 class MultistageModel:
-    """Ordered trained stages sharing one label space."""
+    """Ordered stages sharing one label space: trained classifiers, and
+    combiners (``CombinerSpec``) over the outputs of earlier stages."""
 
-    def __init__(self, stages: Sequence[Classifier], thresholds: StageThresholds):
+    def __init__(self, stages: Sequence[Stage], thresholds: StageThresholds):
         stages = list(stages)
         if not stages:
             raise ConfigError("a multistage model needs at least one stage")
@@ -65,13 +71,14 @@ class MultistageModel:
             raise ConfigError(
                 f"{len(stages)} stages but {len(thresholds)} thresholds"
             )
-        space = stages[0].space
-        for s in stages[1:]:
-            if s.space != space:
+        for s, stage in enumerate(stages):
+            if isinstance(stage, CombinerSpec):
+                _check_references(stage, s)
+            elif stage.space != stages[0].space:
                 raise ConfigError("all stages must share one label space")
         self.stages = stages
         self.thresholds = thresholds
-        self.space = space
+        self.space = stages[0].space
 
     @property
     def n_stages(self) -> int:
@@ -84,8 +91,8 @@ class MultistageModel:
         loop ends at the stage that settles the last of them; when that is
         the first stage, its distributions are returned as they are.
         Every stage's output on the open rows is kept, so a combiner stage
-        reuses the raw distributions of the stages it wraps instead of
-        re-predicting.
+        combines the raw distributions of the stages it references instead
+        of predicting them again.
         """
         x = csr_rows(x)
         n = x.shape[0]
@@ -96,12 +103,12 @@ class MultistageModel:
         rows = np.arange(n)  # not settled yet
         outputs: list[np.ndarray] = []  # each stage's output on ``rows``
         last = self.n_stages - 1
-        for s, (clf, thr) in enumerate(zip(self.stages, self.thresholds.values)):
-            spec = getattr(clf, "spec", None)
-            if isinstance(spec, CombinerSpec):
-                dists = combine_rows(outputs[spec.left], outputs[spec.right])
+        for s, (stage, thr) in enumerate(zip(self.stages,
+                                             self.thresholds.values)):
+            if isinstance(stage, CombinerSpec):
+                dists = combine_rows(outputs[stage.left], outputs[stage.right])
             else:
-                dists = clf.predict_proba_batch(take_rows(x, rows))
+                dists = stage.predict_proba_batch(take_rows(x, rows))
             if s == last:
                 break  # the last stage is unconditionally terminal
             hit = dists.max(axis=1) >= thr
@@ -126,13 +133,12 @@ class MultistageModel:
 
     def to_dict(self) -> dict:
         docs = []
-        for clf in self.stages:
-            spec = getattr(clf, "spec", None)
-            if isinstance(spec, CombinerSpec):
-                docs.append({"kind": "combiner_ref", "left": spec.left,
-                             "right": spec.right})
+        for stage in self.stages:
+            if isinstance(stage, CombinerSpec):
+                docs.append({"kind": "combiner_ref", "left": stage.left,
+                             "right": stage.right})
             else:
-                docs.append(classifiers.model_to_dict(clf))
+                docs.append(classifiers.model_to_dict(stage))
         return {"stages": docs, "thresholds": list(self.thresholds.values)}
 
     @staticmethod
@@ -143,34 +149,29 @@ class MultistageModel:
     @staticmethod
     def _read(doc: dict) -> "MultistageModel":
         """``from_dict`` for a reader that names the document itself."""
-        stages: list[Classifier] = []
+        stages: list[Stage] = []
         for item in doc["stages"]:
             if item.get("kind") == "combiner_ref":
-                spec = CombinerSpec(left=item.get("left"),
-                                    right=item.get("right"))
-                stages.append(_bind_combiner(spec, stages))
+                stages.append(CombinerSpec(left=item.get("left"),
+                                           right=item.get("right")))
             else:
                 stages.append(classifiers.model_from_dict(item))
         return MultistageModel(stages, StageThresholds(tuple(doc["thresholds"])))
 
 
-def _bind_combiner(spec: CombinerSpec,
-                   stages: Sequence[Classifier]) -> TrainedCombiner:
-    """The combiner that follows ``stages``, bound to the two of them it
-    references; any other reference is a ConfigError."""
-    s = len(stages)
+def _check_references(spec: CombinerSpec, s: int) -> None:
+    """A combiner at 0-based stage ``s`` references two earlier stages."""
     if not all(isinstance(i, int) and 0 <= i < s
                for i in (spec.left, spec.right)):
         raise ConfigError(f"combiner at stage {s + 1} must reference earlier "
                           f"stages, got {spec.left} and {spec.right}")
-    return TrainedCombiner(spec, stages[spec.left], stages[spec.right])
 
 
 def csr_rows(x):
     """A batch as the layers read it: sparse in CSR, whose rows can be
-    taken (converted once, where a model takes the batch in), any other
-    input as it is."""
-    return x.tocsr() if sp.issparse(x) else x
+    taken (converted once, where a model takes the batch in, by
+    :func:`as_csr`), any other input as it is."""
+    return as_csr(x) if sp.issparse(x) else x
 
 
 def take_rows(x, rows: np.ndarray):
@@ -197,8 +198,8 @@ def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
                    shared: Optional[dict] = None) -> MultistageModel:
     """Train every stage on the same dataset.
 
-    Combiner stages are wired to the already-trained stages they reference
-    (which must come earlier in the sequence).  Stage seeds are spawned from
+    A combiner stage is its spec, whose references to earlier stages are
+    checked before any later stage is fitted.  Stage seeds are spawned from
     ``seed`` so results do not depend on training order.  ``shared`` is
     passed on to :func:`classifiers.fit`.
     """
@@ -208,10 +209,11 @@ def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
     if len(thresholds) != len(specs):
         raise ConfigError(f"{len(specs)} specs but {len(thresholds)} thresholds")
     children = np.random.SeedSequence(seed).spawn(len(specs))
-    stages: list[Classifier] = []
+    stages: list[Stage] = []
     for s, spec in enumerate(specs):
         if isinstance(spec, CombinerSpec):
-            stages.append(_bind_combiner(spec, stages))
+            _check_references(spec, s)
+            stages.append(spec)
         else:
             child_seed = int(children[s].generate_state(1)[0])
             stages.append(classifiers.fit(spec, ds, child_seed, shared))

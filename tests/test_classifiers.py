@@ -10,13 +10,13 @@ from comulti.classifiers import (
     CombinerSpec,
     ForestSpec,
     SmoSpec,
-    TrainedCombiner,
     combine_rows,
     default_stage_specs,
     fit,
 )
 from comulti.classifiers.smo import _Kernel, platt_fit, solve_binary
-from comulti.errors import DataError, TrainingError
+from comulti.errors import ConfigError, DataError, TrainingError
+from comulti.multistage import MultistageModel, StageThresholds
 
 from conftest import LookupStub, make_dataset
 
@@ -39,15 +39,15 @@ def test_predict_batch_argmax_tie_breaks_low():
 def test_combine_max_confidence(a, b, expect):
     got = combine_rows(np.array([a]), np.array([b]))
     assert got.tolist() == [expect]
-    comb = TrainedCombiner(CombinerSpec(), LookupStub(("x", "y"), [a]),
-                           LookupStub(("x", "y"), [b]))
-    assert comb.predict_proba_batch(np.zeros((1, 1))).tolist() == [expect]
 
 
 def test_combine_space_mismatch():
-    with pytest.raises(DataError, match="mismatch"):
-        TrainedCombiner(CombinerSpec(), LookupStub(("a", "b"), [[1.0, 0.0]]),
-                        LookupStub(("a", "c"), [[1.0, 0.0]]))
+    # The stages a combiner combines, like every classifier stage, share
+    # the first stage's label space.
+    with pytest.raises(ConfigError, match="one label space"):
+        MultistageModel([LookupStub(("a", "b"), [[1.0, 0.0]]),
+                         LookupStub(("a", "c"), [[1.0, 0.0]]),
+                         CombinerSpec(0, 1)], StageThresholds.ones(3))
 
 
 def test_combine_idempotent_and_max_property():

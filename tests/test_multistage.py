@@ -180,13 +180,20 @@ def test_combiner_requires_earlier_stages():
                        StageThresholds.ones(2), ds, seed=0)
 
 
+def test_hand_built_combiner_requires_earlier_stages():
+    stub = LookupStub(("a", "b"), [[1.0, 0.0]])
+    with pytest.raises(ConfigError, match="combiner at stage 3 must reference "
+                       "earlier stages, got 0 and 5"):
+        MultistageModel([stub, stub, CombinerSpec(0, 5)],
+                        StageThresholds.ones(3))
+
+
 def test_default_recipe_combiner_reuses_stages(separable_clusters):
     ds = separable_clusters(n_per_side=15, gap=3.0)
     m = fit_multistage(
         [ForestSpec(trees=20), SmoSpec(), CombinerSpec(left=0, right=1)],
         StageThresholds.ones(3), ds, seed=4)
-    assert m.stages[2].a is m.stages[0]
-    assert m.stages[2].b is m.stages[1]
+    assert m.stages[2] == CombinerSpec(0, 1)
     dists, used = m.predict_batch(ds.x)
     p0 = m.stages[0].predict_proba_batch(ds.x)
     p1 = m.stages[1].predict_proba_batch(ds.x)

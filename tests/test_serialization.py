@@ -16,7 +16,6 @@ from comulti.classifiers import (
     CombinerSpec,
     ForestSpec,
     SmoSpec,
-    TrainedCombiner,
     fit,
     load_model,
     model_from_dict,
@@ -367,24 +366,21 @@ def test_malformed_sparse_smo_document_is_data_error_at_load(breaker):
 
 
 def test_combiner_round_trip(tmp_path, separable_clusters):
-    """A combiner is saved only as part of its multistage model; the nested
-    standalone form that version-1 files may hold still loads."""
+    """A combiner is saved only as part of its multistage model; the
+    standalone form that no version writes is an unknown kind."""
     ds = separable_clusters(n_per_side=10, gap=2.0)
     a = fit(ForestSpec(trees=7), ds, seed=1)
     b = fit(SmoSpec(), ds, seed=1)
-    comb = TrainedCombiner(CombinerSpec(left=0, right=1), a, b)
-    with pytest.raises(DataError, match="multistage"):
-        save_model(comb, tmp_path / "c.json")
+    with pytest.raises(DataError, match="forest or a margin classifier"):
+        save_model(CombinerSpec(left=0, right=1), tmp_path / "c.json")
     v1 = {"kind": "max_confidence_pair", "left": 0, "right": 1,
           "a": {**a.to_dict(), "format_version": 1},
           "b": {**b.to_dict(), "format_version": 1},
           "format_version": 1}
     (tmp_path / "v1.json").write_text(json.dumps(v1))
-    again = load_model(tmp_path / "v1.json")
-    assert isinstance(again, TrainedCombiner)
-    x = probe(np.random.default_rng(3), 25, 2)
-    assert np.array_equal(comb.predict_proba_batch(x),
-                          again.predict_proba_batch(x))
+    with pytest.raises(DataError) as err:
+        load_model(tmp_path / "v1.json")
+    assert str(err.value) == "unknown model kind 'max_confidence_pair'"
 
 
 def test_model_format_version_checked():
@@ -400,7 +396,7 @@ def test_multistage_round_trip_shares_combiner_stages(separable_clusters):
         StageThresholds((0.9, 0.95, 1.0)), ds, seed=2)
     doc = json.loads(json.dumps(m.to_dict()))
     again = MultistageModel.from_dict(doc)
-    assert again.stages[2].a is again.stages[0]
+    assert again.stages[2] == CombinerSpec(0, 1)
     x = probe(np.random.default_rng(4), 30, 2)
     da, ua = m.predict_batch(x)
     db, ub = again.predict_batch(x)

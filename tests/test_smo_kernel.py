@@ -28,6 +28,7 @@ from comulti.cmc import fit_cmc
 from comulti.cmcm import fit_cmcm
 from comulti.datagen import MULTISKEW_SIZES, gaussian_blobs, sparse_topics
 from comulti.dataset import Dataset, FeatureSchema, class_stats
+from comulti.errors import DataError
 
 LAYOUTS = ["sorted", "unsorted", "duplicates", "zeros"]
 
@@ -348,16 +349,24 @@ def test_malformed_csr_is_value_error(breaker):
 
 
 def _broken(x, breaker):
-    """A copy of the CSR matrix ``x``, whose first row stores its first
-    column, broken as in ``test_malformed_csr_is_value_error``; in a
-    one-row matrix ``indptr_down`` points below the row's start."""
+    """A copy of the CSR, CSC or COO matrix ``x``, whose first stored entry
+    is its first, broken as in ``test_malformed_csr_is_value_error``.  An
+    ``index`` breaker moves that entry's minor index (a CSR column, a CSC
+    row, a COO column) out of range, a ``row`` breaker its COO row, and an
+    ``indptr`` breaker the pointers of a compressed format; with one major
+    line, ``indptr_down`` points below the line's start."""
     x = x.copy()
+    if x.format == "coo":
+        index, size = ((x.row, x.shape[0]) if breaker.startswith("row")
+                       else (x.col, x.shape[1]))
+        index[0] = size if breaker.endswith("high") else -1
+        return x
     if breaker == "index_high":
-        x.indices[0] = x.shape[1]
+        x.indices[0] = x.shape[1] if x.format == "csr" else x.shape[0]
     elif breaker == "index_negative":
         x.indices[0] = -1
     elif breaker == "indptr_down":
-        x.indptr[1] = x.indptr[2] + 1 if x.shape[0] > 1 else -1
+        x.indptr[1] = x.indptr[2] + 1 if x.indptr.size > 2 else -1
     else:
         x.indptr[1:] = x.nnz + 1
     return x
@@ -377,23 +386,53 @@ def dense_fitted():
 
 
 BREAKERS = ["index_high", "index_negative", "indptr_down", "indptr_past_end"]
+# Each breaker in each format it applies to.  scipy converts a CSC or COO
+# matrix without checking it, so the check comes before the conversion.
+FORMAT_BREAKERS = ([("csr", b) for b in BREAKERS]
+                   + [("csc", b) for b in BREAKERS]
+                   + [("coo", b) for b in ("index_high", "index_negative",
+                                           "row_high", "row_negative")])
+
+
+def _all_stored(fmt, shape):
+    """A matrix of ``shape`` in format ``fmt`` with every entry stored."""
+    x = np.random.default_rng(8).normal(size=shape)
+    return sp.csr_matrix(x).asformat(fmt)
 
 
 @pytest.mark.parametrize("model,method", [
     ("forest", "predict_proba_batch"), ("smo", "predict_proba_batch"),
     ("cmc", "predict_batch"), ("cmc", "predict"),
     ("cmcm", "predict_batch"), ("cmcm", "predict")])
-@pytest.mark.parametrize("breaker", BREAKERS)
+@pytest.mark.parametrize("fmt,breaker", FORMAT_BREAKERS)
 def test_malformed_csr_is_value_error_from_every_reader(dense_fitted, model,
-                                                        method, breaker):
-    # Every stored entry of a 6 x 5 batch; predict takes its first row.  A
-    # forest densifies the rows, and scipy multiplies them by a dense SMO
+                                                        method, fmt, breaker):
+    # Every stored entry of a 6 x 5 batch, or of its first row for predict.
+    # A forest densifies the rows, and scipy multiplies them by a dense SMO
     # model's support vectors: both read where indptr and indices point.
-    x = sp.csr_matrix(np.random.default_rng(8).normal(size=(6, 5)))
-    if method == "predict":
-        x = x[:1]
-    with pytest.raises(ValueError, match="malformed CSR"):
+    x = _all_stored(fmt, (1 if method == "predict" else 6, 5))
+    with pytest.raises(ValueError, match=f"malformed {fmt.upper()}"):
         getattr(dense_fitted[model], method)(_broken(x, breaker))
+
+
+@pytest.mark.parametrize("fmt,breaker", [
+    (fmt, b) for fmt, b in FORMAT_BREAKERS if fmt != "coo"])
+def test_malformed_sparse_dataset_is_data_error(fmt, breaker):
+    # A Dataset freezes its arrays checked, so the row subsets, SMOTE, the
+    # label views and both fits read checked arrays.
+    x = _all_stored(fmt, (6, 6))
+    with pytest.raises(DataError, match=f"malformed {fmt.upper()}"):
+        Dataset(FeatureSchema.numeric(6), _broken(x, breaker),
+                np.array([0, 1] * 3), ("a", "b"))
+
+
+@pytest.mark.parametrize("fmt,breaker", FORMAT_BREAKERS)
+def test_malformed_sparse_fit_forest_is_value_error(fmt, breaker):
+    # The grower reads a CSC copy that scipy makes from the arrays.
+    x = _all_stored(fmt, (6, 6))
+    with pytest.raises(ValueError, match=f"malformed {fmt.upper()}"):
+        forest_mod.fit_forest(ForestSpec(trees=2), _broken(x, breaker),
+                              np.array([0, 1] * 3), ("a", "b"), 0)
 
 
 @pytest.mark.parametrize("breaker", BREAKERS)
