@@ -2,9 +2,10 @@
  * smo.solve_binary, the sparse kernel product of smo._poly_kernel and the
  * in-place transpose that lays out a full Gram matrix, the tree grower of
  * forest.fit_forest, the walk of forest.TrainedForest.predict_proba_batch,
- * and the pass that checks a CSR matrix's arrays, and may densify it, before
- * any other loop or scipy reads them (_native.Csr).  New functions go at
- * the end, so that those above keep their addresses.
+ * the pass that checks a CSR matrix's arrays, and may densify it, before
+ * any other loop or scipy reads them (_native.Csr), and the pass that reads
+ * the rows of a sparse text file (dataset.load_sparse).  New functions go
+ * at the end, so that those above keep their addresses.
  *
  * Plain C with no Python API: _native.py compiles this file at import and
  * calls it through ctypes, which releases the GIL for each call.  The
@@ -12,6 +13,7 @@
  * different threads do not interact.
  */
 
+#include <errno.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -588,4 +590,111 @@ int csr_dense(ptrdiff_t n_rows, ptrdiff_t n_cols, ptrdiff_t nnz,
             for (ptrdiff_t p = indptr[r]; p < indptr[r + 1]; p++)
                 dense[r * n_cols + indices[p]] += data[p];
     return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * Sparse text input: the rows of load_sparse's format, from text[start]
+ * to text[size].  Lines end in "\n", "\r\n" or "\r", and line r is row r
+ * for r < n_rows.  A row is read here only when it is made of plain ASCII
+ * pairs "col value" separated by spaces and tabs, where col is [0-9]+ in
+ * 1..n_cols and value is [0-9+-.eE]+, at most 63 bytes, that strtod
+ * reads whole without ERANGE; these are the tokens whose int() and float()
+ * values C computes the same, since both round correctly (a locale whose
+ * decimal point is not "." only makes strtod stop early, which declines).
+ * Any other row is declined: it stores nothing, and its line start is
+ * written as ~start (negative), for the caller to read it.  lines[r] is
+ * the start of line r, and
+ * lines[n_rows] the start of line n_rows (or size when there is none);
+ * indptr[r + 1] counts the entries read up to row r.  Entries past cap
+ * are counted but not written.  Returns the number of lines in the text.
+ */
+static int is_space(char c)
+{
+    return c == ' ' || c == '\t';
+}
+
+static int is_end(const char *p, const char *end)
+{
+    return p == end || *p == '\n' || *p == '\r';
+}
+
+static int is_number_byte(char c)
+{
+    return (c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.'
+        || c == 'e' || c == 'E';
+}
+
+/* Row text at p: reads its pairs from the ASCII tokens above, storing
+ * indices[*nnz..] and data[*nnz..] below cap; 0 when it declines. */
+static int sparse_row(const char *p, const char *end, ptrdiff_t n_cols,
+                      ptrdiff_t cap, int32_t *indices, double *data,
+                      ptrdiff_t *nnz)
+{
+    char token[64];
+    for (;;) {
+        while (p < end && is_space(*p))
+            p++;
+        if (is_end(p, end))
+            return 1;
+        ptrdiff_t col = 0;
+        for (; !is_end(p, end) && !is_space(*p); p++) {
+            if (*p < '0' || *p > '9')
+                return 0;
+            col = col * 10 + (*p - '0');
+            if (col > n_cols)
+                return 0;
+        }
+        if (col < 1)
+            return 0;
+        while (p < end && is_space(*p))
+            p++;
+        size_t len = 0;
+        for (; !is_end(p, end) && !is_space(*p); p++, len++) {
+            if (len + 1 == sizeof token || !is_number_byte(*p))
+                return 0;
+            token[len] = *p;
+        }
+        if (len == 0)
+            return 0;
+        token[len] = '\0';
+        char *stop;
+        errno = 0;
+        double value = strtod(token, &stop);
+        if (stop != token + len || errno)
+            return 0;
+        if (*nnz < cap) {
+            indices[*nnz] = (int32_t)(col - 1);
+            data[*nnz] = value;
+        }
+        (*nnz)++;
+    }
+}
+
+ptrdiff_t parse_sparse(const char *text, ptrdiff_t start, ptrdiff_t size,
+                       ptrdiff_t n_rows, ptrdiff_t n_cols, ptrdiff_t cap,
+                       ptrdiff_t *lines, int64_t *indptr, int32_t *indices,
+                       double *data)
+{
+    const char *p = text + start, *end = text + size;
+    ptrdiff_t r = 0, nnz = 0;
+    indptr[0] = 0;
+    for (; p < end; r++) {
+        if (r <= n_rows)
+            lines[r] = p - text;
+        if (r < n_rows) {
+            ptrdiff_t row_start = nnz;
+            if (!sparse_row(p, end, n_cols, cap, indices, data, &nnz)) {
+                lines[r] = ~lines[r];
+                nnz = row_start;
+            }
+            indptr[r + 1] = nnz;
+        }
+        while (!is_end(p, end))
+            p++;
+        if (p < end && *p++ == '\r' && p < end && *p == '\n')
+            p++;
+    }
+    if (r <= n_rows)
+        lines[r] = size;
+    return r;
 }

@@ -8,7 +8,9 @@ matrix, the tree grower of
 :func:`comulti.classifiers.forest.fit_forest`, the forest walk of
 :meth:`comulti.classifiers.forest.TrainedForest.predict_proba_batch`, and
 the pass that checks a CSR matrix's arrays before any of them, or scipy,
-reads them, and can densify the matrix in the same pass (:class:`Csr`).  At
+reads them, and can densify the matrix in the same pass (:class:`Csr`),
+and the pass that reads the plain ASCII rows of a sparse text file for
+:func:`comulti.dataset.load_sparse`, which reads any other row itself.  At
 import it is compiled with ``cc`` and :data:`CFLAGS` into :data:`LIBRARY`,
 in this package's ``__pycache__/``, under a file name that carries the
 SHA-256 of the source and the flags: later imports load that file without
@@ -177,6 +179,10 @@ def _load_library() -> ctypes.CDLL:
     lib.csr_dense.restype = ctypes.c_int
     lib.csr_dense.argtypes = [  # n_rows, n_cols, nnz, indptr .. data, dense
         size, size, size, ptr, ptr, ptr, ptr]
+    lib.parse_sparse.restype = size
+    lib.parse_sparse.argtypes = [  # text, start, size, n_rows, n_cols, cap,
+        ctypes.c_char_p, size, size, size, size, size,
+        ptr, ptr, ptr, ptr]  # lines, indptr, indices, data
     return lib
 
 

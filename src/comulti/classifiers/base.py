@@ -23,8 +23,6 @@ class ForestSpec:
 
     trees: int = 100
 
-    kind = "random_forest"
-
     def __post_init__(self):
         if self.trees < 1:
             raise DataError(f"trees must be >= 1, got {self.trees}")
@@ -40,8 +38,6 @@ class SmoSpec:
     c: float = 1.0
     tol: float = 1e-3
     max_iter: int = 200_000
-
-    kind = "smo_margin"
 
     def __post_init__(self):
         if self.degree < 1:
@@ -62,8 +58,6 @@ class CombinerSpec:
 
     left: int = 0
     right: int = 1
-
-    kind = "max_confidence_pair"
 
     def __post_init__(self):
         if self.left == self.right:

@@ -15,7 +15,9 @@ slots 1.. in original order for ``maj_cluster`` and ``min_cluster``.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -83,8 +85,15 @@ class FeatureSchema:
 
     @staticmethod
     def numeric(n: int, prefix: str = "f") -> "FeatureSchema":
-        """All-numeric schema with generated names, for matrix-only sources."""
-        return FeatureSchema(tuple(FeatureSpec(f"{prefix}{i}") for i in range(n)))
+        """All-numeric schema with generated names, for matrix-only sources.
+        It is frozen, so one is built per ``(n, prefix)`` and shared (the
+        last 32 are kept)."""
+        return _numeric_schema(n, prefix)
+
+
+@functools.lru_cache(maxsize=32)
+def _numeric_schema(n: int, prefix: str) -> FeatureSchema:
+    return FeatureSchema(tuple(FeatureSpec(f"{prefix}{i}") for i in range(n)))
 
 
 Matrix = Union[np.ndarray, sp.csr_matrix]
@@ -104,8 +113,8 @@ def freeze(x: Matrix) -> Matrix:
 class Dataset:
     """Instance-major feature matrix plus 0-based integer labels.
 
-    ``x`` may be dense (float64) or CSR sparse; sparse stores explicit
-    nonzeros only.  ``labels[y[i]]`` is the class name of instance ``i``.
+    ``x`` may be dense (float64) or sparse, kept as CSR whatever format it
+    is given in; sparse stores explicit nonzeros only.  ``labels[y[i]]`` is the class name of instance ``i``.
     Instances are immutable after construction and safe to share.
     """
 
@@ -118,9 +127,19 @@ class Dataset:
         if not sp.issparse(self.x):
             object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
-        x, y = self.x, self.y
-        if x.ndim != 2:
+        if self.x.ndim != 2:
             raise DataError("feature matrix must be 2-D")
+        if sp.issparse(self.x):
+            # Checked once here, so every reader of the frozen arrays (row
+            # subsets, SMOTE, the views and the fits) reads checked ones.
+            # Imported here: the classifiers import this module.
+            from .classifiers._native import Csr, as_csr
+            try:
+                object.__setattr__(self, "x", as_csr(self.x))
+                Csr(self.x)
+            except ValueError as exc:
+                raise DataError(str(exc)) from None
+        x, y = self.x, self.y
         if x.shape[1] != len(self.schema):
             raise DataError(
                 f"matrix has {x.shape[1]} columns, schema describes {len(self.schema)}"
@@ -131,15 +150,6 @@ class Dataset:
             raise DataError("label names must be unique")
         if y.size and (y.min() < 0 or y.max() >= len(self.labels)):
             raise DataError("label id out of range")
-        if sp.issparse(x):
-            # Checked once here, so every reader of the frozen arrays (row
-            # subsets, SMOTE, the views and the fits) reads checked ones.
-            # Imported here: the classifiers import this module.
-            from .classifiers._native import Csr
-            try:
-                Csr(x)
-            except ValueError as exc:
-                raise DataError(str(exc)) from None
         values = x.data if sp.issparse(x) else x
         if values.size and not np.isfinite(values).all():
             raise DataError("feature matrix contains NaN or infinity")
@@ -281,58 +291,38 @@ def _infer_feature(path, name: str, values: list[str]) -> FeatureSpec:
         return FeatureSpec(name, ORDINAL, categories)
 
 
+def read_bytes(path) -> bytes:
+    """A UTF-8 text file's bytes, read at once; an unreadable or undecodable
+    file is the data error :func:`read_lines` gives."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(str(exc)) from None
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not valid UTF-8") from None
+    return raw
+
+
+# A line break of Python's universal newlines, as ``bytes.splitlines`` and
+# the compiled row pass split lines.
+_EOL = re.compile(rb"\r\n|\r|\n")
+
+
 def load_sparse(matrix_path, labels_path) -> Dataset:
     """Load the sparse text format: ``nrows ncols nnz`` header, then one line
-    per row of space-separated 1-based ``col value`` pairs (a blank line is a
-    row with no nonzeros), with a companion labels file holding one label
-    string per row.  Blank lines before the header and after the last row
-    are ignored."""
-    lines = [ln.strip() for ln in read_lines(matrix_path)]
-    first = next((i for i, ln in enumerate(lines) if ln != ""), None)
-    if first is None:
-        raise DataError(f"{matrix_path}: empty file")
-    lines = lines[first:]
-    head = lines[0].split()
-    if len(head) != 3:
-        raise DataError(f"{matrix_path}: header must be 'nrows ncols nnz'")
-    try:
-        nrows, ncols, nnz = (int(v) for v in head)
-    except ValueError:
-        raise DataError(f"{matrix_path}: non-integer header field") from None
-    if min(nrows, ncols, nnz) < 0:
-        raise DataError(f"{matrix_path}: negative header field in "
-                        f"'{nrows} {ncols} {nnz}'")
-    while len(lines) - 1 > nrows and lines[-1] == "":
-        lines.pop()
-    if len(lines) - 1 != nrows:
-        raise DataError(
-            f"{matrix_path}: header declares {nrows} rows, found {len(lines) - 1}"
-        )
-
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    indices: list[int] = []
-    data: list[float] = []
-    for r, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) % 2 != 0:
-            raise DataError(f"{matrix_path}: row {r + 1} has an odd token count")
-        for c_tok, v_tok in zip(parts[::2], parts[1::2]):
-            try:
-                col = int(c_tok)
-                val = float(v_tok)
-            except ValueError:
-                raise DataError(f"{matrix_path}: row {r + 1}: bad pair "
-                                f"{c_tok!r} {v_tok!r}") from None
-            if not 1 <= col <= ncols:
-                raise DataError(
-                    f"{matrix_path}: row {r + 1}: column {col} out of range 1..{ncols}"
-                )
-            indices.append(col - 1)
-            data.append(val)
-        indptr[r + 1] = len(indices)
-    if len(data) != nnz:
-        raise DataError(f"{matrix_path}: header declares {nnz} nonzeros, "
-                        f"found {len(data)}")
+    per row of whitespace-separated 1-based ``col value`` pairs (a blank
+    line is a row with no nonzeros), with a companion labels file holding
+    one label string per row.  Blank lines before the header and after the
+    last row are ignored.  Columns and values are read as ``int()`` and
+    ``float()`` read them."""
+    raw = read_bytes(matrix_path)
+    pos, (nrows, ncols, nnz) = _sparse_header(matrix_path, raw)
+    data, indices, indptr = _sparse_rows(matrix_path, raw, pos, nrows, ncols,
+                                         nnz)
 
     names = [ln.strip() for ln in read_lines(labels_path) if ln.strip() != ""]
     if len(names) != nrows:
@@ -348,12 +338,104 @@ def load_sparse(matrix_path, labels_path) -> Dataset:
             labels.append(name)
         y[i] = label_ids[name]
 
-    x = sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int32), indptr),
-        shape=(nrows, ncols),
-    )
+    x = sp.csr_matrix((data, indices, indptr), shape=(nrows, ncols))
     return Dataset(FeatureSchema.numeric(ncols), x, y, tuple(labels))
+
+
+def _sparse_header(path, raw: bytes) -> tuple[int, tuple[int, int, int]]:
+    """Where the rows of a sparse file start, after its first non-blank
+    line, and the ``nrows ncols nnz`` that line holds."""
+    pos, head = 0, []
+    while not head and pos < len(raw):
+        eol = _EOL.search(raw, pos)
+        stop = eol.end() if eol else len(raw)
+        head = raw[pos:stop].decode("utf-8").split()
+        pos = stop
+    if not head:
+        raise DataError(f"{path}: empty file")
+    if len(head) != 3:
+        raise DataError(f"{path}: header must be 'nrows ncols nnz'")
+    try:
+        nrows, ncols, nnz = (int(v) for v in head)
+    except ValueError:
+        raise DataError(f"{path}: non-integer header field") from None
+    if min(nrows, ncols, nnz) < 0:
+        raise DataError(f"{path}: negative header field in "
+                        f"'{nrows} {ncols} {nnz}'")
+    return pos, (nrows, ncols, nnz)
+
+
+def _sparse_rows(path, raw: bytes, pos: int, nrows: int, ncols: int,
+                 nnz: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR ``data``, ``indices`` and ``indptr`` of the rows from
+    ``raw[pos:]``.  One compiled pass reads every row of plain ASCII pairs;
+    :func:`_sparse_row` reads the rows it declines, and gives every error a
+    row can have."""
+    # Imported here: the classifiers import this module.
+    from .classifiers._native import LIB, address
+    # Every line and every pair takes at least one byte, which bounds the
+    # arrays whatever the header declares.
+    body = len(raw) - pos
+    lines = np.empty(min(nrows, body) + 1, dtype=np.intp)
+    indptr = np.empty(lines.size, dtype=np.int64)
+    indices = np.empty(min(nnz, body), dtype=np.int32)
+    data = np.empty(indices.size)
+    found = LIB.parse_sparse(  # a column past int32 is left to Python
+        raw, pos, len(raw), lines.size - 1,
+        min(ncols, np.iinfo(np.int32).max), indices.size,
+        *(address(a) for a in (lines, indptr, indices, data)))
+    if found > nrows:  # blank lines after the last row are not rows
+        tail = raw[lines[nrows]:].splitlines()
+        while tail and not tail[-1].decode("utf-8").strip():
+            tail.pop()
+        found = nrows + len(tail)
+    if found != nrows:
+        raise DataError(f"{path}: header declares {nrows} rows, found {found}")
+
+    # The pass negates the line start of each row it declines.
+    declined = np.flatnonzero(lines[:-1] < 0)
+    starts = np.where(lines < 0, ~lines, lines)
+    parsed = [_sparse_row(path, r, ncols,
+                          raw[starts[r]:starts[r + 1]].decode("utf-8"))
+              for r in declined.tolist()]
+    counts = [len(cols) for cols, _ in parsed]
+    stored = int(indptr[-1])
+    if stored + sum(counts) != nnz:
+        raise DataError(f"{path}: header declares {nnz} nonzeros, "
+                        f"found {stored + sum(counts)}")
+    data, indices = data[:stored], indices[:stored]
+    if parsed:
+        at = np.repeat(indptr[declined], counts)
+        indices = np.insert(indices, at, [c for cols, _ in parsed for c in cols])
+        data = np.insert(data, at, [v for _, vals in parsed for v in vals])
+        grown = np.zeros_like(indptr)
+        grown[declined + 1] = counts
+        indptr += np.cumsum(grown)
+    return data, indices, indptr
+
+
+def _sparse_row(path, r: int, ncols: int, line: str) -> tuple[list, list]:
+    """The 0-based columns and the values of row ``r``, from its ``line``
+    of the sparse text format; a malformed row is a data error."""
+    parts = line.split()
+    if len(parts) % 2 != 0:
+        raise DataError(f"{path}: row {r + 1} has an odd token count")
+    cols: list[int] = []
+    vals: list[float] = []
+    for c_tok, v_tok in zip(parts[::2], parts[1::2]):
+        try:
+            col = int(c_tok)
+            val = float(v_tok)
+        except ValueError:
+            raise DataError(f"{path}: row {r + 1}: bad pair "
+                            f"{c_tok!r} {v_tok!r}") from None
+        if not 1 <= col <= ncols:
+            raise DataError(
+                f"{path}: row {r + 1}: column {col} out of range 1..{ncols}"
+            )
+        cols.append(col - 1)
+        vals.append(val)
+    return cols, vals
 
 
 def write_csv(ds: Dataset, path, label_column: str = "label") -> None:

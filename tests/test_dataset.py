@@ -154,6 +154,21 @@ def test_sparse_round_trip(tmp_path):
     assert [again.labels[v] for v in again.y] == [ds.labels[v] for v in ds.y]
 
 
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "bsr", "dia", "lil",
+                                 "dok"])
+def test_sparse_dataset_is_kept_as_csr(fmt):
+    x = sp.random(6, 5, density=0.5, random_state=2, format="csr")
+    y, labels = np.array([0, 1] * 3), ("a", "b")
+    ds = Dataset(FeatureSchema.numeric(5), x.asformat(fmt), y, labels)
+    assert ds.x.format == "csr" and not ds.x.data.flags.writeable
+    assert ds.equals(Dataset(FeatureSchema.numeric(5), x, y, labels))
+
+
+def test_numeric_schema_is_built_once():
+    assert FeatureSchema.numeric(7) is FeatureSchema.numeric(7, "f")
+    assert FeatureSchema.numeric(7, "g").names[0] == "g0"
+
+
 # ---------------------------------------------------------------------------
 # Round-trip properties: load -> write -> load keeps every row
 
