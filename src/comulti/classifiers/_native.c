@@ -367,12 +367,11 @@ typedef struct {
     uint32_t (*next_uint32)(void *state);
 } bitgen_t;
 
-/* numpy's random_interval for max >= 1: [0, max] by masked rejection. */
-static uint64_t random_interval(bitgen_t *g, uint64_t max)
+/* numpy's random_interval for max >= 1, with mask the smallest 2^k - 1
+ * >= max: [0, max] by masked rejection. */
+static uint64_t random_interval(bitgen_t *g, uint64_t max, uint64_t mask)
 {
-    uint64_t mask = max, value;
-    for (int shift = 1; shift < 64; shift *= 2)
-        mask |= mask >> shift;
+    uint64_t value;
     do
         value = max <= 0xffffffffUL ? g->next_uint32(g->state) & mask
                                     : g->next_uint64(g->state) & mask;
@@ -414,10 +413,41 @@ struct entry {
     ptrdiff_t label, weight;
 };
 
-static int by_value(const void *a, const void *b)
+/* Sort e[0 .. n) by value, ascending, through tmp (room for n entries),
+ * and return the sorted array, e or tmp: insertion sort within runs of
+ * RUN entries, then bottom-up merges of runs into the other buffer, so
+ * n log n comparisons at worst, whatever the order.  grow_tree is its one
+ * caller, so it is inlined there: a static function left out of line is
+ * emitted ahead of smo_solve and moves it. */
+static struct entry *sort_entries(struct entry *e, struct entry *tmp,
+                                  ptrdiff_t n)
 {
-    const double u = *(const double *)a, v = *(const double *)b;
-    return (u > v) - (u < v);
+    enum { RUN = 16 };
+    for (ptrdiff_t lo = 0; lo < n; lo += RUN) {
+        const ptrdiff_t hi = lo + RUN < n ? lo + RUN : n;
+        for (ptrdiff_t i = lo + 1; i < hi; i++) {
+            const struct entry x = e[i];
+            ptrdiff_t j = i;
+            for (; j > lo && e[j - 1].value > x.value; j--)
+                e[j] = e[j - 1];
+            e[j] = x;
+        }
+    }
+    for (ptrdiff_t w = RUN; w < n; w *= 2) {
+        for (ptrdiff_t lo = 0; lo < n; lo += 2 * w) {
+            const ptrdiff_t mid = lo + w < n ? lo + w : n;
+            const ptrdiff_t hi = lo + 2 * w < n ? lo + 2 * w : n;
+            ptrdiff_t a = lo, b = mid, k = lo;
+            while (a < mid && b < hi)
+                tmp[k++] = e[b].value < e[a].value ? e[b++] : e[a++];
+            memcpy(tmp + k, e + a, (mid - a) * sizeof *e);
+            memcpy(tmp + k + (mid - a), e + b, (hi - b) * sizeof *e);
+        }
+        struct entry *t = e;
+        e = tmp;
+        tmp = t;
+    }
+    return e;
 }
 
 /* A node to grow and its samples boot[start .. end). */
@@ -428,12 +458,19 @@ struct span {
 /* Grow one tree over the n samples boot (rows, repeats included; reordered
  * in place), depth first and left child first, into node records with
  * room for 2n - 1 (at least 1).  A split scores the first n_candidates
- * features that vary, sorting only nonzero values: a node's zeros are one
- * run.  Dense, feature f of row r is values[f * n_rows + r]; sparse (indptr
- * not NULL), feature f holds values[p] in row indices[p] for p in
- * [indptr[f], indptr[f + 1]), each row once.  The caller has checked that
- * every value is finite and every label y[r] below n_classes.  Returns the
- * node count, or -1 when out of memory. */
+ * features that vary.  A feature with no nonzero value in the node's rows
+ * is skipped before anything is sorted; otherwise its nonzero values, and
+ * one entry per class for the node's zeros, are sorted by sort_entries, in
+ * n log n comparisons at worst, and a feature that is still one value is
+ * skipped then.  Neither skip counts as a candidate.  Each node's
+ * permutation masks its draws from [0, i] with a mask halved as i falls
+ * below each power of two, not recomputed per draw, so the draws, and
+ * the stream left after them, are numpy's.  Dense, feature f of row r is
+ * values[f * n_rows + r]; sparse (indptr not NULL), feature f holds
+ * values[p] in row indices[p] for p in [indptr[f], indptr[f + 1]), each
+ * row once.  The caller has checked that every value is finite and every
+ * label y[r] below n_classes.  Returns the node count, or -1 when out of
+ * memory. */
 ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
                     ptrdiff_t n_candidates, ptrdiff_t n_classes,
                     const double *values, const ptrdiff_t *indptr,
@@ -446,10 +483,14 @@ ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
     ptrdiff_t *perm = calloc(n_features + 2 * n_classes + n_rows + 1,
                              sizeof *perm);
     double *lc = calloc(3 * n_classes + n_rows + 1, sizeof *lc);
-    struct entry *e = calloc(n + n_classes + 1, sizeof *e);
+    struct entry *e = calloc(2 * (n + n_classes + 1), sizeof *e);
     struct span *stack = calloc(n + 1, sizeof *stack);
     if (!perm || !lc || !e || !stack)
         goto done;
+    struct entry *tmp = e + n + n_classes + 1; /* sort_entries' other half */
+    uint64_t top_mask = 0; /* smallest 2^k - 1 >= n_features - 1 */
+    while ((ptrdiff_t)top_mask < n_features - 1)
+        top_mask = 2 * top_mask + 1;
     ptrdiff_t *counts = perm + n_features;
     ptrdiff_t *zeros = counts + n_classes, *mult = zeros + n_classes;
     double *rc = lc + n_classes, *sq = rc + n_classes, *val = sq + n_classes;
@@ -470,8 +511,11 @@ ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
 
         for (ptrdiff_t f = 0; f < n_features; f++)
             perm[f] = f;
+        uint64_t mask = top_mask;
         for (ptrdiff_t i = n_features - 1; i >= 1; i--) {
-            const ptrdiff_t j = random_interval(rng, i), t = perm[i];
+            if ((uint64_t)i <= mask >> 1)
+                mask >>= 1; /* i fell below the next power of two */
+            const ptrdiff_t j = random_interval(rng, i, mask), t = perm[i];
             perm[i] = perm[j];
             perm[j] = t;
         }
@@ -494,24 +538,26 @@ ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
                         e[ne++] = (struct entry){values[f * n_rows + r[i]],
                                                  y[r[i]], 1};
             }
+            if (!ne)
+                continue; /* all zero in this node */
             memcpy(zeros, counts, n_classes * sizeof *zeros);
             for (ptrdiff_t i = 0; i < ne; i++)
                 zeros[e[i].label] -= e[i].weight;
             for (ptrdiff_t k = 0; k < n_classes; k++)
                 if (zeros[k])
                     e[ne++] = (struct entry){0.0, k, zeros[k]};
-            qsort(e, ne, sizeof *e, by_value);
-            if (e[0].value == e[ne - 1].value)
+            const struct entry *o = sort_entries(e, tmp, ne);
+            if (o[0].value == o[ne - 1].value)
                 continue; /* constant in this node */
             tried++;
             /* Every cut between two runs of equal values, lowest first. */
             double nl = 0.0;
             memset(lc, 0, n_classes * sizeof *lc);
             for (ptrdiff_t i = 0; i < ne;) {
-                const double v = e[i].value;
-                for (; i < ne && e[i].value == v; i++) {
-                    lc[e[i].label] += (double)e[i].weight;
-                    nl += (double)e[i].weight;
+                const double v = o[i].value;
+                for (; i < ne && o[i].value == v; i++) {
+                    lc[o[i].label] += (double)o[i].weight;
+                    nl += (double)o[i].weight;
                 }
                 if (i == ne)
                     break;
@@ -524,8 +570,8 @@ ptrdiff_t grow_tree(ptrdiff_t n_rows, ptrdiff_t n_features,
                 if (score < best) {
                     best = score;
                     best_f = f;
-                    thr = 0.5 * (v + e[i].value); /* unless it rounds up */
-                    thr = v <= thr && thr < e[i].value ? thr : v;
+                    thr = 0.5 * (v + o[i].value); /* unless it rounds up */
+                    thr = v <= thr && thr < o[i].value ? thr : v;
                 }
             }
         }

@@ -17,10 +17,14 @@ vary over it: the first lowest weighted Gini, summed in numpy's pairwise
 order, wins, and rows ``<=`` its threshold go left.  So trees, model JSON
 and the random stream left for later draws are those of the numpy reference
 in ``tests/test_forest_golden.py``.  C reads a dense input from a dense copy
-and a sparse one from CSC arrays, by type, and sorts only a node's nonzero
-values, its zeros being one run.  :func:`fit_forest` checks the labels and
-values C trusts, and a sparse input's arrays (``Csr``) before scipy copies
-them into CSC.
+and a sparse one from CSC arrays, by type.  A feature with no nonzero value
+among a node's rows is skipped before any sort; otherwise C sorts its
+nonzero values, the node's zeros being one run, with insertion sort on
+short runs and a bottom-up merge sort above them (n log n comparisons at
+worst).  The permutation's rejection mask is halved as the draw bound
+falls below each power of two, not recomputed per draw, which leaves the
+draws unchanged.  :func:`fit_forest` checks the labels and values C trusts,
+and a sparse input's arrays (``Csr``) before scipy copies them into CSC.
 
 How a forest predicts.  A forest keeps its trees in one read-only array of
 ``NODE`` records, tree after tree, with child ids local to their tree as a

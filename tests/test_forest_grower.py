@@ -66,6 +66,54 @@ def test_grower_matches_reference_with_20_classes():
     assert _arrays(model) == _reference_forest(x, y, 20, 2, 2)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9, 64, 65, 1024, 1025])
+def test_grower_matches_reference_at_power_of_two_widths(width):
+    # Each node's permutation draws from [0, i] for i = width - 1 down to
+    # 1, masking every draw with the smallest 2^k - 1 >= i.  Widths on both
+    # sides of a power of two start the draws just below and just at one,
+    # so a mask off by one bit at any boundary draws another permutation.
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(40, width))
+    y = rng.integers(0, 3, 40)
+    model = fit_forest(ForestSpec(trees=2), x, y, _labels(3), width)
+    assert _arrays(model) == _reference_forest(x, y, 3, 2, width)
+
+
+def _long_columns(n):
+    """n rows of columns laid out for the node sort: ascending, descending,
+    organ-pipe, 3-valued (-1, 0, 1), negative values among -0.0 and +0.0,
+    and one nonzero value in every row (constant, though no row is 0)."""
+    rng = np.random.default_rng(n)
+    up = np.arange(n, dtype=float)
+    half = np.arange(n // 2, dtype=float)
+    x = np.column_stack([
+        up, up[::-1], np.concatenate([half, half[::-1]]), up % 3 - 1,
+        rng.choice([-3.5, -1.0, -0.0, 0.0], size=n), np.full(n, 2.5)])
+    y = (up > n / 3).astype(int) + (x[:, 2] > n / 5) + (x[:, 3] == 0)
+    flip = rng.random(n) < 0.02  # noise, so the trees grow deep
+    y[flip] = rng.integers(0, 4, int(flip.sum()))
+    return x, y
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_grower_matches_reference_on_long_sorted_columns(sparse):
+    # The root sorts 2 000 values of each candidate.  A sparse input is
+    # gathered in row order, so the sort sees the columns' own order,
+    # sorted either way or organ-pipe; every cell is stored, -0.0 and +0.0
+    # included.  A dense input is gathered in bootstrap order.
+    x, y = _long_columns(2000)
+    if sparse:
+        rows, cols = np.indices(x.shape)
+        x_in = sp.csr_matrix((x.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=x.shape)
+        assert x_in.nnz == x.size
+    else:
+        x_in = x
+    model = fit_forest(ForestSpec(trees=2), x_in, y, _labels(4), 6)
+    assert _arrays(model) == _reference_forest(x, y, 4, 2, 6)
+    assert model.trees[0].feature.size > 100
+
+
 def test_fit_on_two_threads_matches_serial():
     rng = np.random.default_rng(4)
     dense = rng.integers(0, 3, size=(300, 12)) * rng.normal(size=12)
