@@ -1,8 +1,8 @@
 /* The compiled loops of comulti.classifiers: the SMO working-pair loop of
  * smo.solve_binary, the sparse kernel product of smo._poly_kernel and the
  * in-place transpose that lays out a full Gram matrix, the tree grower of
- * forest.fit_forest, the walk of forest.TrainedForest.predict_proba_batch,
- * the pass that checks a CSR matrix's arrays, and may densify it, before
+ * forest.fit_forest, the walk of forest.TrainedForest.predict_proba_batch
+ * over dense or CSR rows, the pass that checks a CSR matrix's arrays before
  * any other loop or scipy reads them (_native.Csr), and the pass that reads
  * the rows of a sparse text file (dataset.load_sparse).  New functions go
  * at the end, so that those above keep their addresses.
@@ -335,24 +335,36 @@ struct forest_table {
     const struct node *nodes;
 };
 
-/* Walk every (row, tree) pair of the n rows of x (row-major, n_features
- * doubles per row) and add each leaf's vote to counts (row-major, n_labels
- * doubles per row).  A count stays a whole number below 2^53, so each
- * + 1.0 is exact, and the caller divides the counts in place by the tree
- * count, to the bits of numpy's int64 counts / n_trees. */
+/* Walk every (row, tree) pair of n rows and add each leaf's vote to counts
+ * (row-major, n_labels doubles per row).  Without indptr, x holds the rows
+ * row-major, n_features doubles per row.  With it, the rows are CSR: row r
+ * stores x[p] in column indices[p] for p in [indptr[r], indptr[r + 1]),
+ * checked by csr_check.  Each stored value is added, in stored order, into
+ * row, n_features doubles that the caller zeroed, so repeated columns sum
+ * and -0.0 reads +0.0 as in scipy's toarray; after the walk the touched
+ * entries are set back to +0.0.  A count stays a whole number below 2^53,
+ * so each + 1.0 is exact, and the caller divides the counts in place by
+ * the tree count, to the bits of numpy's int64 counts / n_trees. */
 void forest_counts(const struct forest_table *f, ptrdiff_t n,
-                   const double *x, double *counts)
+                   const ptrdiff_t *indptr, const ptrdiff_t *indices,
+                   const double *x, double *row, double *counts)
 {
     for (ptrdiff_t r = 0; r < n; r++) {
-        const double *row = x + r * f->n_features;
+        if (indptr)
+            for (ptrdiff_t p = indptr[r]; p < indptr[r + 1]; p++)
+                row[indices[p]] += x[p];
+        const double *v = indptr ? row : x + r * f->n_features;
         double *row_counts = counts + r * f->n_labels;
         for (ptrdiff_t t = 0; t < f->n_trees; t++) {
             const struct node *tree = f->nodes + f->roots[t], *node = tree;
             while (node->feature >= 0)
-                node = tree + (row[node->feature] <= node->threshold
+                node = tree + (v[node->feature] <= node->threshold
                                ? node->left : node->right);
             row_counts[node->vote] += 1.0;
         }
+        if (indptr)
+            for (ptrdiff_t p = indptr[r]; p < indptr[r + 1]; p++)
+                row[indices[p]] = 0.0;
     }
 }
 
@@ -614,14 +626,10 @@ done:
  * CSR input.  Check the CSR arrays of an n_rows x n_cols matrix with nnz
  * stored entries: n_rows + 1 row pointers starting at 0, never
  * decreasing and ending at most at nnz, and every index of the nnz
- * entries a column.  Returns 0 when they hold; then, if dense is not NULL,
- * adds each entry into dense (n_rows x n_cols row-major doubles, zeroed by
- * the caller) in stored order, as scipy's csr_todense does, so repeated
- * columns sum as there.  Returns -1, writing nothing, when they do not.
+ * entries a column.  Returns 0 when they hold and -1 when they do not.
  */
-int csr_dense(ptrdiff_t n_rows, ptrdiff_t n_cols, ptrdiff_t nnz,
-              const ptrdiff_t *indptr, const ptrdiff_t *indices,
-              const double *data, double *dense)
+int csr_check(ptrdiff_t n_rows, ptrdiff_t n_cols, ptrdiff_t nnz,
+              const ptrdiff_t *indptr, const ptrdiff_t *indices)
 {
     if (indptr[0] != 0 || indptr[n_rows] > nnz)
         return -1;
@@ -631,10 +639,6 @@ int csr_dense(ptrdiff_t n_rows, ptrdiff_t n_cols, ptrdiff_t nnz,
     for (ptrdiff_t p = 0; p < nnz; p++)
         if (indices[p] < 0 || indices[p] >= n_cols)
             return -1;
-    if (dense)
-        for (ptrdiff_t r = 0; r < n_rows; r++)
-            for (ptrdiff_t p = indptr[r]; p < indptr[r + 1]; p++)
-                dense[r * n_cols + indices[p]] += data[p];
     return 0;
 }
 

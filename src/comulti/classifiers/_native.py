@@ -6,10 +6,10 @@ nothing else (no Python API): the SMO working-pair loop of
 its ``_poly_kernel`` and the in-place transpose that lays out its full Gram
 matrix, the tree grower of
 :func:`comulti.classifiers.forest.fit_forest`, the forest walk of
-:meth:`comulti.classifiers.forest.TrainedForest.predict_proba_batch`, and
-the pass that checks a CSR matrix's arrays before any of them, or scipy,
-reads them, and can densify the matrix in the same pass (:class:`Csr`),
-and the pass that reads the plain ASCII rows of a sparse text file for
+:meth:`comulti.classifiers.forest.TrainedForest.predict_proba_batch`, which
+reads dense rows or CSR arrays, the pass that checks a CSR matrix's arrays
+before any of them, or scipy, reads them (:class:`Csr`), and the pass that
+reads the plain ASCII rows of a sparse text file for
 :func:`comulti.dataset.load_sparse`, which reads any other row itself.  At
 import it is compiled with ``cc`` and :data:`CFLAGS` into :data:`LIBRARY`,
 in this package's ``__pycache__/``, under a file name that carries the
@@ -80,16 +80,14 @@ class Csr:
     """A sparse matrix's CSR arrays as the compiled loops read them: one
     intp ``index`` holding the n_rows + 1 row pointers and then the column
     indices, and float64 ``data``; ``at`` is the addresses of the row
-    pointers, the indices and the values.  C trusts them, so ``csr_dense``
+    pointers, the indices and the values.  C trusts them, so ``csr_check``
     checks them first: the row pointers start at 0, never decrease and end
-    within the stored entries, and every index is a column.  Given
-    ``dense``, the address of a zeroed C-order float64 array of the
-    matrix's shape, the same pass adds the stored values into it.  A
-    matrix of another format is converted by :func:`as_csr`."""
+    within the stored entries, and every index is a column.  A matrix of
+    another format is converted by :func:`as_csr`."""
 
     __slots__ = ("shape", "index", "data", "at")
 
-    def __init__(self, m, dense: Optional[int] = None):
+    def __init__(self, m):
         m = as_csr(m)
         n_rows, n_cols = self.shape = m.shape
         ptr = m.indptr
@@ -100,7 +98,7 @@ class Csr:
                    address(self.data))
         nnz = min(self.index.size - ptr.size, self.data.size)
         if ptr.shape != (n_rows + 1,) \
-                or LIB.csr_dense(n_rows, n_cols, nnz, *self.at, dense):
+                or LIB.csr_check(n_rows, n_cols, nnz, *self.at[:2]):
             raise ValueError("malformed CSR matrix: indptr or indices out "
                              "of range")
 
@@ -174,11 +172,11 @@ def _load_library() -> ctypes.CDLL:
     lib.grow_tree.argtypes = [  # 4 sizes, values .. y, rng, n, boot, nodes
         size, size, size, size, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr]
     lib.forest_counts.restype = None
-    lib.forest_counts.argtypes = [
-        ctypes.POINTER(ForestTable), ctypes.c_ssize_t, ptr, ptr]  # x, counts
-    lib.csr_dense.restype = ctypes.c_int
-    lib.csr_dense.argtypes = [  # n_rows, n_cols, nnz, indptr .. data, dense
-        size, size, size, ptr, ptr, ptr, ptr]
+    lib.forest_counts.argtypes = [  # indptr, indices, x, row, counts
+        ctypes.POINTER(ForestTable), size, ptr, ptr, ptr, ptr, ptr]
+    lib.csr_check.restype = ctypes.c_int
+    lib.csr_check.argtypes = [  # n_rows, n_cols, nnz, indptr, indices
+        size, size, size, ptr, ptr]
     lib.parse_sparse.restype = size
     lib.parse_sparse.argtypes = [  # text, start, size, n_rows, n_cols, cap,
         ctypes.c_char_p, size, size, size, size, size,

@@ -33,11 +33,10 @@ grower writes the records, ``trees`` slices them and ``to_dict`` writes the
 slices.  A row goes left at a node when its value of the node's feature is
 ``<=`` the threshold, so NaN goes right.  One compiled loop
 (``forest_counts`` in ``_native.c``, built by :mod:`._native`) walks every
-(row, tree) pair of a dense block of rows, a single row and a batch alike,
-and adds each leaf's vote to the row's float64 count of that label.  A
-count is a whole number below 2^53, so it is exact, and dividing the
-counts in place by the number of trees gives the bits of int64 counts over
-the tree count.  The table's C struct, and the reference to it that each
+(row, tree) pair of a batch, a single row and many alike, and adds each
+leaf's vote to the row's float64 count of that label.  A count is a whole
+number below 2^53, so it is exact, and dividing the counts in place by the
+number of trees gives the bits of int64 counts over the tree count.  The table's C struct, and the reference to it that each
 call passes, are built once per forest.  C makes the same float64 ``<=``
 as numpy (IEEE 754, NaN included), so it reaches the same leaves.  C also
 trusts the records, so they are checked when a forest is built, from a fit
@@ -45,11 +44,14 @@ or from a model file: every inner node's feature lies in
 ``[0, n_features)``, both its children lie after it and inside its tree,
 and every leaf's vote names a label.  Because every step moves to a higher
 node id in the same tree, each walk ends at a leaf after fewer steps than
-the tree has nodes.  A sparse batch is converted to CSR once, by
-``as_csr``, which checks a CSC or COO batch before scipy converts it, and
-densified a chunk of rows at a time by ``csr_dense``, which checks the
-chunk's arrays first (a malformed CSR is a ``ValueError``) and adds the
-stored values as scipy's ``toarray`` does.
+the tree has nodes.  A dense batch is walked as one C-order block.  A
+sparse batch is converted to CSR and its arrays checked by ``Csr`` (a
+malformed CSR, CSC or COO batch is a ``ValueError``), and C walks the CSR
+arrays as they are: it adds each row's stored values into a zeroed row of
+``n_features`` doubles, as scipy's ``toarray`` adds them, walks that row
+and zeroes what it touched.  The row is made per call, never kept on the
+forest, because threads share a model; no sparse batch is sliced or
+densified.
 """
 
 from __future__ import annotations
@@ -60,12 +62,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DataError
-from ._native import LIB, Csr, ForestTable, address, as_csr
+from ._native import LIB, Csr, ForestTable, address
 from .base import Classifier, ForestSpec
-
-# A batch is predicted in chunks of at most this many dense cells, so a
-# sparse input densifies one chunk at a time.
-_CHUNK_CELLS = 10_000_000
 
 # ``struct node`` in _native.c: 32 bytes, child ids local to the tree.
 NODE = np.dtype([("feature", np.int32), ("vote", np.int32), ("left", np.int64),
@@ -74,18 +72,6 @@ NODE = np.dtype([("feature", np.int32), ("vote", np.int32), ("left", np.int64),
 # dtypes it is read in: an id beyond int32 is refused.
 _FIELDS = (("feature", np.int32), ("threshold", np.float64),
            ("left", np.int32), ("right", np.int32), ("vote", np.int32))
-
-
-def _dense(x) -> tuple[np.ndarray, int]:
-    """``x`` as a C-contiguous float64 array, and its address; a sparse
-    ``x`` is CSR, checked and densified in one compiled pass (``Csr``)."""
-    if not sp.issparse(x):
-        dense = np.ascontiguousarray(x, dtype=np.float64)
-        return dense, address(dense)
-    dense = np.zeros(x.shape)
-    at = address(dense)
-    Csr(x, at)
-    return dense, at
 
 
 class TrainedForest(Classifier):
@@ -147,20 +133,15 @@ class TrainedForest(Classifier):
         if x.shape[1] != self.n_features:
             raise DataError(f"input has {x.shape[1]} features, model expects "
                             f"{self.n_features}")
-        n = x.shape[0]
-        step = max(1, _CHUNK_CELLS // max(1, self.n_features))
-        if sp.issparse(x):  # CSR, whose rows can be sliced
-            x = as_csr(x)
-            if n > step:  # scipy's slicing trusts the arrays too
-                Csr(x)
-        counts = np.zeros((n, self.n_labels))
-        out, row_bytes = address(counts), counts.strides[0]
-        for lo in range(0, n, step):
-            # An input of one chunk is not sliced: slicing a one-row CSR
-            # matrix costs more than walking it.
-            dense, at = _dense(x if n <= step else x[lo:lo + step])
-            LIB.forest_counts(self._table_ref, dense.shape[0], at,
-                              out + lo * row_bytes)
+        counts = np.zeros((x.shape[0], self.n_labels))
+        if sp.issparse(x):
+            csr, row = Csr(x), np.zeros(self.n_features)
+            LIB.forest_counts(self._table_ref, x.shape[0], *csr.at,
+                              address(row), address(counts))
+        else:
+            x = np.ascontiguousarray(x, dtype=np.float64)
+            LIB.forest_counts(self._table_ref, x.shape[0], None, None,
+                              address(x), None, address(counts))
         counts /= self._table.n_trees
         return counts
 

@@ -439,15 +439,16 @@ def _sparse_row(path, r: int, ncols: int, line: str) -> tuple[list, list]:
 
 
 def write_csv(ds: Dataset, path, label_column: str = "label") -> None:
-    """Write a dataset back out as CSV (ordinal codes decoded to categories)."""
-    x = ds.x.toarray() if ds.is_sparse else ds.x
+    """Write a dataset back out as CSV (ordinal codes decoded to categories).
+    A sparse dataset is densified one row at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.schema.names) + [label_column])
         for i in range(ds.n_instances):
+            x = ds.x[i:i + 1].toarray()[0] if ds.is_sparse else ds.x[i]
             row = []
             for j, spec in enumerate(ds.schema.features):
-                v = x[i, j]
+                v = x[j]
                 if spec.kind == ORDINAL:
                     row.append(spec.categories[int(round(v))])
                 else:

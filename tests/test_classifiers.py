@@ -117,13 +117,21 @@ def test_forest_probabilities_are_vote_fractions():
 
 
 def test_forest_predicts_on_threads_as_serially():
-    # The walk runs without the GIL; 4 threads on one forest, started
-    # together and switching often, must give the serial bytes.
+    # The walk runs without the GIL; 6 threads on one forest, started
+    # together and switching often, must give the serial bytes.  Three walk
+    # CSR rows, each through a zeroed row of its own call: one of them
+    # stores its columns out of order and twice.
     rng = np.random.default_rng(12)
     ds = make_dataset(rng.normal(size=(200, 6)), rng.integers(0, 4, 200))
     model = fit(ForestSpec(trees=15), ds, seed=3)
+    jumbled = sp.csr_matrix(
+        (rng.normal(size=900), np.tile([5, 0, 5, 3, 0, 3], 150),
+         range(0, 901, 3)), shape=(300, 6))
+    assert not jumbled.has_canonical_format
     inputs = [rng.normal(size=(300, 6)), rng.normal(size=(1, 6)),
-              sp.csr_matrix(rng.normal(size=(40, 6))), rng.normal(size=(7, 6))]
+              sp.csr_matrix(rng.normal(size=(300, 6))),
+              rng.normal(size=(7, 6)), sp.csr_matrix(rng.normal(size=(1, 6))),
+              jumbled]
     want = [model.predict_proba_batch(x).tobytes() for x in inputs]
     got = [[] for _ in inputs]
     start = threading.Barrier(len(inputs))

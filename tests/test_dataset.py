@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,29 @@ def test_csv_round_trip(tmp_path):
     write_csv(ds, p, label_column="label")
     again = load_csv(p, "label", schema)
     assert again.equals(ds)
+
+
+def test_sparse_csv_is_written_a_row_at_a_time(tmp_path):
+    # The file is the one the dense rows give, duplicate entries summed,
+    # and no dense copy of the whole matrix is made.
+    rng = np.random.default_rng(3)
+    n, width = 75, 2000
+    x = sp.random(n, width, density=5 / width, format="csr",
+                  random_state=rng)
+    x.indices[1::5] = x.indices[::5]  # a column stored twice in a row
+    y = rng.integers(0, 2, n)
+    ds = Dataset(FeatureSchema.numeric(width), x, y, ("a", "b"))
+    tracemalloc.start()
+    try:
+        write_csv(ds, tmp_path / "sparse.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * width * 8 / 2
+    write_csv(Dataset(ds.schema, x.toarray(), y, ds.labels),
+              tmp_path / "dense.csv")
+    assert (tmp_path / "sparse.csv").read_bytes() \
+        == (tmp_path / "dense.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import gc
 import hashlib
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,42 +333,29 @@ def test_walk_matches_level_reference_lone_leaf_tree():
     _check_walk(empty, np.zeros((4, 0)))
 
 
-def test_walk_matches_level_reference_in_chunks(monkeypatch):
+def test_walk_matches_level_reference_on_csr_edge_values():
+    # Thresholds, +/-inf and NaN, dense and as unsorted CSR rows.
     x, y = _random_case(5)
     model = forest_mod.fit_forest(ForestSpec(trees=4), x, y,
                                   tuple(f"c{i}" for i in range(int(y.max())
                                                                 + 1)), 5)
-    # A budget of 4 rows' cells walks 15 rows in 4 chunks, the last short.
-    monkeypatch.setattr(forest_mod, "_CHUNK_CELLS", 4 * x.shape[1])
-    chunks = []  # rows densified per call: the batch's chunks, then 1s
-    dense = forest_mod._dense
-
-    def counting_dense(part):
-        chunks.append(part.shape[0])
-        return dense(part)
-
-    monkeypatch.setattr(forest_mod, "_dense", counting_dense)
     rng = np.random.default_rng(1)
     probe = _edge_values(model, x[:15], rng)
     for x_in in (probe, _unsorted_csr(probe, rng)):
-        chunks.clear()
         _check_walk(model, x_in)
-        assert chunks == [4, 4, 4, 3] + [1] * 15
 
 
 @pytest.mark.parametrize("fmt", ["coo", "csc"])
-def test_other_sparse_formats_walk_as_csr_in_chunks(monkeypatch, fmt):
-    # A batch of another sparse format is converted to CSR once, before it
-    # is cut into chunks, so a COO batch, which has no rows to slice, is
-    # walked too.
+def test_other_sparse_formats_walk_as_csr(fmt):
+    # A batch of another sparse format is converted to CSR, and walked as
+    # that CSR batch is.
     x, y = _random_case(5)
     model = forest_mod.fit_forest(ForestSpec(trees=4), x, y,
                                   tuple(f"c{i}" for i in range(int(y.max())
                                                                 + 1)), 5)
-    monkeypatch.setattr(forest_mod, "_CHUNK_CELLS", 4 * x.shape[1])
     rng = np.random.default_rng(2)
     csr = _unsorted_csr(_edge_values(model, x[:15], rng), rng)
-    _check_walk(model, csr)  # in 4 chunks
+    _check_walk(model, csr)
     assert model.predict_proba_batch(csr.asformat(fmt)).tobytes() \
         == model.predict_proba_batch(csr).tobytes()
 
@@ -418,7 +406,7 @@ def test_walk_matches_level_reference_on_csr(layout, seed):
 
 
 @pytest.mark.parametrize("trees", [1, 3, 7, 10])
-def test_walk_gives_int64_counts_over_trees(monkeypatch, trees):
+def test_walk_gives_int64_counts_over_trees(trees):
     # The walk adds votes into float64 counts and divides them in place.
     x, y = _random_case(1)
     model = forest_mod.fit_forest(ForestSpec(trees=trees), x, y,
@@ -429,11 +417,8 @@ def test_walk_gives_int64_counts_over_trees(monkeypatch, trees):
     assert np.isnan(probe).any()
     _check_walk(model, probe)
     _check_walk(model, _unsorted_csr(probe, rng))  # one-row CSR inputs too
+    _check_walk(model, sp.csr_matrix(probe))
     want = model.predict_proba_batch(probe).tobytes()
-    with monkeypatch.context() as m:
-        m.setattr(forest_mod, "_CHUNK_CELLS", 3 * x.shape[1])
-        _check_walk(model, probe)  # 7 chunks, the last of 2 rows
-        _check_walk(model, sp.csr_matrix(probe))
     # A copy builds its own table and walk arguments: it predicts alike
     # once the original is gone.
     copies = [copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
@@ -442,3 +427,23 @@ def test_walk_gives_int64_counts_over_trees(monkeypatch, trees):
     for again in copies:
         assert again.predict_proba_batch(probe).tobytes() == want
         _check_walk(again, probe)
+
+
+def test_wide_csr_batch_is_walked_without_a_dense_copy():
+    # 2 000 rows of 100 000 columns would be 1.6 GB dense; the walk reads
+    # the CSR arrays and one zeroed row of n_features doubles.
+    rng = np.random.default_rng(6)
+    n, width = 2000, 100_000
+    x = sp.random(n, width, density=5 / width, format="csr", random_state=rng)
+    y = rng.integers(0, 3, n)
+    model = forest_mod.fit_forest(ForestSpec(trees=3), x[:300], y[:300],
+                                  ("a", "b", "c"), 0)
+    tracemalloc.start()
+    try:
+        proba = model.predict_proba_batch(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert proba[:10].tobytes() \
+        == model.predict_proba_batch(x[:10].toarray()).tobytes()

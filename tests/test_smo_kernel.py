@@ -408,8 +408,9 @@ def _all_stored(fmt, shape):
 def test_malformed_csr_is_value_error_from_every_reader(dense_fitted, model,
                                                         method, fmt, breaker):
     # Every stored entry of a 6 x 5 batch, or of its first row for predict.
-    # A forest densifies the rows, and scipy multiplies them by a dense SMO
-    # model's support vectors: both read where indptr and indices point.
+    # A forest walks the CSR arrays, and scipy multiplies them by a dense
+    # SMO model's support vectors: both read where indptr and indices
+    # point.
     x = _all_stored(fmt, (1 if method == "predict" else 6, 5))
     with pytest.raises(ValueError, match=f"malformed {fmt.upper()}"):
         getattr(dense_fitted[model], method)(_broken(x, breaker))
@@ -436,12 +437,11 @@ def test_malformed_sparse_fit_forest_is_value_error(fmt, breaker):
 
 
 @pytest.mark.parametrize("breaker", BREAKERS)
-def test_malformed_csr_in_chunks_is_value_error(monkeypatch, dense_fitted,
-                                                breaker):
-    # scipy's row slicing reads where indptr points and drops the entries
-    # of other columns, so a batch of several chunks is checked whole.
-    monkeypatch.setattr(forest_mod, "_CHUNK_CELLS", 2 * 5)
-    x = sp.csr_matrix(np.random.default_rng(8).normal(size=(6, 5)))
+def test_malformed_csr_batch_is_value_error(dense_fitted, breaker):
+    # The forest walks a CSR batch's arrays in C, adding each entry into a
+    # row of n_features doubles at its index, so the whole batch is checked
+    # first, however many rows it has.
+    x = sp.csr_matrix(np.random.default_rng(8).normal(size=(40, 5)))
     with pytest.raises(ValueError, match="malformed CSR"):
         dense_fitted["forest"].predict_proba_batch(_broken(x, breaker))
 
