@@ -28,16 +28,11 @@
  * wins over any number.
  */
 
-/* Kernel column i (n contiguous doubles), or NULL on failure.  A column
- * must stay valid until the call after next: column i of a working pair is
- * still read after column j has been fetched. */
-typedef const double *(*smo_column_fn)(ptrdiff_t i);
-
 enum {
     SMO_CONVERGED = 0, /* the gap dropped below tol */
     SMO_EMPTY_SET = 1, /* up or low became empty; the gap is 0 */
     SMO_CAP = 2,       /* ran max_iter iterations */
-    SMO_NO_COLUMN = 3  /* the column callback failed */
+    SMO_ABSENT = 3     /* a column of the working pair is not in the table */
 };
 
 /* The first index of a working pair: i, the argmax of yg over up rows, at
@@ -76,24 +71,26 @@ static void smo_pick_row(struct smo_pick *p, ptrdiff_t t, double g,
  * y, neg_y: labels (+/-1) and their negation, which is passed in because
  * the compiler may rewrite (-y[t]) * grad[t] as -(y[t] * grad[t]), and that
  * flips the sign bit of a NaN product.  diag: kernel diagonal.
- * gram: the full Gram matrix in column-major order, or NULL, in which case
- * column(i) supplies column i.  alpha, grad, up, low: the multipliers, the
- * dual gradient and the index-set flags, updated in place.  yg: n doubles
- * of scratch.  On return *gap_out is the last violation gap and *it_out
- * the number of iterations done.
+ * table, slot: kernel column i is the n doubles at table + slot[i] * n,
+ * absent when slot[i] < 0 (a full Gram matrix is the table, slot[i] == i).
+ * alpha, grad, up, low: the multipliers, the dual gradient and the
+ * index-set flags, updated in place.  yg: n doubles of scratch.  *it_io:
+ * the iterations done, read and written; on return *gap_out is the last
+ * violation gap.  SMO_ABSENT: column want[0] of the pair whose first index
+ * is want[1] is absent, and nothing of that iteration has changed; once
+ * the column is in, a call with the same arrays goes on from there, since
+ * each call takes its first pick as the update pass takes it.
  *
  * An iteration makes two passes over the rows: the second-order choice of
  * j, and one pass that updates the gradient with the pair's step and, on
  * the new gradient and index sets, picks the next iteration's i and gap.
- * The gram (or column cache) may be shared by several calls in turn; it is
- * only read here.
  */
 int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
-              const double *diag, const double *gram, smo_column_fn column,
+              const double *diag, const double *table, const ptrdiff_t *slot,
               double c, double tol, long long max_iter,
               double *alpha, double *grad, unsigned char *up,
               unsigned char *low, double *yg,
-              double *gap_out, long long *it_out)
+              double *gap_out, long long *it_io, ptrdiff_t *want)
 {
     const double eps = 1e-12;
     const double top = c - eps;
@@ -111,7 +108,7 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
         smo_pick_row(&pick, t, g, up[t], low[t]);
     }
     double gap = INFINITY;
-    long long it = 0;
+    long long it = *it_io;
     int status = SMO_CAP;
     while (it < max_iter) {
         if (!n_up || !n_low) {
@@ -127,11 +124,12 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
             break;
         }
 
-        const double *k_i = gram ? gram + i * n : column(i);
-        if (!k_i) {
-            status = SMO_NO_COLUMN;
+        if (slot[i] < 0) {
+            want[0] = want[1] = i;
+            status = SMO_ABSENT;
             break;
         }
+        const double *k_i = table + slot[i] * n;
         /* Second-order selection among violators (low rows below m_val):
          * the largest decrease (m_val - yg)^2 / quad of the dual objective
          * for the pair (i, t).  Any other row scores -inf, which is never
@@ -155,11 +153,13 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
             }
         }
 
-        const double *k_j = gram ? gram + j * n : column(j);
-        if (!k_j) {
-            status = SMO_NO_COLUMN;
+        if (slot[j] < 0) {
+            want[0] = j;
+            want[1] = i;
+            status = SMO_ABSENT;
             break;
         }
+        const double *k_j = table + slot[j] * n;
         const double yi = y[i], yj = y[j];
         const double gi = grad[i], gj = grad[j];
         const double old_ai = alpha[i], old_aj = alpha[j];
@@ -257,7 +257,7 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
         }
     }
     *gap_out = gap;
-    *it_out = it;
+    *it_io = it;
     return status;
 }
 

@@ -45,8 +45,6 @@ CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off",
           "-falign-functions=64")
 _TAG = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode())
 LIBRARY = SOURCE.parent / "__pycache__" / f"_native-{_TAG.hexdigest()}.so"
-# smo_solve's kernel column callback (smo_column_fn).
-COLUMN_FN = ctypes.CFUNCTYPE(ctypes.c_void_p, ctypes.c_ssize_t)
 
 
 class ForestTable(ctypes.Structure):
@@ -159,10 +157,10 @@ def _load_library() -> ctypes.CDLL:
                             ctypes.c_longlong, ctypes.c_ssize_t)
     lib.smo_solve.restype = ctypes.c_int
     lib.smo_solve.argtypes = [
-        ctypes.c_ssize_t, ptr, ptr, ptr, ptr,  # n, y, neg_y, diag, gram
-        COLUMN_FN, f64, f64, i64,  # column, c, tol, max_iter
+        size, ptr, ptr, ptr, ptr,  # n, y, neg_y, diag, table
+        ptr, f64, f64, i64,  # slot, c, tol, max_iter
         ptr, ptr, ptr, ptr, ptr,  # alpha, grad, up, low, yg
-        ctypes.POINTER(f64), ctypes.POINTER(i64)]  # gap, iterations
+        ctypes.POINTER(f64), ctypes.POINTER(i64), ptr]  # gap, iterations, want
     lib.sparse_product.restype = None
     lib.sparse_product.argtypes = [  # n_rows, n_out, A, bt, out
         size, size, ptr, ptr, ptr, ptr, ptr, ptr, ptr]

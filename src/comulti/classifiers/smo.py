@@ -8,16 +8,16 @@ Chen & Lin, JMLR 2005); at convergence every multiplier satisfies
 Decision scores are mapped to probabilities by a per-class logistic (Platt)
 fit on the training scores, then normalized across classes.
 
-Up to ``_FULL_GRAM_ROWS`` training rows the whole Gram matrix is computed
-once, in Fortran order, so the kernel column each SMO step reads is
-contiguous: the product is written row by row and transposed in place, so
-the build holds one Gram-size array.  Larger problems compute columns on
-demand.  Fits of several label views of one training matrix share one
-``_Kernel``, which keeps every binary problem solved on it (the ``shared``
-argument of :func:`fit_smo`): the first view's fit builds the Gram matrix,
-which lives until the caller drops ``shared``, and a one-vs-rest problem
-that two views pose is solved and calibrated once, its iteration-cap
-warning, if any, raised once.
+The solver reads each kernel column from one Fortran-order table, where
+it is contiguous.  Up to ``_FULL_GRAM_ROWS`` training rows the table is
+the whole Gram matrix, written row by row and transposed in place, so the
+build holds one Gram-size array; above, it holds ``_COLUMN_CACHE``
+columns, computed when the solver stops at one it lacks.  Fits of several
+label views of one training matrix share one ``_Kernel``, which keeps
+every binary problem solved on it (the ``shared`` argument of :func:`fit_smo`): the first view's
+fit builds the Gram matrix, which lives until the caller drops ``shared``,
+and a one-vs-rest problem that two views pose is solved and calibrated
+once, its iteration-cap warning, if any, raised once.
 
 The solver's iterations run in C, and so does the kernel product of two
 sparse matrices: the loop of :func:`solve_binary` and ``sparse_product``
@@ -54,10 +54,12 @@ import scipy.sparse as sp
 
 from ..dataset import freeze
 from ..errors import DataError, TrainingError
-from ._native import COLUMN_FN, LIB, Csr, address
+from ._native import LIB, Csr, address
 from .base import Classifier, SmoSpec
 
-_CAP = 2  # smo_solve's status after max_iter iterations (SMO_CAP)
+# smo_solve's statuses: it ran max_iter iterations (SMO_CAP), or a column
+# of the working pair is not in the table (SMO_ABSENT).
+_CAP, _ABSENT = 2, 3
 
 
 # Full Gram matrices are precomputed up to this many training rows; larger
@@ -107,18 +109,22 @@ def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
 
 
 class _Kernel:
-    """Kernel columns over one training matrix, precomputed or cached, all
-    by :func:`_poly_kernel` (in C for a sparse matrix), and the binary
-    problems solved on them: ``solved`` maps ``(c, tol, max_iter,
-    y_bin.tobytes())`` to ``(alpha, bias, gap, platt)``.  It holds the
-    matrix itself, so the matrix's id, its key in a ``shared`` dict, cannot
-    be reused while it lives.
+    """Kernel columns over one training matrix, all by :func:`_poly_kernel`
+    (in C for a sparse matrix), and the binary problems solved on them:
+    ``solved`` maps ``(c, tol, max_iter, y_bin.tobytes())`` to ``(alpha,
+    bias, gap, platt)``.  It holds the matrix itself, so the matrix's id,
+    its key in a ``shared`` dict, cannot be reused while it lives.
 
-    A full Gram matrix is stored in Fortran order, so the column the solver
-    reads for a row is contiguous memory.  A sparse Gram is not always
-    symmetric to the bit (a CSR with unsorted indices sums each product in
-    a different order for ``(r, i)`` and ``(i, r)``), so rows are never read
-    in place of columns.
+    Column i is ``table[:, slot[i]]``, contiguous, or absent if ``slot[i]
+    < 0``.  Up to ``_FULL_GRAM_ROWS`` rows the table is the Gram matrix
+    ``full``.  Above, ``full`` is None and :func:`solve_binary` fills the
+    table's ``max(2, min(_COLUMN_CACHE, n))`` slots first-in first-out
+    (``next`` first).  The table changes between the solver's calls, so a
+    kernel serves one solve at a time.
+
+    A sparse Gram is not always symmetric to the bit (a CSR with unsorted
+    indices sums each product in a different order for ``(r, i)`` and
+    ``(i, r)``), so rows are never read in place of columns.
     """
 
     def __init__(self, x, degree: int):
@@ -135,17 +141,20 @@ class _Kernel:
                 # buffer, in the layout the solver reads.
                 full = np.ascontiguousarray(_poly_kernel(self._a, x, degree))
                 LIB.transpose_square(self.n, full.ctypes.data)
-                self.full = full.T
+                self.full = self.table = full.T
+                self.slot = np.arange(self.n, dtype=np.intp)
                 self.diag = np.diag(self.full).copy()
-                self._cache = None
             else:
                 self.full = None
+                self.table = np.empty(
+                    (self.n, max(2, min(_COLUMN_CACHE, self.n))), order="F")
+                self.slot = np.full(self.n, -1, dtype=np.intp)
+                self.next = 0
                 if sp.issparse(x):
                     sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
                 else:
                     sq = (x * x).sum(axis=1)
                 self.diag = (sq + 1.0) ** degree
-                self._cache: dict[int, np.ndarray] = {}
         # |x_i . x_j| <= max(|x_i|^2, |x_j|^2) (Cauchy-Schwarz), so a finite
         # diagonal bounds every kernel entry, computed now or on demand.
         if not np.isfinite(self.diag).all():
@@ -153,43 +162,11 @@ class _Kernel:
                 f"SMO stage: the degree-{degree} kernel overflows on the "
                 "training rows (feature values too large)")
 
-    def col(self, i: int) -> np.ndarray:
-        """Column ``i``; the solver reads a full Gram matrix in place."""
-        got = self._cache.get(i)
-        if got is None:
-            got = _poly_kernel(self._a, self.x[i:i + 1], self.degree).ravel()
-            if len(self._cache) >= _COLUMN_CACHE:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[i] = got
-        return got
-
     def block(self, cols: np.ndarray) -> np.ndarray:
         """(n, len(cols)) slab of kernel values."""
         if self.full is not None:
             return self.full[:, cols]
         return _poly_kernel(self._a, self.x[cols], self.degree)
-
-
-def _column_source(kernel: _Kernel):
-    """A C callback giving ``kernel.col(i)``, and the list that receives
-    the exception it raises, if any (the callback itself returns NULL).
-
-    The two columns of a working pair are fetched one after the other, and
-    the cache may evict column i while fetching column j, so the callback
-    holds the last two columns it returned.
-    """
-    held, failed = [None, None], []
-
-    def column(i):
-        try:
-            col = np.ascontiguousarray(kernel.col(i), dtype=np.float64)
-        except BaseException as exc:  # re-raised by solve_binary
-            failed.append(exc)
-            return None
-        held[:] = held[1], col
-        return col.ctypes.data
-
-    return COLUMN_FN(column), failed
 
 
 def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
@@ -201,11 +178,12 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     convergence means the violation gap dropped below ``tol``.
 
     The iterations run in C (``_native.c``, see :mod:`._native`); this
-    function sets up the buffers, computes the bias and raises the
-    iteration-cap warning.  Every element goes through the same rounded
-    operations as in the plain numpy form (``yg = -y * grad``, masks of the
-    index sets, argmax and min by numpy's rules, NaN included), so alphas,
-    bias, gap and iteration count are the same to the bit.
+    function sets up the buffers, puts in each column the loop stops at,
+    computes the bias and raises the iteration-cap warning.  Every element
+    goes through the same rounded operations as in the plain numpy form
+    (``yg = -y * grad``, masks of the index sets, argmax and min by numpy's
+    rules, NaN included), so alphas, bias, gap and iteration count are the
+    same to the bit.
     """
     n = y.size
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -225,20 +203,25 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     neg_y = -y
     yg = np.empty(n)
     gap, it = ctypes.c_double(), ctypes.c_longlong()
-    if kernel.full is not None:
-        gram = np.asfortranarray(kernel.full, dtype=np.float64)
-        column, failed = COLUMN_FN(), []  # NULL: C reads the Gram
-    else:
-        gram = None
-        column, failed = _column_source(kernel)
+    table, slot = kernel.table, kernel.slot
+    want = np.empty(2, dtype=np.intp)  # the absent column, the pair's first
     # The arrays stay bound to names until the call returns.
-    status = LIB.smo_solve(
-        n, y.ctypes.data, neg_y.ctypes.data, diag.ctypes.data,
-        None if gram is None else gram.ctypes.data, column, c, tol, max_iter,
-        alpha.ctypes.data, grad.ctypes.data, up.ctypes.data, low.ctypes.data,
-        yg.ctypes.data, ctypes.byref(gap), ctypes.byref(it))
-    if failed:
-        raise failed[0]
+    while (status := LIB.smo_solve(
+            n, y.ctypes.data, neg_y.ctypes.data, diag.ctypes.data,
+            table.ctypes.data, slot.ctypes.data, c, tol, max_iter,
+            alpha.ctypes.data, grad.ctypes.data, up.ctypes.data,
+            low.ctypes.data, yg.ctypes.data, ctypes.byref(gap),
+            ctypes.byref(it), want.ctypes.data)) == _ABSENT:
+        i, first = want
+        # Computed before the table changes, so an error leaves it whole.
+        col = _poly_kernel(kernel._a, kernel.x[i:i + 1], kernel.degree)
+        width = table.shape[1]
+        # The next slot, unless it holds the pair's first column.
+        put = (kernel.next + (slot[first] == kernel.next)) % width
+        kernel.next = (put + 1) % width
+        slot[slot == put] = -1
+        table[:, put] = col.ravel()
+        slot[i] = put
     gap, it = gap.value, it.value
     if status == _CAP:
         warnings.warn(

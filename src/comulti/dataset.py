@@ -458,7 +458,12 @@ def write_csv(ds: Dataset, path, label_column: str = "label") -> None:
 
 
 def write_sparse(ds: Dataset, matrix_path, labels_path) -> None:
-    """Write a dataset in the sparse text format (1-based column indices)."""
+    """Write a dataset in the sparse text format (1-based column indices);
+    a label that would not read back is a ``DataError``."""
+    for label in ds.labels:
+        if label != label.strip() or not label or set(label) & {"\n", "\r"}:
+            raise DataError(f"{labels_path}: label {label!r} cannot be "
+                            "written one per line and read back")
     csr = ds.x.tocsr() if ds.is_sparse else sp.csr_matrix(ds.x)
     with open(matrix_path, "w", encoding="utf-8") as fh:
         fh.write(f"{csr.shape[0]} {csr.shape[1]} {csr.nnz}\n")

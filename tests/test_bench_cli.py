@@ -537,6 +537,27 @@ def test_cli_convert_round_trip(tmp_path, capsys):
     assert np.allclose(round_tripped.x, ds.x)
 
 
+def test_cli_convert_refuses_labels_the_sparse_format_cannot_hold(
+        tmp_path, capsys):
+    # load_sparse reads one stripped label per non-blank line, so these
+    # labels used to reload shifted: x, x, x, y, z, y.
+    csv_path, out = tmp_path / "d.csv", tmp_path / "d.sparse"
+    for labels in ('x,x,"",x,"y\nz",y', 'x,"y\rz"', 'x,"y\nz"', '"",x'):
+        rows = "".join(f"{i},{label}\n"
+                       for i, label in enumerate(labels.split(",")))
+        csv_path.write_text(f"f,label\n{rows}")
+        assert main(["convert", "--dataset", str(csv_path), "--to",
+                     "sparse", "--out", str(out)]) == 2, labels
+        _one_line_error(capsys, "data error:")
+        assert not out.exists() and not Path(str(out) + ".labels").exists()
+    # The CSV reader strips labels; a dataset built otherwise may not.
+    for label in (" y", "y\t", "\x85"):
+        ds = make_dataset(np.eye(2), [0, 1], labels=("x", label))
+        with pytest.raises(DataError, match="cannot be written"):
+            write_sparse(ds, out, tmp_path / "d.labels")
+        assert not out.exists()
+
+
 def test_cli_grid(blobs_csv, tmp_path, capsys):
     c1 = tmp_path / "rf.conf"
     c1.write_text(f"dataset.path = {blobs_csv}\nmodel = baseline-rf\n"
@@ -638,6 +659,37 @@ def test_cli_empty_majority_override_is_config_error(blobs_csv, tmp_path,
     conf.write_text(f"dataset.path = {blobs_csv}\nmajority = ,\n")
     assert main(["run", "--config", str(conf)]) == 1
     _one_line_error(capsys, "config error:")
+
+
+@pytest.mark.parametrize("text", [
+    "dataset.format = parquet", "split = 1.5", "seeds = 0", "delta = 0",
+    "delta_per_factor = maybe", None])
+def test_cli_invalid_run_config_is_config_error(blobs_csv, tmp_path, capsys,
+                                                text):
+    # None: a config that names no dataset.
+    conf = tmp_path / "bad.conf"
+    conf.write_text("model = cmc\n" if text is None
+                    else f"dataset.path = {blobs_csv}\n{text}\n")
+    assert main(["run", "--config", str(conf)]) == 1
+    _one_line_error(capsys, "config error:")
+
+
+def test_cli_run_out_writes_the_report(blobs_csv, tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"dataset.path = {blobs_csv}\nmodel = baseline-rf\n"
+                    "forest.trees = 10\ndelta_per_factor = no\n")
+    assert main(["run", "--config", str(conf), "--json"]) == 0
+    printed = capsys.readouterr().out
+    report = tmp_path / "report.json"
+    assert main(["run", "--config", str(conf), "--json",
+                 "--out", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    assert report.read_text(encoding="utf-8") == printed
+    missing = tmp_path / "missing" / "report.json"
+    assert main(["run", "--config", str(conf), "--json",
+                 "--out", str(missing)]) == 2
+    _one_line_error(capsys, "data error:")
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize("line", [

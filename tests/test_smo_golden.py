@@ -328,14 +328,58 @@ def test_solver_matches_reference_column_cache(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 7])
-def test_solver_matches_reference_at_the_cap(max_iter):
+@pytest.mark.parametrize("full_rows,cache", [(6000, 1024), (0, 1), (0, 8)])
+def test_solver_matches_reference_at_the_cap(monkeypatch, full_rows, cache,
+                                             max_iter):
+    # On the column path each absent column ends a call to C and the next
+    # call goes on, so a capped solve can end right after such a restart.
     x, y, degree, c = _random_problem(4)
+    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", full_rows)
+    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", cache)
     with pytest.warns(RuntimeWarning):
-        want = _reference_solve(_ReferenceKernel(x, degree, 6000, 1024),
+        want = _reference_solve(_ReferenceKernel(x, degree, full_rows, cache),
                                 y, c, 1e-3, max_iter)
     with pytest.warns(RuntimeWarning, match="iteration cap"):
         got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
                                    max_iter)
+    _assert_same_solution(got, want)
+
+
+class _ColumnFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 9])
+def test_failing_column_leaves_the_kernel_whole(monkeypatch, fail_at):
+    # An error computing a column ends the solve with that error, and the
+    # kernel's table and slots still hold only the columns they name.
+    x, y, degree, c = _random_problem(1)
+    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
+    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", 2)
+    kernel = smo_mod._Kernel(x, degree)
+    real, calls = smo_mod._poly_kernel, []
+    error = _ColumnFailed("no column")
+
+    def failing(a, b, degree, b_t=None):
+        if b.shape[0] == 1:
+            calls.append(b)
+            if len(calls) == fail_at:
+                raise error
+        return real(a, b, degree, b_t)
+
+    monkeypatch.setattr(smo_mod, "_poly_kernel", failing)
+    with pytest.raises(_ColumnFailed) as raised:
+        smo_mod.solve_binary(kernel, y, c, 1e-3, 200_000)
+    assert raised.value is error
+    held = np.flatnonzero(kernel.slot >= 0)
+    assert len(held) == min(fail_at - 1, 2)
+    assert len(set(kernel.slot[held])) == len(held)
+    for i in held:
+        assert kernel.table[:, kernel.slot[i]].tobytes() == \
+            real(x, x[i:i + 1], degree).ravel().tobytes()
+    want = _reference_solve(_ReferenceKernel(x, degree, 0, 2),
+                            y, c, 1e-3, 200_000)
+    got = smo_mod.solve_binary(kernel, y, c, 1e-3, 200_000)
     _assert_same_solution(got, want)
 
 
@@ -412,8 +456,8 @@ def test_solver_matches_reference_tiny_column_cache(monkeypatch, seed, cache):
 
 
 def test_solver_on_two_threads_matches_serial(monkeypatch):
-    # One problem on a full Gram, one on the column cache (whose callback
-    # takes the GIL back), solved at the same time.
+    # One problem on a full Gram, one on a column table that solve_binary
+    # fills between calls to C, solved at the same time.
     rng = np.random.default_rng(11)
     x = rng.normal(size=(400, 6))
     y = np.where(rng.random(400) < 0.3, 1.0, -1.0)
