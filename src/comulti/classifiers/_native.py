@@ -8,9 +8,10 @@ matrix, the tree grower of
 :func:`comulti.classifiers.forest.fit_forest`, the forest walk of
 :meth:`comulti.classifiers.forest.TrainedForest.predict_proba_batch`, which
 reads dense rows or CSR arrays, the pass that checks a CSR matrix's arrays
-before any of them, or scipy, reads them (:class:`Csr`), and the pass that
-reads the plain ASCII rows of a sparse text file for
-:func:`comulti.dataset.load_sparse`, which reads any other row itself.  At
+before any of them, or scipy, reads them (:class:`Csr`, made once per
+batch, where a model takes it in), and the pass that reads the plain ASCII
+rows of a sparse text file for :func:`comulti.dataset.load_sparse`, which
+reads any other row itself.  At
 import it is compiled with ``cc`` and :data:`CFLAGS` into :data:`LIBRARY`,
 in this package's ``__pycache__/``, under a file name that carries the
 SHA-256 of the source and the flags: later imports load that file without
@@ -39,6 +40,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 SOURCE = Path(__file__).with_name("_native.c")
 CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off",
@@ -75,18 +77,32 @@ def address(a: np.ndarray) -> int:
 
 
 class Csr:
-    """A sparse matrix's CSR arrays as the compiled loops read them: one
-    intp ``index`` holding the n_rows + 1 row pointers and then the column
-    indices, and float64 ``data``; ``at`` is the addresses of the row
-    pointers, the indices and the values.  C trusts them, so ``csr_check``
-    checks them first: the row pointers start at 0, never decrease and end
-    within the stored entries, and every index is a column.  A matrix of
-    another format is converted by :func:`as_csr`."""
+    """A sparse matrix of any scipy format, ``m`` in CSR, and its arrays as
+    the compiled loops read them: one intp ``index`` holding the n_rows + 1
+    row pointers and then the column indices, and float64 ``data``; ``at``
+    is the addresses of the row pointers, the indices and the values.  C
+    and scipy's conversions trust the arrays, so they are checked first (a
+    ``ValueError``): a CSC matrix's as the CSR arrays of its transpose, a
+    COO matrix's row and column indices against its shape (other formats
+    convert unchecked), then the CSR arrays by ``csr_check``: the row
+    pointers start at 0, never decrease and end within the stored entries,
+    and every index is a column.  ``csr[rows]`` is a ``Csr``, checked alike."""
 
-    __slots__ = ("shape", "index", "data", "at")
+    __slots__ = ("m", "shape", "index", "data", "at")
 
     def __init__(self, m):
-        m = as_csr(m)
+        if m.format == "csc":
+            try:
+                Csr(m.T)
+            except ValueError:
+                raise ValueError("malformed CSC matrix: indptr or indices "
+                                 "out of range") from None
+        elif m.format == "coo":
+            for index, size in zip((m.row, m.col), m.shape):
+                if index.size and not 0 <= index.min() <= index.max() < size:
+                    raise ValueError("malformed COO matrix: row or col out "
+                                     "of range")
+        self.m = m = m.tocsr()
         n_rows, n_cols = self.shape = m.shape
         ptr = m.indptr
         self.index = np.concatenate((ptr, m.indices), dtype=np.intp)
@@ -100,26 +116,15 @@ class Csr:
             raise ValueError("malformed CSR matrix: indptr or indices out "
                              "of range")
 
+    def __getitem__(self, rows) -> "Csr":
+        return Csr(self.m[rows])
 
-def as_csr(m):
-    """A sparse matrix in CSR.  scipy's conversions trust the arrays they
-    read, so a CSC or COO matrix is checked first (a ``ValueError``): a CSC
-    matrix's arrays are the CSR arrays of its transpose, checked as a
-    ``Csr``, and a COO matrix's row and column indices must lie within its
-    shape.  A CSR matrix is returned as it is, for ``Csr`` to check; other
-    formats are converted unchecked."""
-    if m.format == "csc":
-        try:
-            Csr(m.T)
-        except ValueError:
-            raise ValueError("malformed CSC matrix: indptr or indices out "
-                             "of range") from None
-    elif m.format == "coo":
-        for index, size in zip((m.row, m.col), m.shape):
-            if index.size and not 0 <= index.min() <= index.max() < size:
-                raise ValueError("malformed COO matrix: row or col out of "
-                                 "range")
-    return m.tocsr()
+
+def csr_rows(x):
+    """A batch as the layers read it: a scipy matrix as its ``Csr``,
+    converted and checked once, where a model takes the batch in; anything
+    else (a ``Csr``, a dense array) as it is."""
+    return Csr(x) if sp.issparse(x) else x
 
 
 def _compile(cmd: list) -> Optional[str]:

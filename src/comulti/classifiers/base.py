@@ -24,8 +24,8 @@ class ForestSpec:
     trees: int = 100
 
     def __post_init__(self):
-        if self.trees < 1:
-            raise DataError(f"trees must be >= 1, got {self.trees}")
+        if not 1 <= self.trees < 2**63:  # numpy spawns no more tree seeds
+            raise DataError(f"trees must be in [1, 2^63), got {self.trees}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class SmoSpec:
             raise DataError(f"c must be > 0, got {self.c}")
         if self.tol <= 0:
             raise DataError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 1 <= self.max_iter < 2**63:  # C's int64, which ctypes wraps
+            raise DataError(f"max_iter must be in [1, 2^63), got "
+                            f"{self.max_iter}")
 
 
 @dataclass(frozen=True)

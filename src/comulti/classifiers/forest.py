@@ -24,7 +24,7 @@ short runs and a bottom-up merge sort above them (n log n comparisons at
 worst).  The permutation's rejection mask is halved as the draw bound
 falls below each power of two, not recomputed per draw, which leaves the
 draws unchanged.  :func:`fit_forest` checks the labels and values C trusts,
-and a sparse input's arrays (``Csr``) before scipy copies them into CSC.
+and a sparse input's arrays (``Csr``) before scipy converts it to CSC.
 
 How a forest predicts.  A forest keeps its trees in one read-only array of
 ``NODE`` records, tree after tree, with child ids local to their tree as a
@@ -36,17 +36,19 @@ slices.  A row goes left at a node when its value of the node's feature is
 (row, tree) pair of a batch, a single row and many alike, and adds each
 leaf's vote to the row's float64 count of that label.  A count is a whole
 number below 2^53, so it is exact, and dividing the counts in place by the
-number of trees gives the bits of int64 counts over the tree count.  The table's C struct, and the reference to it that each
-call passes, are built once per forest.  C makes the same float64 ``<=``
-as numpy (IEEE 754, NaN included), so it reaches the same leaves.  C also
-trusts the records, so they are checked when a forest is built, from a fit
-or from a model file: every inner node's feature lies in
-``[0, n_features)``, both its children lie after it and inside its tree,
-and every leaf's vote names a label.  Because every step moves to a higher
-node id in the same tree, each walk ends at a leaf after fewer steps than
-the tree has nodes.  A dense batch is walked as one C-order block.  A
-sparse batch is converted to CSR and its arrays checked by ``Csr`` (a
-malformed CSR, CSC or COO batch is a ``ValueError``), and C walks the CSR
+number of trees gives the bits of int64 counts over the tree count.  The
+table's C struct, and the reference to it that each call passes, are
+built once per forest.  C makes the same float64 ``<=`` as numpy (IEEE
+754, NaN included), so it reaches the same leaves.  C also trusts the
+records, so they are checked when a forest is built, from a fit or from a
+model file: every inner node's feature lies in ``[0, n_features)``, both
+its children lie after it and inside its tree, and every leaf's vote
+names a label.  Because every step moves to a higher node id in the same
+tree, each walk ends at a leaf after fewer steps than the tree has nodes.
+A dense batch is walked as one C-order block.  A sparse batch is read as
+a ``Csr``, which a model makes once where it takes the batch in and hands
+down, so a forest checks only a scipy matrix handed to it directly (a
+malformed CSR, CSC or COO batch is a ``ValueError``).  C walks the CSR
 arrays as they are: it adds each row's stored values into a zeroed row of
 ``n_features`` doubles, as scipy's ``toarray`` adds them, walks that row
 and zeroes what it touched.  The row is made per call, never kept on the
@@ -62,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DataError
-from ._native import LIB, Csr, ForestTable, address
+from ._native import LIB, Csr, ForestTable, address, csr_rows
 from .base import Classifier, ForestSpec
 
 # ``struct node`` in _native.c: 32 bytes, child ids local to the tree.
@@ -133,10 +135,11 @@ class TrainedForest(Classifier):
         if x.shape[1] != self.n_features:
             raise DataError(f"input has {x.shape[1]} features, model expects "
                             f"{self.n_features}")
-        counts = np.zeros((x.shape[0], self.n_labels))
-        if sp.issparse(x):
-            csr, row = Csr(x), np.zeros(self.n_features)
-            LIB.forest_counts(self._table_ref, x.shape[0], *csr.at,
+        x = csr_rows(x)
+        counts = np.zeros((x.shape[0], self._table.n_labels))
+        if isinstance(x, Csr):
+            row = np.zeros(self.n_features)
+            LIB.forest_counts(self._table_ref, x.shape[0], *x.at,
                               address(row), address(counts))
         else:
             x = np.ascontiguousarray(x, dtype=np.float64)
@@ -184,9 +187,8 @@ def fit_forest(spec: ForestSpec, x, y: np.ndarray, space: tuple[str, ...],
     if y.shape != (n,) or (n and (y.min() < 0 or y.max() >= len(space))):
         raise DataError(f"forest needs {n} labels in [0, {len(space)})")
     index = [None, None]  # CSC indptr and indices of a sparse input
-    if sp.issparse(x):
-        Csr(x)  # scipy's conversion trusts the arrays
-        csc = sp.csc_matrix(x, dtype=np.float64, copy=True)
+    if sp.issparse(x):  # Csr checks what scipy's conversion trusts
+        csc = sp.csc_matrix(Csr(x).m, dtype=np.float64, copy=True)
         csc.sum_duplicates()
         values = csc.data
         index = [csc.indptr.astype(np.intp), csc.indices.astype(np.intp)]

@@ -29,8 +29,10 @@ and takes the next iteration's first index and gap.  The product is
 scipy's own loop, so a sparse kernel has the bits of
 ``(a @ b.T).toarray()``; a fitted model transposes sparse support vectors
 once, not on every prediction.  Every sparse left operand, also one
-multiplied by scipy against dense support vectors, is checked in C first
-(``Csr``), so a malformed CSR, CSC or COO batch is a ``ValueError``.
+multiplied by scipy against dense support vectors, is read as a ``Csr``,
+converted to CSR and checked in C once, so a malformed CSR, CSC or COO
+batch is a ``ValueError``; a model hands its ``Csr`` down, so a batch it
+took in is not checked again.
 
 How a model predicts, for one row as for a batch.  The kernel of the rows
 against every support vector is computed once.  Each label's scores are
@@ -54,7 +56,7 @@ import scipy.sparse as sp
 
 from ..dataset import freeze
 from ..errors import DataError, TrainingError
-from ._native import LIB, Csr, address
+from ._native import LIB, Csr, address, csr_rows
 from .base import Classifier, SmoSpec
 
 # smo_solve's statuses: it ran max_iter iterations (SMO_CAP), or a column
@@ -78,20 +80,17 @@ def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
     """(a . b + 1)^degree as a dense array of its own; absent sparse entries
     are 0.
 
-    A sparse ``a`` is checked as a ``Csr`` whatever ``b`` is, since C and
-    scipy both read where its arrays point.  Two sparse operands multiply
-    in C, in float64, bit for bit as scipy's ``(a @ b.T).toarray()`` of the
-    CSR form of ``a`` (scipy multiplies a CSC ``a`` in another order); a
-    sparse ``a`` may come prepared once by the caller as a ``Csr``, and
-    ``b_t`` is ``b.T`` prepared so, or None.  Dense and mixed operands
-    multiply as ``a @ b.T``.  The ``+ 1`` and the power are applied in place
-    on the fresh product.
+    A sparse ``a`` is read as a ``Csr`` whatever ``b`` is, since C and
+    scipy both read where its arrays point; the caller may hand one in,
+    made once.  Two sparse operands multiply in C, in float64, bit for bit
+    as scipy's ``(a @ b.T).toarray()`` of the CSR form of ``a`` (scipy
+    multiplies a CSC ``a`` in another order); ``b_t`` is ``b.T`` as a
+    ``Csr``, or None.  Dense and mixed operands multiply as ``a @ b.T``,
+    with a sparse ``a`` in CSR.  The ``+ 1`` and the power are applied in
+    place on the fresh product.
     """
-    if sp.issparse(a) and sp.issparse(b):
-        a = Csr(a)
-    elif sp.issparse(a):
-        Csr(a)  # the check alone: scipy's product reads the arrays too
-    if isinstance(a, Csr):
+    a = csr_rows(a)
+    if isinstance(a, Csr) and sp.issparse(b):
         bt = Csr(b.T) if b_t is None else b_t
         if a.shape[1] != bt.shape[0]:
             raise ValueError(f"kernel of {a.shape[1]}-column rows with "
@@ -101,7 +100,8 @@ def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
         LIB.sparse_product(a.shape[0], bt.shape[1], *a.at, *bt.at,
                            address(prod))
     else:
-        prod = np.asarray(a @ b.T, dtype=np.float64)
+        prod = np.asarray((a.m if isinstance(a, Csr) else a) @ b.T,
+                          dtype=np.float64)
     prod += 1.0
     if degree != 1:
         prod **= degree
@@ -131,7 +131,7 @@ class _Kernel:
         self.x = x
         self.solved: dict = {}
         # The left operand of every column and block, prepared once.
-        self._a = Csr(x) if sp.issparse(x) else x
+        self._a = csr_rows(x)
         self.degree = degree
         self.n = x.shape[0]
         # Overflow is reported below as one error, not as numpy warnings.

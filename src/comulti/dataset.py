@@ -84,16 +84,16 @@ class FeatureSchema:
         return len(self.features)
 
     @staticmethod
-    def numeric(n: int, prefix: str = "f") -> "FeatureSchema":
-        """All-numeric schema with generated names, for matrix-only sources.
-        It is frozen, so one is built per ``(n, prefix)`` and shared (the
-        last 32 are kept)."""
-        return _numeric_schema(n, prefix)
+    def numeric(n: int) -> "FeatureSchema":
+        """All-numeric schema with generated names ``f0``, ``f1``, ...,
+        for matrix-only sources.  It is frozen, so one is built per ``n``
+        and shared (the last 32 are kept)."""
+        return _numeric_schema(n)
 
 
 @functools.lru_cache(maxsize=32)
-def _numeric_schema(n: int, prefix: str) -> FeatureSchema:
-    return FeatureSchema(tuple(FeatureSpec(f"{prefix}{i}") for i in range(n)))
+def _numeric_schema(n: int) -> FeatureSchema:
+    return FeatureSchema(tuple(FeatureSpec(f"f{i}") for i in range(n)))
 
 
 Matrix = Union[np.ndarray, sp.csr_matrix]
@@ -133,10 +133,9 @@ class Dataset:
             # Checked once here, so every reader of the frozen arrays (row
             # subsets, SMOTE, the views and the fits) reads checked ones.
             # Imported here: the classifiers import this module.
-            from .classifiers._native import Csr, as_csr
+            from .classifiers._native import Csr
             try:
-                object.__setattr__(self, "x", as_csr(self.x))
-                Csr(self.x)
+                object.__setattr__(self, "x", Csr(self.x).m)
             except ValueError as exc:
                 raise DataError(str(exc)) from None
         x, y = self.x, self.y

@@ -122,11 +122,6 @@ def sg_mean(cm: ConfusionMatrix, delta: float = DEFAULT_DELTA,
     return float((np.prod(recalls) + delta) ** (1.0 / k))
 
 
-def zero_recall_count(cm: ConfusionMatrix) -> int:
-    """Number of classes whose recall is exactly zero."""
-    return int((per_class_recall(cm) == 0.0).sum())
-
-
 # The measures every report, grid and multi-seed summary shows, in order:
 # (display name, MetricsReport attribute).  The last is a class count, the
 # others are scores.

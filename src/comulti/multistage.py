@@ -30,7 +30,7 @@ from .classifiers import (
     combine_rows,
     default_stage_specs,
 )
-from .classifiers._native import as_csr
+from .classifiers._native import csr_rows
 from .dataset import ClassStats, Dataset, make_view
 from .errors import ConfigError, DataError, reading
 
@@ -165,13 +165,6 @@ def _check_references(spec: CombinerSpec, s: int) -> None:
                for i in (spec.left, spec.right)):
         raise ConfigError(f"combiner at stage {s + 1} must reference earlier "
                           f"stages, got {spec.left} and {spec.right}")
-
-
-def csr_rows(x):
-    """A batch as the layers read it: sparse in CSR, whose rows can be
-    taken (converted once, where a model takes the batch in, by
-    :func:`as_csr`), any other input as it is."""
-    return as_csr(x) if sp.issparse(x) else x
 
 
 def take_rows(x, rows: np.ndarray):

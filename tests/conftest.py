@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from comulti.classifiers import _native
 from comulti.classifiers.base import Classifier
 from comulti.dataset import Dataset, FeatureSchema
 
@@ -52,6 +53,19 @@ def make_dataset(x, y, labels=None, schema=None) -> Dataset:
     if schema is None:
         schema = FeatureSchema.numeric(x.shape[1])
     return Dataset(schema, x, y, tuple(labels))
+
+
+@pytest.fixture
+def csr_checks(monkeypatch):
+    """The argument lists of every compiled CSR check the test makes."""
+    calls, check = [], _native.LIB.csr_check
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(_native.LIB, "csr_check", counted)
+    return calls
 
 
 @pytest.fixture

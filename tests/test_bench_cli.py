@@ -708,19 +708,27 @@ def test_cli_bad_numeric_config_is_config_error(blobs_csv, tmp_path, capsys,
     "forest.trees = 0", "smo.degree = 0", "smo.c = 0", "smo.tol = 0",
     "smo.max_iter = 0", "smote.k_neighbors = 0", "smote.rate = 0",
     "undersample.fraction = 0", "undersample.fraction = 1.5",
+    "smo.max_iter = 18446744073709551621",
+    "smo.max_iter = 9223372036854775808", "forest.trees = 99999999999999999999",
 ])
 def test_cli_classifier_spec_out_of_range_is_config_error(
         blobs_csv, tmp_path, capsys, line):
     # Used to pass the config and fail at fit or sampling as a data error
     # (exit 2), or, for smo.max_iter = 0, to fit an SMO stage that never
     # iterated; a sampler value was not checked at all when that sampler
-    # did not run.
+    # did not run.  A max_iter of 2^64 + 5 was wrapped by ctypes to a cap
+    # of 5, and a tree count beyond int64 ended in a numpy traceback.
     conf = tmp_path / "bad.conf"
     conf.write_text(f"dataset.path = {blobs_csv}\n{line}\n")
     assert main(["run", "--config", str(conf)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {line.split(' = ')[0]} must be ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_spec_counts_reach_the_int64_bound():
+    assert SmoSpec(max_iter=2**63 - 1).max_iter == 2**63 - 1
+    assert ForestSpec(trees=2**63 - 1).trees == 2**63 - 1
 
 
 def test_cli_negative_seed_flag_is_config_error(blobs_csv, capsys):

@@ -189,8 +189,8 @@ def test_sparse_dataset_is_kept_as_csr(fmt):
 
 
 def test_numeric_schema_is_built_once():
-    assert FeatureSchema.numeric(7) is FeatureSchema.numeric(7, "f")
-    assert FeatureSchema.numeric(7, "g").names[0] == "g0"
+    assert FeatureSchema.numeric(7) is FeatureSchema.numeric(7)
+    assert FeatureSchema.numeric(7).names == tuple(f"f{i}" for i in range(7))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from comulti.metrics import (
     g_mean,
     macro_f1,
     sg_mean,
-    zero_recall_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -115,10 +114,10 @@ def test_g_mean_perfect_and_sqrt():
 def test_g_mean_zero_iff_any_zero_recall():
     m = cm([[5, 0, 0], [0, 0, 3], [0, 0, 4]])
     assert g_mean(m) == 0.0
-    assert zero_recall_count(m) == 1
+    assert evaluate(m).zero_recall_count == 1
     m2 = cm([[5, 1, 0], [0, 1, 3], [0, 0, 4]])
     assert g_mean(m2) > 0.0
-    assert zero_recall_count(m2) == 0
+    assert evaluate(m2).zero_recall_count == 0
 
 
 def test_g_mean_requires_true_instances():

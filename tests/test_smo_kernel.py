@@ -416,6 +416,41 @@ def test_malformed_csr_is_value_error_from_every_reader(dense_fitted, model,
         getattr(dense_fitted[model], method)(_broken(x, breaker))
 
 
+MESSAGES = {"csr": "malformed CSR matrix: indptr or indices out of range",
+            "csc": "malformed CSC matrix: indptr or indices out of range",
+            "coo": "malformed COO matrix: row or col out of range"}
+
+
+@pytest.mark.parametrize("model", ["cmc", "cmcm"])
+@pytest.mark.parametrize("fmt,breaker", FORMAT_BREAKERS)
+def test_malformed_row_is_refused_before_a_forest_reads_it(
+        dense_fitted, model, fmt, breaker, monkeypatch):
+    # A model checks a sparse row where it takes it in, not where a stage
+    # reads it.
+    entered = []
+    monkeypatch.setattr(forest_mod.TrainedForest, "predict_proba_batch",
+                        lambda self, x: entered.append(x))
+    row = _broken(_all_stored(fmt, (1, 5)), breaker)
+    with pytest.raises(ValueError) as info:
+        dense_fitted[model].predict(row)
+    assert str(info.value) == MESSAGES[fmt] and not entered
+
+
+@pytest.mark.parametrize("model", ["cmc", "cmcm"])
+def test_single_row_predict_checks_its_row_once(dense_fitted, model,
+                                                csr_checks):
+    # The model hands its checked row down: no layer, no forest or SMO
+    # stage and no layer the gate or the quorum passes the row on to checks
+    # it again.  The SMO stages multiply it by dense support vectors.
+    x = sp.csr_matrix(gaussian_blobs((30, 10, 10, 10, 10), seed=5).x)
+    per_row = []
+    for i in range(x.shape[0]):
+        csr_checks.clear()
+        dense_fitted[model].predict(x[i])
+        per_row.append(len(csr_checks))
+    assert per_row == [1] * x.shape[0]
+
+
 @pytest.mark.parametrize("fmt,breaker", FORMAT_BREAKERS)
 def test_malformed_sparse_dataset_is_data_error(fmt, breaker):
     # A Dataset freezes its arrays checked, so the row subsets, SMOTE, the

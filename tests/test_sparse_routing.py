@@ -103,6 +103,18 @@ def test_sparse_formats_route_alike(fitted, fmt, kind):
         assert got[1].tobytes() == want_layer[1].tobytes()
 
 
+def test_single_row_predict_checks_its_row_once(fitted, csr_checks):
+    # Here the SMO stages multiply the row in C, by support vectors that
+    # the model transposed and checked once, when it was built.
+    model, x = fitted
+    per_row = []
+    for i in range(x.shape[0]):
+        csr_checks.clear()
+        model.predict(x[i])
+        per_row.append(len(csr_checks))
+    assert per_row == [1] * x.shape[0]
+
+
 def test_one_dimensional_sparse_vector_is_one_row(fitted):
     model, x = fitted
     for i in range(0, x.shape[0], 23):
