@@ -1,11 +1,15 @@
-/* The compiled loops of comulti.classifiers: the SMO working-pair loop of
- * smo.solve_binary, the sparse kernel product of smo._poly_kernel and the
- * in-place transpose that lays out a full Gram matrix, the tree grower of
- * forest.fit_forest, the walk of forest.TrainedForest.predict_proba_batch
- * over dense or CSR rows, the pass that checks a CSR matrix's arrays before
- * any other loop or scipy reads them (_native.Csr), and the pass that reads
- * the rows of a sparse text file (dataset.load_sparse).  New functions go
- * at the end, so that those above keep their addresses.
+/* The compiled loops of comulti, in file order; this is the one list of
+ * them (smo and forest are modules of comulti.classifiers):
+ *   smo_solve         the SMO working-pair loop of smo.solve_binary;
+ *   sparse_product    the sparse kernel product of smo._poly_kernel;
+ *   transpose_square  the in-place transpose that lays out a full Gram matrix;
+ *   forest_counts     the walk of forest.TrainedForest.predict_proba_batch
+ *                     over dense or CSR rows;
+ *   grow_tree         the tree grower of forest.fit_forest;
+ *   csr_check         the check of a CSR matrix's arrays before any other
+ *                     loop or scipy reads them (_native.Csr);
+ *   parse_sparse      the row pass of dataset.load_sparse.
+ * New functions go at the end, so that those above keep their addresses.
  *
  * Plain C with no Python API: _native.py compiles this file at import and
  * calls it through ctypes, which releases the GIL for each call.  The

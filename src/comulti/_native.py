@@ -1,25 +1,18 @@
 """The package's compiled loops, built at import.
 
 ``_native.c``, next to this module, holds the loops that run in C and
-nothing else (no Python API): the SMO working-pair loop of
-:func:`comulti.classifiers.smo.solve_binary`, the sparse kernel product of
-its ``_poly_kernel`` and the in-place transpose that lays out its full Gram
-matrix, the tree grower of
-:func:`comulti.classifiers.forest.fit_forest`, the forest walk of
-:meth:`comulti.classifiers.forest.TrainedForest.predict_proba_batch`, which
-reads dense rows or CSR arrays, the pass that checks a CSR matrix's arrays
-before any of them, or scipy, reads them (:class:`Csr`, made once per
-batch, where a model takes it in), and the pass that reads the plain ASCII
-rows of a sparse text file for :func:`comulti.dataset.load_sparse`, which
-reads any other row itself.  At
-import it is compiled with ``cc`` and :data:`CFLAGS` into :data:`LIBRARY`,
-in this package's ``__pycache__/``, under a file name that carries the
-SHA-256 of the source and the flags: later imports load that file without
-compiling, and an edited source gets a file of its own.  The library is
-loaded with ``ctypes.CDLL``, which releases the GIL for each call, so grid
-threads solve, multiply, grow and predict at the same time.  A missing or
-failing compiler is an ``ImportError``; there is no Python copy of any
-loop.  The flags keep the bits of the numpy and scipy forms:
+nothing else (no Python API); its header lists them.  This module imports
+nothing from the package, so the data layer and the classifiers alike
+call the loops through it, along with :class:`Csr`, the checked form in
+which they read a sparse matrix.  At import the file is compiled with
+``cc`` and :data:`CFLAGS` into :data:`LIBRARY`, in the package's
+``__pycache__/``, under a file name that carries the SHA-256 of the
+source and the flags: later imports load that file without compiling, and
+an edited source gets a file of its own.  The library is loaded with
+``ctypes.CDLL``, which releases the GIL for each call, so grid threads
+solve, multiply, grow and predict at the same time.  A missing or failing
+compiler is an ``ImportError``; there is no Python copy of any loop.  The
+flags keep the bits of the numpy and scipy forms:
 ``-ffp-contract=off`` stops the compiler from fusing a multiply and an add
 into one FMA instruction, which rounds once where numpy and scipy round
 twice (the default contracts wherever the target has FMA, as on aarch64),

@@ -274,12 +274,12 @@ def load_schema_json(path) -> FeatureSchema:
                             "string 'name'")
         kind = item.get("kind", NUMERIC)
         cats = item.get("categories")
-        if kind == ORDINAL and not (isinstance(cats, list) and all(
-                isinstance(c, str) for c in cats)):
-            raise DataError(f"{path}: ordinal feature {item['name']!r} needs "
-                            "a 'categories' list of strings")
+        if (kind == ORDINAL or cats is not None) and not (isinstance(
+                cats, list) and all(isinstance(c, str) for c in cats)):
+            raise DataError(f"{path}: feature {item['name']!r} needs its "
+                            "'categories' as a list of strings")
         feats.append(FeatureSpec(item["name"], kind,
-                                 tuple(cats) if kind == ORDINAL else None))
+                                 None if cats is None else tuple(cats)))
     return FeatureSchema(tuple(feats))
 
 

@@ -32,7 +32,7 @@ model document stores them, and the index of each tree's root record.  The
 grower writes the records, ``trees`` slices them and ``to_dict`` writes the
 slices.  A row goes left at a node when its value of the node's feature is
 ``<=`` the threshold, so NaN goes right.  One compiled loop
-(``forest_counts`` in ``_native.c``, built by :mod:`._native`) walks every
+(``forest_counts`` in ``_native.c``, built by :mod:`.._native`) walks every
 (row, tree) pair of a batch, a single row and many alike, and adds each
 leaf's vote to the row's float64 count of that label.  A count is a whole
 number below 2^53, so it is exact, and dividing the counts in place by the
@@ -64,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DataError
-from ._native import LIB, Csr, ForestTable, address, csr_rows
+from .._native import LIB, Csr, ForestTable, address, csr_rows
 from .base import Classifier, ForestSpec
 
 # ``struct node`` in _native.c: 32 bytes, child ids local to the tree.

@@ -22,7 +22,7 @@ once, its iteration-cap warning, if any, raised once.
 The solver's iterations run in C, and so does the kernel product of two
 sparse matrices: the loop of :func:`solve_binary` and ``sparse_product``
 are compiled at import, with the forest's tree grower and walk, by
-:mod:`._native`, and run without the GIL.  An iteration makes two passes
+:mod:`.._native`, and run without the GIL.  An iteration makes two passes
 over the rows: the second-order choice of the pair's second index, which
 skips rows that are not violators, and one pass that updates the gradient
 and takes the next iteration's first index and gap.  The product is
@@ -56,7 +56,7 @@ import scipy.sparse as sp
 
 from ..dataset import freeze
 from ..errors import DataError, TrainingError
-from ._native import LIB, Csr, address, csr_rows
+from .._native import LIB, Csr, address, csr_rows
 from .base import Classifier, SmoSpec
 
 # smo_solve's statuses: it ran max_iter iterations (SMO_CAP), or a column
@@ -177,7 +177,7 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     maximal violating pair with a second-order choice of the second index;
     convergence means the violation gap dropped below ``tol``.
 
-    The iterations run in C (``_native.c``, see :mod:`._native`); this
+    The iterations run in C (``_native.c``, see :mod:`.._native`); this
     function sets up the buffers, puts in each column the loop stops at,
     computes the bias and raises the iteration-cap warning.  Every element
     goes through the same rounded operations as in the plain numpy form
@@ -240,8 +240,10 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     return alpha, bias, float(max(gap, 0.0)), it
 
 
-def platt_fit(scores: np.ndarray, positive: np.ndarray,
-              max_iter: int = 100) -> tuple[float, float]:
+_PLATT_ITERATIONS = 100  # Newton iterations of platt_fit, at most
+
+
+def platt_fit(scores: np.ndarray, positive: np.ndarray) -> tuple[float, float]:
     """Fit the logistic map ``P(y=1|s) = 1 / (1 + exp(A s + B))``.
 
     Newton iterations with backtracking on the regularized targets
@@ -266,7 +268,7 @@ def platt_fit(scores: np.ndarray, positive: np.ndarray,
         return float(out.sum())
 
     fval = objective(a, b)
-    for _ in range(max_iter):
+    for _ in range(_PLATT_ITERATIONS):
         f = a * scores + b
         p = _sigmoid(f)
         q = 1.0 - p
@@ -411,8 +413,6 @@ class TrainedSmo(Classifier):
                                shape=coo.shape)
         else:
             sv = np.asarray(sv_doc["values"], dtype=np.float64)
-            if sv.ndim == 1:
-                sv = sv.reshape((0, 0)) if sv.size == 0 else sv[None, :]
         space = tuple(doc["space"])
         sv_index = [np.asarray(v, dtype=np.int64) for v in doc["sv_index"]]
         sv_coef = [np.asarray(v, dtype=np.float64) for v in doc["sv_coef"]]

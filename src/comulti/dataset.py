@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
+from ._native import LIB, Csr, address
 from .errors import DataError
 
 # View kinds.
@@ -132,8 +133,6 @@ class Dataset:
         if sp.issparse(self.x):
             # Checked once here, so every reader of the frozen arrays (row
             # subsets, SMOTE, the views and the fits) reads checked ones.
-            # Imported here: the classifiers import this module.
-            from .classifiers._native import Csr
             try:
                 object.__setattr__(self, "x", Csr(self.x).m)
             except ValueError as exc:
@@ -259,8 +258,6 @@ def load_csv(path, label_column: str,
     feat_cols = [header.index(f.name) for f in schema.features]
 
     x = np.empty((len(rows), len(schema)))
-    y = np.empty(len(rows), dtype=np.int64)
-    label_ids: dict[str, int] = {}
     for i, (lineno, row) in enumerate(rows):
         for j, (spec, col) in enumerate(zip(schema.features, feat_cols)):
             raw = row[col]
@@ -272,8 +269,16 @@ def load_csv(path, label_column: str,
                         else "non-numeric value")
                 raise DataError(f"{path}:{lineno}: {what} {raw!r} "
                                 f"for feature {spec.name!r}") from None
-        y[i] = label_ids.setdefault(row[label_col], len(label_ids))
-    return Dataset(schema, x, y, tuple(label_ids))
+    labels, y = first_appearance([row[label_col] for _, row in rows])
+    return Dataset(schema, x, y, labels)
+
+
+def first_appearance(values: list) -> tuple[tuple, np.ndarray]:
+    """The distinct ``values`` in the order they first appear, and the
+    index of each value among them (int64)."""
+    ids: dict = {}
+    codes = [ids.setdefault(v, len(ids)) for v in values]
+    return tuple(ids), np.array(codes, dtype=np.int64)
 
 
 def _infer_feature(path, name: str, values: list[str]) -> FeatureSpec:
@@ -283,7 +288,7 @@ def _infer_feature(path, name: str, values: list[str]) -> FeatureSpec:
             float(v)
         return FeatureSpec(name)
     except ValueError:
-        categories = tuple(dict.fromkeys(values))
+        categories, _ = first_appearance(values)
         if len(categories) < 2:
             raise DataError(
                 f"{path}: column {name!r} has a single category") from None
@@ -328,17 +333,9 @@ def load_sparse(matrix_path, labels_path) -> Dataset:
         raise DataError(
             f"{labels_path}: {len(names)} labels for {nrows} matrix rows"
         )
-    labels: list[str] = []
-    label_ids: dict[str, int] = {}
-    y = np.empty(nrows, dtype=np.int64)
-    for i, name in enumerate(names):
-        if name not in label_ids:
-            label_ids[name] = len(labels)
-            labels.append(name)
-        y[i] = label_ids[name]
-
+    labels, y = first_appearance(names)
     x = sp.csr_matrix((data, indices, indptr), shape=(nrows, ncols))
-    return Dataset(FeatureSchema.numeric(ncols), x, y, tuple(labels))
+    return Dataset(FeatureSchema.numeric(ncols), x, y, labels)
 
 
 def _sparse_header(path, raw: bytes) -> tuple[int, tuple[int, int, int]]:
@@ -370,8 +367,6 @@ def _sparse_rows(path, raw: bytes, pos: int, nrows: int, ncols: int,
     ``raw[pos:]``.  One compiled pass reads every row of plain ASCII pairs;
     :func:`_sparse_row` reads the rows it declines, and gives every error a
     row can have."""
-    # Imported here: the classifiers import this module.
-    from .classifiers._native import LIB, address
     # Every line and every pair takes at least one byte, which bounds the
     # arrays whatever the header declares.
     body = len(raw) - pos
@@ -519,27 +514,42 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Per-class counts and the majority/minority partition.
-
-    A class is majority iff its count strictly exceeds the balance point
-    ``total / n_classes``; ties are minority.
-    """
+    """Per-class counts and the majority classes; every other class is
+    minority.  :func:`class_stats` makes a class majority iff its count
+    strictly exceeds the balance point ``total / n_classes`` (ties are
+    minority), unless an override names the majority classes."""
 
     labels: tuple[str, ...]
     counts: tuple[int, ...]
-    total: int
-    n_classes: int
-    balance_point: float
     majority: tuple[int, ...]
-    minority: tuple[int, ...]
 
     def __post_init__(self):
-        if set(self.majority) & set(self.minority):
-            raise DataError("majority and minority overlap")
-        if sorted(self.majority + self.minority) != list(range(self.n_classes)):
-            raise DataError("majority/minority must partition the label set")
-        if sum(self.counts) != self.total:
-            raise DataError("counts do not sum to total")
+        if not self.labels or len(self.counts) != len(self.labels):
+            raise DataError(f"class statistics need labels and one count "
+                            f"per label: {len(self.counts)} for "
+                            f"{len(self.labels)}")
+        bounds = (*self.majority[1:], self.n_classes)
+        if not all(isinstance(a, int) and 0 <= a < b
+                   for a, b in zip(self.majority, bounds)):
+            raise DataError(f"majority {list(self.majority)} must be "
+                            f"increasing ids of the {self.n_classes} labels")
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.labels)
+
+    @property
+    def balance_point(self) -> float:
+        return self.total / self.n_classes
+
+    @property
+    def minority(self) -> tuple[int, ...]:
+        return tuple(c for c in range(self.n_classes)
+                     if c not in self.majority)
 
     def to_dict(self) -> dict:
         return {
@@ -554,15 +564,16 @@ class ClassStats:
 
     @staticmethod
     def from_dict(doc: dict) -> "ClassStats":
-        return ClassStats(
-            labels=tuple(doc["labels"]),
-            counts=tuple(doc["counts"]),
-            total=doc["total"],
-            n_classes=doc["n_classes"],
-            balance_point=doc["balance_point"],
-            majority=tuple(doc["majority"]),
-            minority=tuple(doc["minority"]),
-        )
+        """``doc``'s labels, counts and majority; what else it stores must
+        be what :meth:`to_dict` derives from them."""
+        stats = ClassStats(tuple(doc["labels"]), tuple(doc["counts"]),
+                           tuple(doc["majority"]))
+        wrong = [key for key, value in stats.to_dict().items()
+                 if doc[key] != value]
+        if wrong:
+            raise DataError(f"class statistics: stored {', '.join(wrong)} "
+                            "disagree with the labels, counts and majority")
+        return stats
 
     def describe(self) -> str:
         lines = [
@@ -584,10 +595,7 @@ def class_stats(
     """Profile class skew; ``override_majority`` replaces the threshold rule."""
     if ds.n_instances == 0:
         raise DataError("empty dataset")
-    counts = ds.class_counts()
-    total = int(counts.sum())
-    k = ds.n_classes
-    balance_point = total / k
+    counts = tuple(int(v) for v in ds.class_counts())
     if override_majority is not None:
         majority = set()
         for item in override_majority:
@@ -596,21 +604,13 @@ def class_stats(
                     raise DataError(f"override references unknown label {item!r}")
                 majority.add(ds.labels.index(item))
             else:
-                if not 0 <= int(item) < k:
+                if not 0 <= int(item) < ds.n_classes:
                     raise DataError(f"override references unknown label id {item}")
                 majority.add(int(item))
     else:
-        majority = {c for c in range(k) if counts[c] > balance_point}
-    minority = tuple(c for c in range(k) if c not in majority)
-    return ClassStats(
-        labels=ds.labels,
-        counts=tuple(int(v) for v in counts),
-        total=total,
-        n_classes=k,
-        balance_point=balance_point,
-        majority=tuple(sorted(majority)),
-        minority=minority,
-    )
+        point = ClassStats(ds.labels, counts, ()).balance_point
+        majority = {c for c, n in enumerate(counts) if n > point}
+    return ClassStats(ds.labels, counts, tuple(sorted(majority)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .classifiers import (
     combine_rows,
     default_stage_specs,
 )
-from .classifiers._native import csr_rows
+from ._native import csr_rows
 from .dataset import ClassStats, Dataset, make_view
 from .errors import ConfigError, DataError, reading
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from comulti.classifiers import _native
+from comulti import _native
 from comulti.classifiers.base import Classifier
 from comulti.dataset import Dataset, FeatureSchema
 

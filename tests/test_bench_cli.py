@@ -599,6 +599,26 @@ def test_cli_malformed_schema_is_data_error(blobs_csv, tmp_path, capsys):
         _one_line_error(capsys, "data error:")
 
 
+@pytest.mark.parametrize("feature,message", [
+    ({"categories": ["x", "y"]}, "numeric feature 'f0' must not list "
+                                 "categories"),
+    ({"categories": "xy"}, "feature 'f0' needs its 'categories' as a list "
+                           "of strings"),
+    ({"kind": "ordinal", "categories": [1, 2]}, "feature 'f0' needs its "
+                                                "'categories' as a list"),
+], ids=["numeric-listed", "numeric-string", "ordinal-ints"])
+def test_cli_schema_categories_are_checked(blobs_csv, tmp_path, capsys,
+                                           feature, message):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"name": "f0", **feature}]
+                                 + [{"name": f"f{i}"} for i in range(1, 5)]))
+    assert main(["profile", "--dataset", str(blobs_csv),
+                 "--schema", str(schema)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert message in err
+
+
 def test_cli_non_utf8_csv_is_data_error(blobs_csv, tmp_path, capsys):
     bad = tmp_path / "latin1.csv"
     bad.write_bytes(blobs_csv.read_bytes() + b"caf\xe9,1,2,3,4,5\n")

@@ -14,7 +14,7 @@ from comulti.classifiers import (
     default_stage_specs,
     fit,
 )
-from comulti.classifiers.smo import _Kernel, platt_fit, solve_binary
+from comulti.classifiers.smo import _Kernel, fit_smo, platt_fit, solve_binary
 from comulti.errors import ConfigError, DataError, TrainingError
 from comulti.multistage import MultistageModel, StageThresholds
 
@@ -367,3 +367,18 @@ def test_default_stage_specs_takes_the_forest_and_smo_specs():
     forest, smo = ForestSpec(trees=7), SmoSpec(degree=2, c=0.5)
     assert default_stage_specs(forest, smo) == [
         forest, smo, CombinerSpec(left=0, right=1)]
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda ds: fit("forest", ds, seed=0), TrainingError,
+     "unknown classifier spec 'forest'"),
+    (lambda ds: CombinerSpec(1, 1), DataError,
+     "combiner needs two distinct stages"),
+    (lambda ds: fit_smo(SmoSpec(), ds.x, np.zeros(4, dtype=np.int64), ("a",),
+                        0),
+     TrainingError, "margin classifier needs at least 2 labels"),
+], ids=["unknown-spec", "combiner-one-stage", "smo-one-label"])
+def test_classifier_refusals(make, error, message):
+    ds = make_dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
+    with pytest.raises(error, match=message):
+        make(ds)

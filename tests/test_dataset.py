@@ -1,3 +1,4 @@
+import csv
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,11 +14,15 @@ from comulti.dataset import (
     FULL,
     MAJ_CLUSTER,
     MIN_CLUSTER,
+    NUMERIC,
+    ORDINAL,
+    ClassStats,
     Dataset,
     FeatureSchema,
     FeatureSpec,
     apply_view,
     class_stats,
+    first_appearance,
     load_csv,
     load_sparse,
     make_view,
@@ -477,3 +482,130 @@ def test_dataset_rejects_nan_and_shape_mismatch():
     with pytest.raises(DataError, match="rows"):
         Dataset(FeatureSchema.numeric(1), np.zeros((2, 1)), np.array([0]),
                 ("a",))
+
+
+def test_first_appearance_orders_and_codes():
+    values, codes = first_appearance(["b", "a", "b", "c", "a"])
+    assert values == ("b", "a", "c")
+    assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 0, 2, 1]
+    values, codes = first_appearance([])
+    assert values == () and codes.dtype == np.int64 and codes.size == 0
+
+
+def test_class_stats_derives_its_partition():
+    ds = make_dataset(np.zeros((7, 1)), [0, 0, 0, 1, 2, 2, 1])
+    st = class_stats(ds)
+    assert (st.counts, st.majority) == ((3, 2, 2), (0,))
+    assert (st.total, st.n_classes, st.minority) == (7, 3, (1, 2))
+    assert st.balance_point == 7 / 3
+    doc = st.to_dict()
+    assert list(doc) == ["labels", "counts", "total", "n_classes",
+                         "balance_point", "majority", "minority"]
+    assert ClassStats.from_dict(doc) == st
+    assert class_stats(ds, ["c2", 1]).to_dict() == {
+        **doc, "majority": [1, 2], "minority": [0]}
+
+
+def _stats_doc(**edits):
+    doc = class_stats(make_dataset(np.zeros((6, 1)), [0, 0, 0, 1, 1, 2])
+                      ).to_dict()
+    return {**doc, **edits}
+
+
+def _field_over_the_limit(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("a,label\n" + "1" * (csv.field_size_limit() + 1)
+                    + ",x\n")
+    return load_csv(path, "label")
+
+
+def _unexpected_column(tmp_path):
+    path = tmp_path / "extra.csv"
+    path.write_text("a,b,label\n1,2,x\n3,4,y\n")
+    return load_csv(path, "label", FeatureSchema((FeatureSpec("a"),)))
+
+
+def _three_class_view_on_two_classes(tmp_path):
+    three = make_dataset(np.zeros((4, 1)), [0, 0, 1, 2])
+    two = make_dataset(np.zeros((2, 1)), [0, 1])
+    return apply_view(two, make_view(class_stats(three), BINARY))
+
+
+_ONE_COLUMN = FeatureSchema.numeric(1)
+
+# Every refusal of the data layer: what is refused, and the message.
+DATA_REFUSALS = {
+    "unknown-kind": (lambda t: FeatureSpec("f", "text"),
+                     "unknown feature kind 'text' for 'f'"),
+    "one-category": (lambda t: FeatureSpec("f", ORDINAL, ("x",)),
+                     "ordinal feature 'f' needs >= 2 categories"),
+    "no-categories": (lambda t: FeatureSpec("f", ORDINAL),
+                      "ordinal feature 'f' needs >= 2 categories"),
+    "duplicate-categories": (
+        lambda t: FeatureSpec("f", ORDINAL, ("x", "y", "x")),
+        "duplicate categories in feature 'f'"),
+    "numeric-categories": (lambda t: FeatureSpec("f", NUMERIC, ("x", "y")),
+                           "numeric feature 'f' must not list categories"),
+    "duplicate-features": (
+        lambda t: FeatureSchema((FeatureSpec("f"), FeatureSpec("f"))),
+        "feature names must be unique"),
+    "not-2d": (lambda t: Dataset(_ONE_COLUMN, np.zeros(3), [0, 0, 0], ("a",)),
+               "feature matrix must be 2-D"),
+    "schema-width": (
+        lambda t: Dataset(FeatureSchema.numeric(3), np.zeros((2, 2)), [0, 0],
+                          ("a",)),
+        "matrix has 2 columns, schema describes 3"),
+    "duplicate-labels": (
+        lambda t: Dataset(_ONE_COLUMN, np.zeros((2, 1)), [0, 1], ("a", "a")),
+        "label names must be unique"),
+    "label-id": (
+        lambda t: Dataset(_ONE_COLUMN, np.zeros((2, 1)), [0, 2], ("a", "b")),
+        "label id out of range"),
+    "csv-field-limit": (_field_over_the_limit, "wide.csv: field larger than "
+                                               "field limit"),
+    "csv-extra-column": (_unexpected_column,
+                         r"extra.csv: unexpected column\(s\) \['b'\]"),
+    "split-fraction": (
+        lambda t: split_indices(make_dataset(np.zeros((4, 1)), [0, 0, 1, 1]),
+                                1.0, 0),
+        r"train_fraction must be in \(0,1\), got 1.0"),
+    "stats-empty": (
+        lambda t: class_stats(Dataset(_ONE_COLUMN, np.zeros((0, 1)), [],
+                                      ("a",))),
+        "empty dataset"),
+    "stats-unknown-id": (
+        lambda t: class_stats(make_dataset(np.zeros((2, 1)), [0, 1]), [2]),
+        "override references unknown label id 2"),
+    "view-size": (_three_class_view_on_two_classes,
+                  "view maps 3 labels, dataset has 2"),
+    "stats-count-per-label": (
+        lambda t: ClassStats(("a", "b"), (1,), ()),
+        "need labels and one count per label: 1 for 2"),
+    "stats-no-label": (lambda t: ClassStats((), (), ()),
+                       "need labels and one count per label: 0 for 0"),
+    "stats-majority-order": (lambda t: ClassStats(("a", "b"), (2, 1), (1, 0)),
+                             r"majority \[1, 0\] must be increasing ids of "
+                             "the 2 labels"),
+    "stats-majority-twice": (lambda t: ClassStats(("a", "b"), (2, 1), (0, 0)),
+                             "must be increasing ids of the 2 labels"),
+    "stats-majority-range": (lambda t: ClassStats(("a", "b"), (2, 1), (2,)),
+                             "must be increasing ids of the 2 labels"),
+    "stats-majority-float": (lambda t: ClassStats(("a", "b"), (2, 1), (0.0,)),
+                             "must be increasing ids of the 2 labels"),
+    "stored-total": (lambda t: ClassStats.from_dict(_stats_doc(total=7)),
+                     "^class statistics: stored total disagree"),
+    "stored-sides": (
+        lambda t: ClassStats.from_dict(_stats_doc(n_classes=2,
+                                                  minority=[2])),
+        "^class statistics: stored n_classes, minority disagree"),
+    "stored-balance-point": (
+        lambda t: ClassStats.from_dict(_stats_doc(balance_point=2.5)),
+        "stored balance_point disagree"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_REFUSALS))
+def test_data_layer_refusals(case, tmp_path):
+    make, message = DATA_REFUSALS[case]
+    with pytest.raises(DataError, match=message):
+        make(tmp_path)

@@ -212,3 +212,20 @@ def test_report_bundle():
     doc = rep.to_dict()
     assert doc["confusion"] == [[3, 1], [0, 4]]
     assert doc["delta"] == 1e-3
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ConfusionMatrix(np.zeros((2, 3)), ("a", "b")),
+     "confusion matrix must be square"),
+    (lambda: ConfusionMatrix(np.zeros(4), ("a", "b")),
+     "confusion matrix must be square"),
+    (lambda: ConfusionMatrix(np.zeros((2, 2)), ("a",)),
+     "label list does not match matrix size"),
+    (lambda: ConfusionMatrix(np.array([[1, -1], [0, 2]]), ("a", "b")),
+     "negative count in confusion matrix"),
+    (lambda: macro_f1(ConfusionMatrix(np.zeros((0, 0)), ())),
+     "empty confusion matrix"),
+], ids=["not-square", "not-2d", "labels", "negative", "macro-f1-empty"])
+def test_metric_refusals(make, message):
+    with pytest.raises(DataError, match=message):
+        make()

@@ -217,3 +217,14 @@ def test_fit_multistage_deterministic(separable_clusters):
 def test_predict_multistage_functional_alias():
     m = model_of([[[0.9, 0.1]]], [0.5])
     assert m.predict_batch(x_rows(1))[1].tolist() == [1]
+
+
+
+@pytest.mark.parametrize("stages,message", [
+    ([], "a multistage model needs at least one stage"),
+    ([stub_stage([[1.0, 0.0]]), stub_stage([[1.0, 0.0]], ("a", "c"))],
+     "all stages must share one label space"),
+], ids=["no-stage", "two-spaces"])
+def test_multistage_model_refusals(stages, message):
+    with pytest.raises(ConfigError, match=message):
+        MultistageModel(stages, StageThresholds.ones(len(stages) or 1))

@@ -219,3 +219,22 @@ def test_undersample_config_validation():
         UndersampleConfig(target_fraction=0.0)
     with pytest.raises(DataError):
         UndersampleConfig(target_fraction=1.2)
+
+
+@pytest.mark.parametrize("resample,data,message", [
+    (lambda ds, st: smote(ds, st, SmoteConfig()), [0, 0, 0, 1, 1],
+     "stats do not describe this dataset's label space"),
+    (lambda ds, st: undersample(ds, st, UndersampleConfig()), [0, 0, 0, 1, 1],
+     "stats do not describe this dataset's label space"),
+    (lambda ds, st: undersample(ds, st, UndersampleConfig()), [],
+     "empty dataset"),
+], ids=["smote-other-labels", "undersample-other-labels", "undersample-empty"])
+def test_sampling_refusals(resample, data, message):
+    """The stats are of a three-class dataset; the resampled one has two
+    labels, or three and no rows."""
+    three = skewed([4, 2, 2])
+    y = np.asarray(data, dtype=np.int64)
+    labels = ("c0", "c1") if y.size else three.labels
+    ds = Dataset(FeatureSchema.numeric(3), np.zeros((y.size, 3)), y, labels)
+    with pytest.raises(DataError, match=message):
+        resample(ds, class_stats(three))

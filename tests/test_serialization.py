@@ -294,6 +294,29 @@ def test_malformed_smo_document_is_data_error_at_load(breaker):
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("values", [[1.0, 2.0], []], ids=["flat", "empty"])
+def test_dense_support_vectors_must_be_a_matrix(values):
+    """A flat list used to load as one support vector, and ``[]`` as a
+    model of no features."""
+    doc = _smo_doc()
+    doc["sv_x"]["values"] = values
+    with pytest.raises(DataError, match="^smo_margin model document: sv_x "
+                                        "is not a matrix$"):
+        model_from_dict(doc)
+
+
+def test_class_statistics_must_agree_with_their_counts():
+    doc = json.loads(json.dumps(_fitted_cmc()[0].to_dict()))
+    doc["stats"]["minority"] = doc["stats"]["minority"][1:]
+    with pytest.raises(DataError, match="^class statistics: stored minority "
+                                        "disagree"):
+        CmcModel.from_dict(doc)
+    del doc["stats"]["total"]
+    with pytest.raises(DataError, match="^cmc model document: missing key "
+                                        "'total'$"):
+        CmcModel.from_dict(doc)
+
+
 def test_missing_model_key_names_the_model_kind():
     forest = model_to_dict(_noisy_forest())
     del forest["forest"]

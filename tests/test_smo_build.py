@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import comulti
-from comulti.classifiers import _native as native_mod
+from comulti import _native as native_mod
 
 PACKAGE = Path(comulti.__file__).parent
 COMMAND = " ".join(["cc", *native_mod.CFLAGS, "-o"])
@@ -28,7 +28,8 @@ try:
 except ImportError as exc:
     print(json.dumps(str(exc)))
 else:
-    from comulti.classifiers import _native, forest, smo
+    from comulti import _native
+    from comulti.classifiers import forest, smo
     assert forest.LIB is smo.LIB is _native.LIB
     print("ok")
 """
@@ -42,9 +43,10 @@ def package(tmp_path):
 
 
 def _built(root: Path) -> list:
-    """Names of the libraries and temp files in the copy's cache."""
-    cache = root / "comulti" / "classifiers" / "__pycache__"
-    return sorted(p.name for p in cache.glob("_native*"))
+    """Names of the libraries and temp files in the copy's cache (not the
+    bytecode Python may write beside them)."""
+    cache = root / "comulti" / "__pycache__"
+    return sorted(p.name for p in cache.glob("_native-*"))
 
 
 def _probe(root: Path, path: str) -> str:
@@ -80,7 +82,7 @@ def test_failing_compiler_reports_its_first_stderr_line(package):
 
 def test_library_is_built_once_per_source_and_flags(package):
     assert _probe(package, os.environ.get("PATH", os.defpath)) == "ok"
-    source = package / "comulti" / "classifiers" / "_native.c"
+    source = package / "comulti" / "_native.c"
     tag = hashlib.sha256(source.read_bytes()
                          + " ".join(native_mod.CFLAGS).encode()).hexdigest()
     assert _built(package) == [f"_native-{tag}.so"]
