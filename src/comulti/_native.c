@@ -2,7 +2,6 @@
  * them (smo and forest are modules of comulti.classifiers):
  *   smo_solve         the SMO working-pair loop of smo.solve_binary;
  *   sparse_product    the sparse kernel product of smo._poly_kernel;
- *   transpose_square  the in-place transpose that lays out a full Gram matrix;
  *   forest_counts     the walk of forest.TrainedForest.predict_proba_batch
  *                     over dense or CSR rows;
  *   grow_tree         the tree grower of forest.fit_forest;
@@ -36,7 +35,7 @@ enum {
     SMO_CONVERGED = 0, /* the gap dropped below tol */
     SMO_EMPTY_SET = 1, /* up or low became empty; the gap is 0 */
     SMO_CAP = 2,       /* ran max_iter iterations */
-    SMO_ABSENT = 3     /* a column of the working pair is not in the table */
+    SMO_ABSENT = 3     /* a row of the working pair is not in the table */
 };
 
 /* The first index of a working pair: i, the argmax of yg over up rows, at
@@ -75,14 +74,16 @@ static void smo_pick_row(struct smo_pick *p, ptrdiff_t t, double g,
  * y, neg_y: labels (+/-1) and their negation, which is passed in because
  * the compiler may rewrite (-y[t]) * grad[t] as -(y[t] * grad[t]), and that
  * flips the sign bit of a NaN product.  diag: kernel diagonal.
- * table, slot: kernel column i is the n doubles at table + slot[i] * n,
- * absent when slot[i] < 0 (a full Gram matrix is the table, slot[i] == i).
+ * table, slot: kernel row i, K(x_i, x_t) for every t, is the n doubles at
+ * table + slot[i] * n, absent when slot[i] < 0 (a full Gram matrix is the
+ * table, slot[i] == i).  The solver reads row i as column i, which by the
+ * kernel's symmetry holds the same values.
  * alpha, grad, up, low: the multipliers, the dual gradient and the
  * index-set flags, updated in place.  yg: n doubles of scratch.  *it_io:
  * the iterations done, read and written; on return *gap_out is the last
- * violation gap.  SMO_ABSENT: column want[0] of the pair whose first index
+ * violation gap.  SMO_ABSENT: row want[0] of the pair whose first index
  * is want[1] is absent, and nothing of that iteration has changed; once
- * the column is in, a call with the same arrays goes on from there, since
+ * the row is in, a call with the same arrays goes on from there, since
  * each call takes its first pick as the update pass takes it.
  *
  * An iteration makes two passes over the rows: the second-order choice of
@@ -294,26 +295,6 @@ void sparse_product(ptrdiff_t n_rows, ptrdiff_t n_out, const ptrdiff_t *ap,
             }
         }
     }
-}
-
-/* Transpose the n x n row-major matrix a in place, tile by tile so that
- * both sides of each swap stay in cache: a product written row by row
- * becomes the same matrix column by column, with no second n x n buffer.
- * Values are moved, not computed, so every bit stays. */
-void transpose_square(ptrdiff_t n, double *a)
-{
-    enum { TILE = 32 };
-    for (ptrdiff_t i0 = 0; i0 < n; i0 += TILE)
-        for (ptrdiff_t j0 = i0; j0 < n; j0 += TILE) {
-            const ptrdiff_t i1 = i0 + TILE < n ? i0 + TILE : n;
-            const ptrdiff_t j1 = j0 + TILE < n ? j0 + TILE : n;
-            for (ptrdiff_t i = i0; i < i1; i++)
-                for (ptrdiff_t j = j0 == i0 ? i + 1 : j0; j < j1; j++) {
-                    const double t = a[i * n + j];
-                    a[i * n + j] = a[j * n + i];
-                    a[j * n + i] = t;
-                }
-        }
 }
 
 /* ---------------------------------------------------------------------

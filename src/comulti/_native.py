@@ -162,8 +162,6 @@ def _load_library() -> ctypes.CDLL:
     lib.sparse_product.restype = None
     lib.sparse_product.argtypes = [  # n_rows, n_out, A, bt, out
         size, size, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    lib.transpose_square.restype = None
-    lib.transpose_square.argtypes = [size, ptr]  # n, a
     lib.grow_tree.restype = size
     lib.grow_tree.argtypes = [  # 4 sizes, values .. y, rng, n, boot, nodes
         size, size, size, size, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr]

@@ -261,6 +261,9 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
 # Dataset loading
 
 
+_SCHEMA_KEYS = {"name", "kind", "categories"}
+
+
 def load_schema_json(path) -> FeatureSchema:
     """A JSON list of ``{"name", "kind", "categories"}`` feature objects."""
     with reading(f"{path}: schema"):
@@ -272,6 +275,11 @@ def load_schema_json(path) -> FeatureSchema:
         if not isinstance(item, dict) or not isinstance(item.get("name"), str):
             raise DataError(f"{path}: feature {i} is not an object with a "
                             "string 'name'")
+        unknown = sorted(set(item) - _SCHEMA_KEYS)
+        if unknown:
+            raise DataError(f"{path}: feature {item['name']!r} has unknown "
+                            f"key(s) {', '.join(map(repr, unknown))}; a "
+                            "feature has 'name', 'kind' and 'categories'")
         kind = item.get("kind", NUMERIC)
         cats = item.get("categories")
         if (kind == ORDINAL or cats is not None) and not (isinstance(

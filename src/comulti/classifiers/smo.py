@@ -8,11 +8,13 @@ Chen & Lin, JMLR 2005); at convergence every multiplier satisfies
 Decision scores are mapped to probabilities by a per-class logistic (Platt)
 fit on the training scores, then normalized across classes.
 
-The solver reads each kernel column from one Fortran-order table, where
-it is contiguous.  Up to ``_FULL_GRAM_ROWS`` training rows the table is
-the whole Gram matrix, written row by row and transposed in place, so the
-build holds one Gram-size array; above, it holds ``_COLUMN_CACHE``
-columns, computed when the solver stops at one it lacks.  Fits of several
+The solver reads each kernel row, K(x_i, .), from one C-order table, where
+it is contiguous, and uses it as column i.  Up to ``_FULL_GRAM_ROWS``
+training rows the table is the whole Gram matrix, the kernel product as
+written, so the build holds one Gram-size array; above, it holds
+``_COLUMN_CACHE`` rows, computed when the solver stops at one it lacks.
+A sparse row is x_i times the transposed training matrix, so it reads the
+training entries of the columns x_i stores, not every entry.  Fits of several
 label views of one training matrix share one ``_Kernel``, which keeps
 every binary problem solved on it (the ``shared`` argument of :func:`fit_smo`): the first view's
 fit builds the Gram matrix, which lives until the caller drops ``shared``,
@@ -59,13 +61,13 @@ from ..errors import DataError, TrainingError
 from .._native import LIB, Csr, address, csr_rows
 from .base import Classifier, SmoSpec
 
-# smo_solve's statuses: it ran max_iter iterations (SMO_CAP), or a column
-# of the working pair is not in the table (SMO_ABSENT).
+# smo_solve's statuses: it ran max_iter iterations (SMO_CAP), or a row of
+# the working pair is not in the table (SMO_ABSENT).
 _CAP, _ABSENT = 2, 3
 
 
 # Full Gram matrices are precomputed up to this many training rows; larger
-# problems compute kernel columns on demand into a bounded first-in
+# problems compute kernel rows on demand into a bounded first-in
 # first-out cache.  The cache bounds memory: one dense 2-class solve (8
 # features) took 8.0 s at 147 MB peak RSS on the cache at 12 000 rows,
 # against 10.8 s (4.7 s of it building the Gram) and 2.25 GB on a full
@@ -109,22 +111,26 @@ def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
 
 
 class _Kernel:
-    """Kernel columns over one training matrix, all by :func:`_poly_kernel`
+    """Kernel rows over one training matrix, all by :func:`_poly_kernel`
     (in C for a sparse matrix), and the binary problems solved on them:
     ``solved`` maps ``(c, tol, max_iter, y_bin.tobytes())`` to ``(alpha,
     bias, gap, platt)``.  It holds the matrix itself, so the matrix's id,
     its key in a ``shared`` dict, cannot be reused while it lives.
 
-    Column i is ``table[:, slot[i]]``, contiguous, or absent if ``slot[i]
-    < 0``.  Up to ``_FULL_GRAM_ROWS`` rows the table is the Gram matrix
-    ``full``.  Above, ``full`` is None and :func:`solve_binary` fills the
-    table's ``max(2, min(_COLUMN_CACHE, n))`` slots first-in first-out
-    (``next`` first).  The table changes between the solver's calls, so a
-    kernel serves one solve at a time.
+    Row i is ``table[slot[i]]``, K(x_i, .), or absent if ``slot[i] < 0``;
+    the solver reads it as column i.  Up to ``_FULL_GRAM_ROWS`` rows the
+    table is the Gram matrix ``full``.  Above, ``full`` is None and
+    :func:`solve_binary` fills the table's ``max(2, min(_COLUMN_CACHE, n))``
+    slots first-in first-out (``next`` first), each row x_i against ``_xt``,
+    the transposed training matrix (None for dense rows).  The table
+    changes between the solver's calls, so a kernel serves one solve at a
+    time.
 
-    A sparse Gram is not always symmetric to the bit (a CSR with unsorted
-    indices sums each product in a different order for ``(r, i)`` and
-    ``(i, r)``), so rows are never read in place of columns.
+    Every entry of row i sums x_i's products in x_i's stored order.  A CSR
+    row that stores each column once and in order sums K(x_i, x_t) as it
+    sums K(x_t, x_i), so the Gram is symmetric to the bit; one that stores
+    a column twice, or out of order, may round the two differently, and the
+    solver reads row i's.
     """
 
     def __init__(self, x, degree: int):
@@ -137,17 +143,15 @@ class _Kernel:
         # Overflow is reported below as one error, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             if self.n <= _FULL_GRAM_ROWS:
-                # Written row by row, then transposed in place: one n x n
-                # buffer, in the layout the solver reads.
-                full = np.ascontiguousarray(_poly_kernel(self._a, x, degree))
-                LIB.transpose_square(self.n, full.ctypes.data)
-                self.full = self.table = full.T
+                # One n x n buffer, C-order, in the layout the solver reads.
+                self.full = self.table = _poly_kernel(self._a, x, degree)
                 self.slot = np.arange(self.n, dtype=np.intp)
                 self.diag = np.diag(self.full).copy()
             else:
                 self.full = None
+                self._xt = Csr(x.T) if sp.issparse(x) else None
                 self.table = np.empty(
-                    (self.n, max(2, min(_COLUMN_CACHE, self.n))), order="F")
+                    (max(2, min(_COLUMN_CACHE, self.n)), self.n))
                 self.slot = np.full(self.n, -1, dtype=np.intp)
                 self.next = 0
                 if sp.issparse(x):
@@ -163,9 +167,9 @@ class _Kernel:
                 "training rows (feature values too large)")
 
     def block(self, cols: np.ndarray) -> np.ndarray:
-        """(n, len(cols)) slab of kernel values."""
+        """(n, len(cols)) slab of kernel values, Fortran-order."""
         if self.full is not None:
-            return self.full[:, cols]
+            return self.full[cols].T
         return _poly_kernel(self._a, self.x[cols], self.degree)
 
 
@@ -178,17 +182,17 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     convergence means the violation gap dropped below ``tol``.
 
     The iterations run in C (``_native.c``, see :mod:`.._native`); this
-    function sets up the buffers, puts in each column the loop stops at,
-    computes the bias and raises the iteration-cap warning.  Every element
-    goes through the same rounded operations as in the plain numpy form
-    (``yg = -y * grad``, masks of the index sets, argmax and min by numpy's
-    rules, NaN included), so alphas, bias, gap and iteration count are the
-    same to the bit.
+    function sets up the buffers, puts in the table each kernel row the
+    loop stops at, computes the bias and raises the iteration-cap warning.
+    Every element goes through the same rounded operations as in the plain
+    numpy form (``yg = -y * grad``, masks of the index sets, argmax and min
+    by numpy's rules, NaN included), so alphas, bias, gap and iteration
+    count are the same to the bit.
     """
     n = y.size
     y = np.ascontiguousarray(y, dtype=np.float64)
     diag = np.ascontiguousarray(kernel.diag, dtype=np.float64)
-    # C reads n entries of each array, and n of each Gram column.
+    # C reads n entries of each array, and n of each Gram row.
     if y.shape != (n,) or diag.shape != (n,):
         raise ValueError(f"SMO: {n} labels for a kernel of {kernel.n} rows")
     alpha = np.zeros(n)
@@ -204,7 +208,7 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     yg = np.empty(n)
     gap, it = ctypes.c_double(), ctypes.c_longlong()
     table, slot = kernel.table, kernel.slot
-    want = np.empty(2, dtype=np.intp)  # the absent column, the pair's first
+    want = np.empty(2, dtype=np.intp)  # the absent row, the pair's first
     # The arrays stay bound to names until the call returns.
     while (status := LIB.smo_solve(
             n, y.ctypes.data, neg_y.ctypes.data, diag.ctypes.data,
@@ -214,13 +218,14 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
             ctypes.byref(it), want.ctypes.data)) == _ABSENT:
         i, first = want
         # Computed before the table changes, so an error leaves it whole.
-        col = _poly_kernel(kernel._a, kernel.x[i:i + 1], kernel.degree)
-        width = table.shape[1]
-        # The next slot, unless it holds the pair's first column.
+        row = _poly_kernel(kernel._a[i:i + 1], kernel.x, kernel.degree,
+                           b_t=kernel._xt)
+        width = table.shape[0]
+        # The next slot, unless it holds the pair's first row.
         put = (kernel.next + (slot[first] == kernel.next)) % width
         kernel.next = (put + 1) % width
         slot[slot == put] = -1
-        table[:, put] = col.ravel()
+        table[put] = row.ravel()
         slot[i] = put
     gap, it = gap.value, it.value
     if status == _CAP:
@@ -378,6 +383,8 @@ class TrainedSmo(Classifier):
             }
         else:
             sv_doc = {"sparse": False, "values": sv.tolist()}
+            if not sv.shape[0]:  # [] alone does not say how many columns
+                sv_doc["shape"] = list(sv.shape)
         return {
             "kind": "smo_margin",
             "degree": self.spec.degree,
@@ -413,6 +420,8 @@ class TrainedSmo(Classifier):
                                shape=coo.shape)
         else:
             sv = np.asarray(sv_doc["values"], dtype=np.float64)
+            if "shape" in sv_doc:
+                sv = sv.reshape(sv_doc["shape"])
         space = tuple(doc["space"])
         sv_index = [np.asarray(v, dtype=np.int64) for v in doc["sv_index"]]
         sv_coef = [np.asarray(v, dtype=np.float64) for v in doc["sv_coef"]]

@@ -314,6 +314,8 @@ def read_bytes(path) -> bytes:
 # A line break of Python's universal newlines, as ``bytes.splitlines`` and
 # the compiled row pass split lines.
 _EOL = re.compile(rb"\r\n|\r|\n")
+# The most columns a sparse file may declare: its column indices are int32.
+_MAX_COLUMNS = np.iinfo(np.int32).max
 
 
 def load_sparse(matrix_path, labels_path) -> Dataset:
@@ -358,6 +360,9 @@ def _sparse_header(path, raw: bytes) -> tuple[int, tuple[int, int, int]]:
     if min(nrows, ncols, nnz) < 0:
         raise DataError(f"{path}: negative header field in "
                         f"'{nrows} {ncols} {nnz}'")
+    if ncols > _MAX_COLUMNS:
+        raise DataError(f"{path}: {ncols} columns in the header, above the "
+                        f"{_MAX_COLUMNS} that int32 column indices hold")
     return pos, (nrows, ncols, nnz)
 
 
@@ -374,9 +379,8 @@ def _sparse_rows(path, raw: bytes, pos: int, nrows: int, ncols: int,
     indptr = np.empty(lines.size, dtype=np.int64)
     indices = np.empty(min(nnz, body), dtype=np.int32)
     data = np.empty(indices.size)
-    found = LIB.parse_sparse(  # a column past int32 is left to Python
-        raw, pos, len(raw), lines.size - 1,
-        min(ncols, np.iinfo(np.int32).max), indices.size,
+    found = LIB.parse_sparse(
+        raw, pos, len(raw), lines.size - 1, ncols, indices.size,
         *(address(a) for a in (lines, indptr, indices, data)))
     if found > nrows:  # blank lines after the last row are not rows
         tail = raw[lines[nrows]:].splitlines()

@@ -606,7 +606,10 @@ def test_cli_malformed_schema_is_data_error(blobs_csv, tmp_path, capsys):
                            "of strings"),
     ({"kind": "ordinal", "categories": [1, 2]}, "feature 'f0' needs its "
                                                 "'categories' as a list"),
-], ids=["numeric-listed", "numeric-string", "ordinal-ints"])
+    # Misspelt keys would otherwise load f0 as numeric, silently.
+    ({"categoris": ["1", "2"], "knd": "ordinal"}, "feature 'f0' has unknown "
+                                                  "key(s) 'categoris', 'knd'"),
+], ids=["numeric-listed", "numeric-string", "ordinal-ints", "unknown-keys"])
 def test_cli_schema_categories_are_checked(blobs_csv, tmp_path, capsys,
                                            feature, message):
     schema = tmp_path / "schema.json"
@@ -666,6 +669,21 @@ def test_cli_negative_sparse_header_is_data_error(tmp_path, capsys, header,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1, err
     assert "negative header field" in err
+
+
+def test_cli_sparse_header_past_int32_columns_is_data_error(tmp_path,
+                                                            capsys):
+    # Column indices are int32: a header declaring more columns is refused
+    # before any row is read, the row's column included.
+    matrix = tmp_path / "d.sparse"
+    matrix.write_text("1 3000000000 1\n2999999999 1.5\n")
+    labels = tmp_path / "d.labels"
+    labels.write_text("a\n")
+    assert main(["profile", "--dataset", str(matrix), "--format", "sparse",
+                 "--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert "3000000000 columns" in err and "2147483647" in err
 
 
 def test_cli_empty_majority_override_is_config_error(blobs_csv, tmp_path,

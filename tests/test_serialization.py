@@ -211,6 +211,24 @@ def test_smo_round_trip_bit_exact(tmp_path, separable_clusters):
                           again.predict_proba_batch(x))
 
 
+def test_smo_without_support_vectors_round_trips(tmp_path):
+    # A tolerance above the starting gap of 2 stops the solver at once, so
+    # no row is a support vector; the document still says how many
+    # columns the (0, 2) support-vector matrix has.
+    rng = np.random.default_rng(3)
+    ds = make_dataset(rng.normal(size=(20, 2)), np.arange(20) % 2)
+    model = fit(SmoSpec(tol=2.5), ds, seed=0)
+    assert model.sv_x.shape == (0, 2)
+    path = tmp_path / "smo.json"
+    save_model(model, path)
+    again = load_model(path)
+    assert again.sv_x.shape == (0, 2)
+    x = probe(rng, 10, 2)
+    assert again.predict_proba_batch(x).tobytes() == \
+        model.predict_proba_batch(x).tobytes()
+    assert model_to_dict(again) == model_to_dict(model)
+
+
 def test_smo_copies_predict_as_the_fitted_model():
     # Sparse support vectors with unsorted indices and a column stored
     # twice in a row, as load_sparse reads a line that names it twice.

@@ -103,7 +103,7 @@ GOLDEN = {
     "column_cache_topics":
         "885e746ac12c505bd8a1fc2368ce431916f96b67daeea2e8534c9f4e4051e2a6",
     "duplicate_csr":
-        "11d75dae8afd0f7b1ab4f211dda7c27c9ead910466345b85f79143b9cd4a5d03",
+        "24cde68970e5970658fbf1bc0aa701c1d8fd1fee629cfba17db1140cadb0441a",
     "capped_blobs":
         "a041cf5065363f5fd4f1881df620c4d05435fb8b80fce6ffca7a5a7d5d4a4ffa",
 }
@@ -361,8 +361,8 @@ def test_failing_column_leaves_the_kernel_whole(monkeypatch, fail_at):
     error = _ColumnFailed("no column")
 
     def failing(a, b, degree, b_t=None):
-        if b.shape[0] == 1:
-            calls.append(b)
+        if a.shape[0] == 1:
+            calls.append(a)
             if len(calls) == fail_at:
                 raise error
         return real(a, b, degree, b_t)
@@ -375,8 +375,8 @@ def test_failing_column_leaves_the_kernel_whole(monkeypatch, fail_at):
     assert len(held) == min(fail_at - 1, 2)
     assert len(set(kernel.slot[held])) == len(held)
     for i in held:
-        assert kernel.table[:, kernel.slot[i]].tobytes() == \
-            real(x, x[i:i + 1], degree).ravel().tobytes()
+        assert kernel.table[kernel.slot[i]].tobytes() == \
+            real(x[i:i + 1], x, degree).ravel().tobytes()
     want = _reference_solve(_ReferenceKernel(x, degree, 0, 2),
                             y, c, 1e-3, 200_000)
     got = smo_mod.solve_binary(kernel, y, c, 1e-3, 200_000)

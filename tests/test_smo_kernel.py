@@ -11,7 +11,7 @@ CSR matrix may legally hold and what prediction may be given: indices in
 any order, a column stored twice in a row, explicitly stored zeros of
 either sign, empty rows, no rows or no columns at all, int32 and int64
 index arrays, infinities and NaN in the predicted rows, one-row inputs,
-the ``(n, 1)`` columns of the SMO column cache, and models of 14 and 17
+one-column ``(n, 1)`` products, and models of 14 and 17
 labels.
 """
 
@@ -29,6 +29,9 @@ from comulti.cmcm import fit_cmcm
 from comulti.datagen import MULTISKEW_SIZES, gaussian_blobs, sparse_topics
 from comulti.dataset import Dataset, FeatureSchema, class_stats
 from comulti.errors import DataError
+
+from conftest import duplicate_csr_dataset
+from test_smo_golden import _assert_same_solution
 
 LAYOUTS = ["sorted", "unsorted", "duplicates", "zeros"]
 
@@ -90,10 +93,10 @@ def _check_kernel(a, b, degree):
 
 
 def _check_gram(x, degree):
-    """A full Gram matrix has the reference's values, column-major."""
+    """A full Gram matrix has the reference's values, row-major."""
     got = smo_mod._Kernel(x, degree).full
-    assert got.flags.f_contiguous
-    _assert_bits(got, _reference_kernel(x, x, degree, order="F"))
+    assert got.flags.c_contiguous
+    _assert_bits(got, _reference_kernel(x, x, degree, order="C"))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -111,7 +114,7 @@ def test_poly_kernel_matches_scipy_product(layout, index_dtype, degree):
     for i in range(a.shape[0]):
         _check_kernel(a[i:i + 1], b, degree)  # one predicted row
     for i in range(b.shape[0]):
-        _check_kernel(b, b[i:i + 1], degree)  # a cached column, (n, 1)
+        _check_kernel(b, b[i:i + 1], degree)  # one column, (n, 1)
     _check_kernel(b, b[[3, 0, 3]], degree)  # a block of columns
 
 
@@ -152,8 +155,58 @@ def test_full_gram_is_built_in_one_buffer(sparse):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kernel.full.flags.f_contiguous
+    assert kernel.full.flags.c_contiguous
     assert gram_bytes <= peak < 1.25 * gram_bytes
+
+
+def _row_tables(monkeypatch, x, degree, y, widths):
+    """Each kernel after one solve of ``y``: the full Gram, then a row
+    table of each width, and the solutions."""
+    out = []
+    for full_rows, width in [(smo_mod._FULL_GRAM_ROWS, None),
+                             *((0, w) for w in widths)]:
+        monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", full_rows)
+        if width is not None:
+            monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", width)
+        kernel = smo_mod._Kernel(x, degree)
+        out.append((kernel, smo_mod.solve_binary(kernel, y, 1.0, 1e-3,
+                                                 200_000)))
+        monkeypatch.undo()
+    return out
+
+
+def test_row_tables_solve_canonical_rows_as_the_full_gram(monkeypatch):
+    # Rows that store each column once and in order: row i and column i of
+    # the Gram are the same bits, so every table width gives one solution.
+    ds = sparse_topics(tuple(max(4, n // 4) for n in MULTISKEW_SIZES),
+                       seed=0)
+    assert ds.x.has_canonical_format
+    y = np.where(ds.y == 0, 1.0, -1.0)
+    (full, want), *rows = _row_tables(monkeypatch, ds.x, 2, y, (16, 2))
+    assert full.full is not None and want[3] > 100
+    for kernel, got in rows:
+        assert kernel.full is None
+        _assert_same_solution(got, want)
+
+
+@pytest.mark.parametrize("layout", ["duplicates", "unsorted"])
+def test_table_rows_are_kernel_rows(monkeypatch, layout):
+    # Row i of every table is x_i against every row, summed in x_i's
+    # stored order, which on these rows and values that are not integers
+    # rounds some entries unlike column i.
+    x = duplicate_csr_dataset().x if layout == "duplicates" else \
+        _csr(np.random.default_rng(12), 70, 12, layout, np.int32)
+    y = np.where(np.arange(x.shape[0]) % 3 == 0, 1.0, -1.0)
+    want = [smo_mod._poly_kernel(x[i:i + 1], x, 2).ravel()
+            for i in range(x.shape[0])]
+    assert any(want[i].tobytes() != smo_mod._poly_kernel(
+        x, x[i:i + 1], 2).ravel().tobytes() for i in range(x.shape[0]))
+    for kernel, _ in _row_tables(monkeypatch, x, 2, y, (16,)):
+        held = np.flatnonzero(kernel.slot >= 0)
+        assert held.size == min(x.shape[0], kernel.table.shape[0])
+        for i in held:
+            assert kernel.table[kernel.slot[i]].tobytes() == \
+                want[i].tobytes()
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
