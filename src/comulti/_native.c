@@ -7,8 +7,13 @@
  *   grow_tree         the tree grower of forest.fit_forest;
  *   csr_check         the check of a CSR matrix's arrays before any other
  *                     loop or scipy reads them (_native.Csr);
- *   parse_sparse      the row pass of dataset.load_sparse.
- * New functions go at the end, so that those above keep their addresses.
+ *   parse_sparse      the row pass of dataset.load_sparse;
+ *   smo_avx2          1 when the CPU has AVX2, read once by _native.py;
+ *   smo_lane          the lane of 4 that each pass below ends on;
+ *   smo_choose_avx2   smo_solve's choice of j, 4 rows at a time;
+ *   smo_update_avx2   smo_solve's gradient update and pick, 4 rows at a time.
+ * New functions go at the end, so that those above keep their addresses;
+ * the compiler emits smo_solve after the last two, which it calls.
  *
  * Plain C with no Python API: _native.py compiles this file at import and
  * calls it through ctypes, which releases the GIL for each call.  The
@@ -69,6 +74,22 @@ static void smo_pick_row(struct smo_pick *p, ptrdiff_t t, double g,
     }
 }
 
+#if defined(__x86_64__)
+ptrdiff_t smo_choose_avx2(ptrdiff_t n, const unsigned char *low,
+                          const double *yg, const double *diag,
+                          const double *k_i, double d_i, double m_val,
+                          ptrdiff_t *j, double *best);
+ptrdiff_t smo_update_avx2(ptrdiff_t n, const double *y, const double *neg_y,
+                          const double *k_i, const double *k_j, double s_i,
+                          double s_j, const unsigned char *up,
+                          const unsigned char *low, double *grad, double *yg,
+                          struct smo_pick *pick);
+#else
+/* No AVX2 form: smo_avx2() is 0, and a pass starts at row 0. */
+#define smo_choose_avx2(...) 0
+#define smo_update_avx2(...) 0
+#endif
+
 /* Solve one binary problem from the state the caller set up.
  *
  * y, neg_y: labels (+/-1) and their negation, which is passed in because
@@ -89,13 +110,17 @@ static void smo_pick_row(struct smo_pick *p, ptrdiff_t t, double g,
  * An iteration makes two passes over the rows: the second-order choice of
  * j, and one pass that updates the gradient with the pair's step and, on
  * the new gradient and index sets, picks the next iteration's i and gap.
+ * With avx2 set (only where smo_avx2() is 1) each pass takes its rows 4
+ * at a time, up to n rounded down to a multiple of 4, with the same picks,
+ * and the scalar loop below goes on from there.
  */
 int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
               const double *diag, const double *table, const ptrdiff_t *slot,
               double c, double tol, long long max_iter,
               double *alpha, double *grad, unsigned char *up,
               unsigned char *low, double *yg,
-              double *gap_out, long long *it_io, ptrdiff_t *want)
+              double *gap_out, long long *it_io, ptrdiff_t *want,
+              int avx2)
 {
     const double eps = 1e-12;
     const double top = c - eps;
@@ -140,10 +165,12 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
          * for the pair (i, t).  Any other row scores -inf, which is never
          * picked, so it is skipped. */
         const double d_i = diag[i];
-        ptrdiff_t j = 0;
+        ptrdiff_t j = 0, t = 0;
         double best = -INFINITY;
-        int best_nan = 0;
-        for (ptrdiff_t t = 0; t < n; t++) {
+        if (avx2)
+            t = smo_choose_avx2(n, low, yg, diag, k_i, d_i, m_val, &j, &best);
+        int best_nan = isnan(best);
+        for (; t < n; t++) {
             if (!low[t] || !(yg[t] < m_val))
                 continue;
             double quad_t = (d_i + diag[t]) - 2.0 * k_i[t];
@@ -254,7 +281,11 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
          * iteration began with. */
         const double s_i = yi * (ai - old_ai), s_j = yj * (aj - old_aj);
         pick = smo_pick_none();
-        for (ptrdiff_t t = 0; t < n; t++) {
+        t = 0;
+        if (avx2)
+            t = smo_update_avx2(n, y, neg_y, k_i, k_j, s_i, s_j, up, low, grad,
+                                yg, &pick);
+        for (; t < n; t++) {
             grad[t] = grad[t] + (y[t] * (k_i[t] * s_i) + y[t] * (k_j[t] * s_j));
             const double g = neg_y[t] * grad[t];
             yg[t] = g;
@@ -733,3 +764,157 @@ ptrdiff_t parse_sparse(const char *text, ptrdiff_t start, ptrdiff_t size,
         lines[r] = size;
     return r;
 }
+
+/* ---------------------------------------------------------------------
+ * SMO's two row passes, 4 rows at a time under AVX2, for x86-64 CPUs that
+ * have it; smo_solve calls them when the caller passes smo_avx2()'s 1.
+ * They are built with the target attribute, under the flags of every other
+ * loop, and nothing of them is inlined into smo_solve.  Each does the
+ * scalar pass's IEEE operations on each row, in the same order, over the
+ * rows below n rounded down to a multiple of 4, and returns that count;
+ * smo_solve's scalar loop takes the rest.  Lane k of 4 takes rows k, k + 4,
+ * ... and keeps its own value, row and sticky NaN by the scalar rule
+ * !(u <= best); smo_lane then picks the lane the scalar rule would end on.
+ */
+int smo_avx2(void)
+{
+#if defined(__x86_64__)
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return 0;
+#endif
+}
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+/* The lane of value v[k] at row t[k] that the scalar pick over the rows
+ * of all 4 lanes ends on: the NaN at the lowest row, if any; otherwise the
+ * largest value, or the least when least is set, at the lowest row among
+ * lanes that are IEEE-equal (so of +0 and -0, the earlier row's). */
+int smo_lane(const double *v, const int64_t *t, int least)
+{
+    int k = 0;
+    for (int l = 1; l < 4; l++) {
+        const int nan_l = isnan(v[l]), nan_k = isnan(v[k]);
+        if (nan_l != nan_k ? nan_l
+            : nan_l || v[l] == v[k] ? t[l] < t[k]
+            : least ? v[l] < v[k] : v[l] > v[k])
+            k = l;
+    }
+    return k;
+}
+
+/* All ones in lane k where flags[k] != 0, for 4 flag bytes.  Always
+ * inlined, so it is never emitted as a function of its own. */
+static inline __attribute__((always_inline, target("avx2")))
+__m256d smo_flags(const unsigned char *flags)
+{
+    int32_t bytes;
+    memcpy(&bytes, flags, sizeof bytes);
+    return _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(bytes)),
+        _mm256_setzero_si256()));
+}
+
+/* The pass that chooses j, into *j and *best.  A block with no violator
+ * is skipped before its division. */
+__attribute__((target("avx2")))
+ptrdiff_t smo_choose_avx2(ptrdiff_t n, const unsigned char *low,
+                          const double *yg, const double *diag,
+                          const double *k_i, double d_i, double m_val,
+                          ptrdiff_t *j, double *best)
+{
+    const ptrdiff_t n4 = n & ~(ptrdiff_t)3;
+    const __m256d m = _mm256_set1_pd(m_val), di = _mm256_set1_pd(d_i);
+    const __m256d two = _mm256_set1_pd(2.0), tiny = _mm256_set1_pd(1e-12);
+    const __m256i four = _mm256_set1_epi64x(4);
+    __m256d top = _mm256_set1_pd(-INFINITY);
+    __m256i at = _mm256_setzero_si256(), row = _mm256_setr_epi64x(0, 1, 2, 3);
+    for (ptrdiff_t t = 0; t < n4; t += 4, row = _mm256_add_epi64(row, four)) {
+        const __m256d g = _mm256_loadu_pd(yg + t);
+        const __m256d viol = _mm256_and_pd(smo_flags(low + t),
+                                           _mm256_cmp_pd(g, m, _CMP_LT_OQ));
+        if (!_mm256_movemask_pd(viol))
+            continue;
+        __m256d quad = _mm256_sub_pd(
+            _mm256_add_pd(di, _mm256_loadu_pd(diag + t)),
+            _mm256_mul_pd(two, _mm256_loadu_pd(k_i + t)));
+        quad = _mm256_blendv_pd(tiny, quad,
+                                _mm256_cmp_pd(quad, _mm256_setzero_pd(),
+                                              _CMP_GT_OQ));
+        __m256d b = _mm256_sub_pd(m, g);
+        b = _mm256_div_pd(_mm256_mul_pd(b, b), quad);
+        const __m256d take = _mm256_and_pd(viol, _mm256_andnot_pd(
+            _mm256_cmp_pd(top, top, _CMP_UNORD_Q),
+            _mm256_cmp_pd(b, top, _CMP_NLE_UQ)));
+        top = _mm256_blendv_pd(top, b, take);
+        at = _mm256_blendv_epi8(at, row, _mm256_castpd_si256(take));
+    }
+    double v[4];
+    int64_t r[4];
+    _mm256_storeu_pd(v, top);
+    _mm256_storeu_si256((__m256i *)r, at);
+    const int k = smo_lane(v, r, 0);
+    *j = r[k];
+    *best = v[k];
+    return n4;
+}
+
+/* The pass that updates grad and yg and takes the next pick into *pick,
+ * which it sets whole. */
+__attribute__((target("avx2")))
+ptrdiff_t smo_update_avx2(ptrdiff_t n, const double *y, const double *neg_y,
+                          const double *k_i, const double *k_j, double s_i,
+                          double s_j, const unsigned char *up,
+                          const unsigned char *low, double *grad, double *yg,
+                          struct smo_pick *pick)
+{
+    const ptrdiff_t n4 = n & ~(ptrdiff_t)3;
+    const __m256d si = _mm256_set1_pd(s_i), sj = _mm256_set1_pd(s_j);
+    const __m256d neg_inf = _mm256_set1_pd(-INFINITY);
+    const __m256d pos_inf = _mm256_set1_pd(INFINITY);
+    const __m256i four = _mm256_set1_epi64x(4);
+    __m256d m_val = neg_inf, lo = pos_inf;
+    __m256i m_at = _mm256_setzero_si256(), lo_at = m_at;
+    __m256i row = _mm256_setr_epi64x(0, 1, 2, 3);
+    for (ptrdiff_t t = 0; t < n4; t += 4, row = _mm256_add_epi64(row, four)) {
+        const __m256d yt = _mm256_loadu_pd(y + t);
+        const __m256d gr = _mm256_add_pd(
+            _mm256_loadu_pd(grad + t),
+            _mm256_add_pd(
+                _mm256_mul_pd(yt, _mm256_mul_pd(_mm256_loadu_pd(k_i + t), si)),
+                _mm256_mul_pd(yt,
+                              _mm256_mul_pd(_mm256_loadu_pd(k_j + t), sj))));
+        _mm256_storeu_pd(grad + t, gr);
+        const __m256d g = _mm256_mul_pd(_mm256_loadu_pd(neg_y + t), gr);
+        _mm256_storeu_pd(yg + t, g);
+        const __m256d u = _mm256_blendv_pd(neg_inf, g, smo_flags(up + t));
+        const __m256d take_m = _mm256_andnot_pd(
+            _mm256_cmp_pd(m_val, m_val, _CMP_UNORD_Q),
+            _mm256_cmp_pd(u, m_val, _CMP_NLE_UQ));
+        m_val = _mm256_blendv_pd(m_val, u, take_m);
+        m_at = _mm256_blendv_epi8(m_at, row, _mm256_castpd_si256(take_m));
+        const __m256d l = _mm256_blendv_pd(pos_inf, g, smo_flags(low + t));
+        const __m256d take_lo = _mm256_andnot_pd(
+            _mm256_cmp_pd(lo, lo, _CMP_UNORD_Q),
+            _mm256_cmp_pd(l, lo, _CMP_NGE_UQ));
+        lo = _mm256_blendv_pd(lo, l, take_lo);
+        lo_at = _mm256_blendv_epi8(lo_at, row, _mm256_castpd_si256(take_lo));
+    }
+    double v[4];
+    int64_t r[4];
+    _mm256_storeu_pd(v, m_val);
+    _mm256_storeu_si256((__m256i *)r, m_at);
+    int k = smo_lane(v, r, 0);
+    pick->i = r[k];
+    pick->m_val = v[k];
+    pick->m_nan = isnan(v[k]);
+    _mm256_storeu_pd(v, lo);
+    _mm256_storeu_si256((__m256i *)r, lo_at);
+    k = smo_lane(v, r, 1);
+    pick->lo = v[k];
+    pick->lo_nan = isnan(v[k]);
+    return n4;
+}
+#endif

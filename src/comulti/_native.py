@@ -17,7 +17,10 @@ flags keep the bits of the numpy and scipy forms:
 into one FMA instruction, which rounds once where numpy and scipy round
 twice (the default contracts wherever the target has FMA, as on aarch64),
 and without ``-ffast-math`` or ``-march=native`` the compiler may neither
-reassociate operations nor choose instructions per machine.
+reassociate operations nor choose instructions per machine.  The one
+choice per machine is made at run time: the SMO solver's AVX2 passes,
+built for that target alone, run where :data:`SMO_AVX2` says the CPU has
+it, and give the bits of the scalar passes.
 ``-falign-functions=64`` starts each function on its own cache line, so an
 edit to one function does not shift where the others start.
 """
@@ -112,6 +115,15 @@ class Csr:
     def __getitem__(self, rows) -> "Csr":
         return Csr(self.m[rows])
 
+    @classmethod
+    def transposed(cls, b) -> "Csr":
+        """``b.T`` as the right operand of ``sparse_product``: its checked
+        ``index`` and ``data`` alone, with ``m`` None, so that scipy's int32
+        index arrays of the conversion are not kept beside ``index``."""
+        bt = cls(b.T)
+        bt.m = None
+        return bt
+
 
 def csr_rows(x):
     """A batch as the layers read it: a scipy matrix as its ``Csr``,
@@ -158,7 +170,10 @@ def _load_library() -> ctypes.CDLL:
         size, ptr, ptr, ptr, ptr,  # n, y, neg_y, diag, table
         ptr, f64, f64, i64,  # slot, c, tol, max_iter
         ptr, ptr, ptr, ptr, ptr,  # alpha, grad, up, low, yg
-        ctypes.POINTER(f64), ctypes.POINTER(i64), ptr]  # gap, iterations, want
+        ctypes.POINTER(f64), ctypes.POINTER(i64), ptr,  # gap, iterations, want
+        ctypes.c_int]  # avx2
+    lib.smo_avx2.restype = ctypes.c_int
+    lib.smo_avx2.argtypes = []
     lib.sparse_product.restype = None
     lib.sparse_product.argtypes = [  # n_rows, n_out, A, bt, out
         size, size, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
@@ -179,3 +194,7 @@ def _load_library() -> ctypes.CDLL:
 
 
 LIB = _load_library()
+# 1 when this CPU runs smo_solve's two row passes 4 rows at a time (AVX2 on
+# x86-64), which picks as the scalar passes pick, to the bit; the solver
+# passes it to every smo_solve call.
+SMO_AVX2 = LIB.smo_avx2()

@@ -27,7 +27,10 @@ are compiled at import, with the forest's tree grower and walk, by
 :mod:`.._native`, and run without the GIL.  An iteration makes two passes
 over the rows: the second-order choice of the pair's second index, which
 skips rows that are not violators, and one pass that updates the gradient
-and takes the next iteration's first index and gap.  The product is
+and takes the next iteration's first index and gap.  On a CPU with AVX2
+(``_native.SMO_AVX2``, read once at import) both passes take 4 rows at a
+time, rounding each row as the scalar loop does and making the same picks,
+so a fit has the same bits on any x86-64 CPU.  The product is
 scipy's own loop, so a sparse kernel has the bits of
 ``(a @ b.T).toarray()``; a fitted model transposes sparse support vectors
 once, not on every prediction.  Every sparse left operand, also one
@@ -58,6 +61,7 @@ import scipy.sparse as sp
 
 from ..dataset import freeze
 from ..errors import DataError, TrainingError
+from .. import _native
 from .._native import LIB, Csr, address, csr_rows
 from .base import Classifier, SmoSpec
 
@@ -93,7 +97,7 @@ def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
     """
     a = csr_rows(a)
     if isinstance(a, Csr) and sp.issparse(b):
-        bt = Csr(b.T) if b_t is None else b_t
+        bt = Csr.transposed(b) if b_t is None else b_t
         if a.shape[1] != bt.shape[0]:
             raise ValueError(f"kernel of {a.shape[1]}-column rows with "
                              f"{bt.shape[0]}-column rows")
@@ -149,7 +153,7 @@ class _Kernel:
                 self.diag = np.diag(self.full).copy()
             else:
                 self.full = None
-                self._xt = Csr(x.T) if sp.issparse(x) else None
+                self._xt = Csr.transposed(x) if sp.issparse(x) else None
                 self.table = np.empty(
                     (max(2, min(_COLUMN_CACHE, self.n)), self.n))
                 self.slot = np.full(self.n, -1, dtype=np.intp)
@@ -215,7 +219,7 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
             table.ctypes.data, slot.ctypes.data, c, tol, max_iter,
             alpha.ctypes.data, grad.ctypes.data, up.ctypes.data,
             low.ctypes.data, yg.ctypes.data, ctypes.byref(gap),
-            ctypes.byref(it), want.ctypes.data)) == _ABSENT:
+            ctypes.byref(it), want.ctypes.data, _native.SMO_AVX2)) == _ABSENT:
         i, first = want
         # Computed before the table changes, so an error leaves it whole.
         row = _poly_kernel(kernel._a[i:i + 1], kernel.x, kernel.degree,
@@ -337,7 +341,7 @@ class TrainedSmo(Classifier):
             freeze(a)
         # Sparse support vectors are transposed once per model, here, for
         # every later prediction: a fit, from_dict and a copy alike.
-        self._sv_t = Csr(sv_x.T) if sp.issparse(sv_x) else None
+        self._sv_t = Csr.transposed(sv_x) if sp.issparse(sv_x) else None
 
     def __reduce__(self):
         # A copy prepares its own transpose.

@@ -252,23 +252,28 @@ def load_csv(path, label_column: str,
         raise DataError(f"{path}: no data rows")
     label_col = header.index(label_column)
     if schema is None:
-        schema = FeatureSchema(tuple(
+        # Every cell is encoded as its column is inferred.
+        inferred = [
             _infer_feature(path, header[j], [row[j] for _, row in rows])
-            for j in range(len(header)) if j != label_col))
-    feat_cols = [header.index(f.name) for f in schema.features]
-
-    x = np.empty((len(rows), len(schema)))
-    for i, (lineno, row) in enumerate(rows):
-        for j, (spec, col) in enumerate(zip(schema.features, feat_cols)):
-            raw = row[col]
-            try:
-                x[i, j] = (spec.categories.index(raw) if spec.kind == ORDINAL
-                           else float(raw))
-            except ValueError:
-                what = ("unknown category" if spec.kind == ORDINAL
-                        else "non-numeric value")
-                raise DataError(f"{path}:{lineno}: {what} {raw!r} "
-                                f"for feature {spec.name!r}") from None
+            for j in range(len(header)) if j != label_col]
+        schema = FeatureSchema(tuple(spec for spec, _ in inferred))
+        x = np.empty((len(rows), len(schema)))
+        for j, (_, values) in enumerate(inferred):
+            x[:, j] = values
+    else:
+        feat_cols = [header.index(f.name) for f in schema.features]
+        x = np.empty((len(rows), len(schema)))
+        for i, (lineno, row) in enumerate(rows):
+            for j, (spec, col) in enumerate(zip(schema.features, feat_cols)):
+                raw = row[col]
+                try:
+                    x[i, j] = (spec.categories.index(raw)
+                               if spec.kind == ORDINAL else float(raw))
+                except ValueError:
+                    what = ("unknown category" if spec.kind == ORDINAL
+                            else "non-numeric value")
+                    raise DataError(f"{path}:{lineno}: {what} {raw!r} "
+                                    f"for feature {spec.name!r}") from None
     labels, y = first_appearance([row[label_col] for _, row in rows])
     return Dataset(schema, x, y, labels)
 
@@ -281,18 +286,19 @@ def first_appearance(values: list) -> tuple[tuple, np.ndarray]:
     return tuple(ids), np.array(codes, dtype=np.int64)
 
 
-def _infer_feature(path, name: str, values: list[str]) -> FeatureSpec:
-    """The feature a schema-less CSV column holds (see :func:`load_csv`)."""
+def _infer_feature(path, name: str,
+                   values: list[str]) -> tuple[FeatureSpec, np.ndarray]:
+    """The feature a schema-less CSV column holds (see :func:`load_csv`),
+    and the column's values encoded as that feature: each number, or each
+    category's first-appearance index."""
     try:
-        for v in values:
-            float(v)
-        return FeatureSpec(name)
+        return FeatureSpec(name), np.array([float(v) for v in values])
     except ValueError:
-        categories, _ = first_appearance(values)
+        categories, codes = first_appearance(values)
         if len(categories) < 2:
             raise DataError(
                 f"{path}: column {name!r} has a single category") from None
-        return FeatureSpec(name, ORDINAL, categories)
+        return FeatureSpec(name, ORDINAL, categories), codes
 
 
 def read_bytes(path) -> bytes:

@@ -9,9 +9,13 @@ half keeps the solver and its kernel as they were first written, in numpy,
 as a reference, and compares the compiled solver's raw results with them
 on random problems and on edge cases: overflowing gradients, argmax ties,
 a column cache that evicts between the two columns of a pair, and solves
-on two threads at once.
+on two threads at once.  The ``test_solver_matches_reference*`` cases and
+the crafted-state tests run under both forms of the solver's row passes
+(the ``form`` fixture): the scalar loops, and the 4-row AVX2 loops where
+the CPU has AVX2.
 """
 
+import ctypes
 import hashlib
 import json
 import threading
@@ -21,6 +25,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from comulti import _native
 from comulti.classifiers import SmoSpec, fit
 from comulti.classifiers import smo as smo_mod
 from comulti.datagen import gaussian_blobs, rule_grid, sparse_topics
@@ -34,6 +39,21 @@ from comulti.dataset import (
 )
 
 from conftest import duplicate_csr_dataset
+
+# The forms of smo_solve's two row passes, by the value solve_binary passes
+# it: 0 scalar, 1 four rows at a time under AVX2.
+NEEDS_AVX2 = pytest.mark.skipif(
+    not _native.SMO_AVX2,
+    reason="this CPU has no AVX2, so the 4-row passes cannot run")
+FORMS = [pytest.param(0, id="scalar"),
+         pytest.param(1, id="avx2", marks=NEEDS_AVX2)]
+
+
+@pytest.fixture(params=FORMS)
+def form(request, monkeypatch):
+    """Every solve of the test runs its row passes in this form."""
+    monkeypatch.setattr(_native, "SMO_AVX2", request.param)
+    return request.param
 
 
 def _fingerprint(model) -> str:
@@ -306,7 +326,7 @@ def _assert_same_solution(got, want):
 
 
 @pytest.mark.parametrize("seed", range(24))
-def test_solver_matches_reference(seed):
+def test_solver_matches_reference(form, seed):
     x, y, degree, c = _random_problem(seed)
     want = _reference_solve(_ReferenceKernel(x, degree, 6000, 1024),
                             y, c, 1e-3, 200_000)
@@ -316,7 +336,7 @@ def test_solver_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_solver_matches_reference_column_cache(monkeypatch, seed):
+def test_solver_matches_reference_column_cache(monkeypatch, form, seed):
     x, y, degree, c = _random_problem(seed)
     monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
     monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", 8)
@@ -329,8 +349,8 @@ def test_solver_matches_reference_column_cache(monkeypatch, seed):
 
 @pytest.mark.parametrize("max_iter", [0, 1, 7])
 @pytest.mark.parametrize("full_rows,cache", [(6000, 1024), (0, 1), (0, 8)])
-def test_solver_matches_reference_at_the_cap(monkeypatch, full_rows, cache,
-                                             max_iter):
+def test_solver_matches_reference_at_the_cap(monkeypatch, form, full_rows,
+                                             cache, max_iter):
     # On the column path each absent column ends a call to C and the next
     # call goes on, so a capped solve can end right after such a restart.
     x, y, degree, c = _random_problem(4)
@@ -416,7 +436,7 @@ HUGE = [(1, 1e150), (2, 1e75), (1, 1.2e154), (2, 1.1e77)]
 @pytest.mark.parametrize("degree,value", HUGE)
 @pytest.mark.parametrize("seed", [3, 17, 21, 27, 31])
 @pytest.mark.parametrize("max_iter", [5, 500])
-def test_solver_matches_reference_on_huge_kernels(seed, degree, value,
+def test_solver_matches_reference_on_huge_kernels(form, seed, degree, value,
                                                   max_iter):
     x, y, c = _huge_problem(seed, degree, value)
     got, want = _solve_both(x, y, degree, c, max_iter)
@@ -432,7 +452,7 @@ def test_huge_kernel_cases_reach_nan():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_solver_matches_reference_on_duplicated_rows(seed):
+def test_solver_matches_reference_on_duplicated_rows(form, seed):
     # Every row twice: equal gradients, so argmax ties on every step.
     x, y, degree, c = _random_problem(seed)
     rows = np.arange(y.size).repeat(2)
@@ -442,7 +462,8 @@ def test_solver_matches_reference_on_duplicated_rows(seed):
 
 @pytest.mark.parametrize("cache", [1, 2])
 @pytest.mark.parametrize("seed", range(6))
-def test_solver_matches_reference_tiny_column_cache(monkeypatch, seed, cache):
+def test_solver_matches_reference_tiny_column_cache(monkeypatch, form, seed,
+                                                     cache):
     # With 1 or 2 cached columns, fetching column j evicts column i, which
     # the solver still reads.
     x, y, degree, c = _random_problem(seed)
@@ -452,6 +473,111 @@ def test_solver_matches_reference_tiny_column_cache(monkeypatch, seed, cache):
                             y, c, 1e-3, 200_000)
     got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
                                200_000)
+    _assert_same_solution(got, want)
+
+
+@NEEDS_AVX2
+@pytest.mark.parametrize("n", range(1, 10))
+def test_avx2_passes_match_scalar_on_every_tail(monkeypatch, n):
+    # Every n mod 4 rows that the scalar loop takes after the 4-row blocks,
+    # and n < 4, where no block runs at all.  The forms are compared with
+    # each other: on a +/-0 tie for lo (n = 2, seed 6) both keep the first
+    # row's zero, where the numpy reference's min() keeps another.
+    for seed in range(8):
+        rng = np.random.default_rng([n, seed])
+        x = rng.normal(size=(n, 2)) if seed % 2 else \
+            rng.integers(0, 3, size=(n, 2)).astype(float)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        got = []
+        for form in (0, 1):
+            monkeypatch.setattr(_native, "SMO_AVX2", form)
+            got.append(smo_mod.solve_binary(
+                smo_mod._Kernel(x, 1 + seed % 3), y, 1.0, 1e-3, 200_000))
+        _assert_same_solution(*got)
+
+
+def _solve_on_zero_kernel(y, alpha, grad, form, max_iter=10, diag=None,
+                          slot=None):
+    """smo_solve from this state with c = 1, on a kernel table of zeros,
+    with a diagonal of ones and every row in the table unless ``diag`` and
+    ``slot`` say otherwise: (status, iterations, gap, want)."""
+    n, c = y.size, 1.0
+    pos, neg_y = y > 0, -y
+    diag = np.ones(n) if diag is None else diag
+    slot = np.arange(n, dtype=np.intp) if slot is None else slot
+    table = np.zeros((n, n))
+    up = (pos & (alpha < c - 1e-12)) | (~pos & (alpha > 1e-12))
+    low = (~pos & (alpha < c - 1e-12)) | (pos & (alpha > 1e-12))
+    yg, want = np.empty(n), np.empty(2, dtype=np.intp)
+    gap, it = ctypes.c_double(), ctypes.c_longlong()
+    status = _native.LIB.smo_solve(
+        n, y.ctypes.data, neg_y.ctypes.data, diag.ctypes.data,
+        table.ctypes.data, slot.ctypes.data, c, 1e-3, max_iter,
+        alpha.ctypes.data, grad.ctypes.data, up.ctypes.data, low.ctypes.data,
+        yg.ctypes.data, ctypes.byref(gap), ctypes.byref(it),
+        want.ctypes.data, form)
+    return status, it.value, gap.value, want.tolist()
+
+
+def test_signed_zero_ties_keep_the_earlier_row(form):
+    # The first step, on the pair (0, 1), sets both multipliers to c and
+    # leaves every gradient as it was, +0 for rows 2-5 and 7, so yg is -0
+    # where y = +1 and +0 where y = -1.  The first up row at 0 (row 2, -0)
+    # and the first low row at 0 (row 3, +0) each sit in a lane above a
+    # later tied row of the other sign (rows 5 and 4), and only these two
+    # picks make the gap (-0) - (+0) = -0.
+    y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+    alpha = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.5])
+    grad = np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    status, it, gap, _ = _solve_on_zero_kernel(y, alpha, grad, form)
+    assert (status, it) == (0, 1)
+    assert alpha.tolist() == [1.0, 1.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.5]
+    assert _bits(gap) == _bits(-0.0)
+
+
+def test_nan_in_a_low_row_keeps_the_gap_nan(form):
+    # Row 2 is only in low and its gradient is NaN, so lo, and the gap, are
+    # NaN on every pick, while every up row is finite: the solve runs to
+    # the cap.  A lo that never took the NaN, or let row 6, 4 rows later in
+    # the same lane, replace it, would converge after the first step.
+    y = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+    grad = np.array([-1.0, -1.0, np.nan, 1.0, 1.0, 1.0, -1.0, 1.0])
+    status, it, gap, _ = _solve_on_zero_kernel(y, np.zeros(8), grad, form,
+                                               max_iter=3)
+    assert (status, it) == (2, 3) and np.isnan(gap)
+
+
+def test_nan_scores_choose_the_first_nan_row(form):
+    # Row 0 is i, at yg = 1e200, so (m_val - yg)^2 overflows for every
+    # violator; rows 1 and 6 score inf / finite = inf, and rows 2 and 5,
+    # whose quad d_i + d_t overflows too, inf / inf = NaN.  j is row 2, the
+    # first NaN: not row 5, the NaN of a lower lane, nor row 6, which comes
+    # after the NaN in its lane.  Every row but i is absent, so the solve
+    # stops at j.
+    y = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+    grad = np.array([-1e200, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+    diag = np.array([1.7e308, 1.0, 1.7e308, 1.0, 1.0, 1.7e308, 1.0, 1.0])
+    slot = np.array([0, -1, -1, -1, -1, -1, -1, -1], dtype=np.intp)
+    assert _solve_on_zero_kernel(y, np.zeros(8), grad, form, diag=diag,
+                                 slot=slot)[::3] == (3, [2, 0])
+
+
+@NEEDS_AVX2
+def test_row_table_of_width_2_under_avx2_solves_as_the_full_gram(monkeypatch):
+    # With 2 table rows nearly every iteration stops at an absent row and a
+    # later call resumes it; under the 4-row passes, rows that store each
+    # column once and in order give the scalar full-Gram solution.
+    x = _small_topics().x
+    assert x.has_canonical_format
+    y = np.where(np.arange(x.shape[0]) % 5 == 0, 1.0, -1.0)
+    monkeypatch.setattr(_native, "SMO_AVX2", 0)
+    want = smo_mod.solve_binary(smo_mod._Kernel(x, 2), y, 1.0, 1e-3, 200_000)
+    monkeypatch.setattr(_native, "SMO_AVX2", 1)
+    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
+    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", 2)
+    kernel = smo_mod._Kernel(x, 2)
+    got = smo_mod.solve_binary(kernel, y, 1.0, 1e-3, 200_000)
+    assert kernel.table.shape[0] == 2 and x.shape[0] % 4 and want[3] > 100
     _assert_same_solution(got, want)
 
 

@@ -301,6 +301,18 @@ def test_trained_smo_predicts_as_scipy_product(layout, degree):
     _check_model(model, _csr(rng, 0, 10, layout, np.int32))
 
 
+def test_transposed_operands_hold_no_scipy_copy(monkeypatch):
+    # A model's transposed support vectors and a row table's transposed
+    # training rows are read only by sparse_product: each keeps its intp
+    # index and values, and no scipy matrix with int32 indices beside them.
+    model, train = _sparse_model("sorted", 2)
+    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
+    kernel = smo_mod._Kernel(train, 2)
+    for bt, b in ((model._sv_t, model.sv_x), (kernel._xt, train)):
+        assert bt.m is None and bt.shape == b.shape[::-1]
+        assert bt.index.dtype == np.intp and bt.data.dtype == np.float64
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_trained_smo_on_non_finite_rows(layout):
     model, _ = _sparse_model(layout, 2)
