@@ -107,6 +107,11 @@ ptrdiff_t smo_update_avx2(ptrdiff_t n, const double *y, const double *neg_y,
  * the row is in, a call with the same arrays goes on from there, since
  * each call takes its first pick as the update pass takes it.
  *
+ * The gap is m_val - lo, where i is the first up row at the maximum of yg
+ * and lo the value of the first low row at its minimum: a tie keeps the
+ * first row's value, sign of zero included (of -0 and +0, the earlier
+ * row's), and the first NaN wins over any number.
+ *
  * An iteration makes two passes over the rows: the second-order choice of
  * j, and one pass that updates the gradient with the pair's step and, on
  * the new gradient and index sets, picks the next iteration's i and gap.

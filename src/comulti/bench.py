@@ -112,33 +112,42 @@ class ExperimentConfig:
     name: Optional[str] = None
 
     def __post_init__(self):
+        # Each error names the config key whose value is at fault.
         for f in fields(self):
             value = getattr(self, f.name)
             if (isinstance(value, (int, float)) and not isinstance(value, bool)
                     and not (math.isfinite(value) and value >= 0)):
-                raise ConfigError(f"{_config_key(f.name)} must be a finite "
-                                  f"number >= 0, got {value}")
+                key = _config_key(f.name)
+                raise ConfigError(f"{key} must be a finite number >= 0, got "
+                                  f"{value}", key)
         if self.dataset_format not in FORMATS:
-            raise ConfigError(f"unknown dataset format {self.dataset_format!r}")
+            raise ConfigError(
+                f"unknown dataset format {self.dataset_format!r}",
+                "dataset.format")
         if self.dataset_format == "sparse" and not self.labels_path:
-            raise ConfigError("sparse datasets need a labels file")
+            raise ConfigError("sparse datasets need a labels file",
+                              "dataset.format")
         if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r} (one of {MODELS})")
+            raise ConfigError(
+                f"unknown model {self.model!r} (one of {MODELS})", "model")
         if self.sampling not in SAMPLINGS:
             raise ConfigError(
-                f"unknown sampling {self.sampling!r} (one of {SAMPLINGS})"
-            )
+                f"unknown sampling {self.sampling!r} (one of {SAMPLINGS})",
+                "sampling")
         if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(f"split must be in (0,1), got {self.split_fraction}")
+            raise ConfigError(
+                f"split must be in (0,1), got {self.split_fraction}", "split")
         if self.seeds < 1:
-            raise ConfigError("seeds must be >= 1")
+            raise ConfigError("seeds must be >= 1", "seeds")
         if self.delta <= 0:
-            raise ConfigError("delta must be > 0")
+            raise ConfigError("delta must be > 0", "delta")
         if self.majority_override is not None and not self.majority_override:
-            raise ConfigError("the majority override names no class")
+            raise ConfigError("the majority override names no class",
+                              "majority")
         for layer in self.thresholds:
             if layer not in _THRESHOLD_LAYERS:
-                raise ConfigError(f"unknown threshold layer {layer!r}")
+                raise ConfigError(f"unknown threshold layer {layer!r}",
+                                  f"thresholds.{layer}")
         for cls in dict.fromkeys(f.metadata["cls"] for f in fields(self)
                                  if "cls" in f.metadata):
             self.build(cls)
@@ -155,7 +164,8 @@ class ExperimentConfig:
                        **extra)
         except DataError as exc:
             param, _, rest = str(exc).partition(" ")
-            raise ConfigError(f"{_config_key(names[param])} {rest}") from None
+            key = _config_key(names[param])
+            raise ConfigError(f"{key} {rest}", key) from None
 
     @property
     def display_name(self) -> str:
@@ -216,16 +226,22 @@ def parse_field(field_name: str, raw: str):
     return raw
 
 
-def parse_config_text(text: str, base: Optional[dict] = None) -> dict:
-    """Parse `key = value` lines into ExperimentConfig keyword arguments."""
-    kwargs = dict(base or {})
-    thresholds = dict(kwargs.get("thresholds") or {})
+def parse_config_text(text: str, path=None,
+                      lines: Optional[dict] = None) -> dict:
+    """Parse `key = value` lines into ExperimentConfig keyword arguments.
+
+    An error names its line, as ``<path>:<line>: ...``, or ``line <line>:
+    ...`` without a ``path``; ``lines``, if given, gets the line of each
+    key set."""
+    kwargs: dict = {}
+    thresholds: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        at = f"line {lineno}" if path is None else f"{path}:{lineno}"
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
+            raise ConfigError(f"{at}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key.startswith("thresholds."):
@@ -233,28 +249,48 @@ def parse_config_text(text: str, base: Optional[dict] = None) -> dict:
             try:
                 thresholds[layer] = tuple(float(v) for v in raw.split(","))
             except ValueError:
-                raise ConfigError(f"line {lineno}: bad threshold list") from None
-            continue
-        if key not in _FIELD_OF_KEY:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        kwargs[_FIELD_OF_KEY[key]] = parse_field(_FIELD_OF_KEY[key], raw)
+                raise ConfigError(f"{at}: bad threshold list") from None
+        elif key not in _FIELD_OF_KEY:
+            raise ConfigError(f"{at}: unknown config key {key!r}")
+        else:
+            try:
+                kwargs[_FIELD_OF_KEY[key]] = parse_field(_FIELD_OF_KEY[key],
+                                                         raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{at}: {exc}") from None
+        if lines is not None:
+            lines[key] = lineno
     if thresholds:
         kwargs["thresholds"] = thresholds
     return kwargs
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Read a config file, apply overrides (CLI flags win), build the config."""
+    """Read a config file, apply overrides (CLI flags win), build the config.
+
+    Every error the file causes is a ConfigError that names it, with the
+    line of the value at fault, if there is one; an error in a flag's value
+    reads as it would without a file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not valid UTF-8") from None
-    kwargs = parse_config_text(text)
-    if overrides:
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    lines: dict = {}
+    kwargs = parse_config_text(text, path, lines)
+    for name, value in (overrides or {}).items():
+        if value is not None:
+            kwargs[name] = value
+            lines.pop(_config_key(name), None)
     if "dataset_path" not in kwargs:
         raise ConfigError(f"{path}: dataset.path is required")
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ConfigError as exc:
+        if exc.key not in lines:
+            raise
+        raise ConfigError(f"{path}:{lines[exc.key]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

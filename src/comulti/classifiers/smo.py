@@ -8,18 +8,20 @@ Chen & Lin, JMLR 2005); at convergence every multiplier satisfies
 Decision scores are mapped to probabilities by a per-class logistic (Platt)
 fit on the training scores, then normalized across classes.
 
-The solver reads each kernel row, K(x_i, .), from one C-order table, where
-it is contiguous, and uses it as column i.  Up to ``_FULL_GRAM_ROWS``
-training rows the table is the whole Gram matrix, the kernel product as
-written, so the build holds one Gram-size array; above, it holds
-``_COLUMN_CACHE`` rows, computed when the solver stops at one it lacks.
-A sparse row is x_i times the transposed training matrix, so it reads the
-training entries of the columns x_i stores, not every entry.  Fits of several
-label views of one training matrix share one ``_Kernel``, which keeps
-every binary problem solved on it (the ``shared`` argument of :func:`fit_smo`): the first view's
-fit builds the Gram matrix, which lives until the caller drops ``shared``,
-and a one-vs-rest problem that two views pose is solved and calibrated
-once, its iteration-cap warning, if any, raised once.
+Every kernel value a fit reads is a kernel row, K(x_i, .), and the
+solver uses row i as column i.  The rows live in one C-order table of at
+most ``_TABLE_BYTES``: when every row fits, the table is the whole Gram
+matrix, the kernel product as written, so the build holds one Gram-size
+array; otherwise it holds as many rows as fit, at least the pair's 2,
+computed when the solver stops at one it lacks, and the Platt scores read
+freshly computed rows laid out as the whole Gram's.  A sparse row is x_i
+times the transposed training matrix, so it reads the training entries of
+the columns x_i stores, not every entry.  Fits of several label views of
+one training matrix share one ``_Kernel``, which keeps every binary problem
+solved on it (the ``shared`` argument of :func:`fit_smo`): the first
+view's fit builds the table, which lives until the caller drops
+``shared``, and a one-vs-rest problem that two views pose is solved and
+calibrated once, its iteration-cap warning, if any, raised once.
 
 The solver's iterations run in C, and so does the kernel product of two
 sparse matrices: the loop of :func:`solve_binary` and ``sparse_product``
@@ -70,16 +72,15 @@ from .base import Classifier, SmoSpec
 _CAP, _ABSENT = 2, 3
 
 
-# Full Gram matrices are precomputed up to this many training rows; larger
-# problems compute kernel rows on demand into a bounded first-in
-# first-out cache.  The cache bounds memory: one dense 2-class solve (8
-# features) took 8.0 s at 147 MB peak RSS on the cache at 12 000 rows,
-# against 10.8 s (4.7 s of it building the Gram) and 2.25 GB on a full
-# Gram; at 6 000 rows 1.9 s and 99 MB against 2.8 s and 602 MB.  The two
-# paths round some kernel entries differently (a matrix product against a
-# vector product), so moving the threshold changes fitted models.
-_FULL_GRAM_ROWS = 6000
-_COLUMN_CACHE = 1024
+# The kernel table's size in bytes: the whole Gram matrix up to 6 000
+# training rows, and above as many rows of n doubles as fit, at least 2
+# (360 rows at 100 000 training rows).  A table of rows sums every kernel
+# entry as the whole Gram does where rows store each column once and in
+# order (canonical CSR), so such a fit has the same bits under any budget;
+# a dense row is a vector product where the whole Gram is one matrix
+# product, and rounds some entries differently, so moving the budget moves
+# dense fits above it in the last bits.
+_TABLE_BYTES = 8 * 6000**2
 
 
 def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
@@ -122,13 +123,14 @@ class _Kernel:
     its key in a ``shared`` dict, cannot be reused while it lives.
 
     Row i is ``table[slot[i]]``, K(x_i, .), or absent if ``slot[i] < 0``;
-    the solver reads it as column i.  Up to ``_FULL_GRAM_ROWS`` rows the
-    table is the Gram matrix ``full``.  Above, ``full`` is None and
-    :func:`solve_binary` fills the table's ``max(2, min(_COLUMN_CACHE, n))``
-    slots first-in first-out (``next`` first), each row x_i against ``_xt``,
-    the transposed training matrix (None for dense rows).  The table
-    changes between the solver's calls, so a kernel serves one solve at a
-    time.
+    the solver reads it as column i.  The table holds ``min(n,
+    _TABLE_BYTES // (8 n))`` rows, at least 2.  When that is n, it is the
+    whole Gram matrix, one product, and ``diag`` its diagonal.  Otherwise
+    :func:`solve_binary` fills its slots first-in first-out (``next``
+    first), each row x_i against ``_xt``, the transposed training matrix
+    (None for dense rows), and ``diag`` is ``(|x_i|^2 + 1)^degree``.  The
+    table changes between the solver's calls, so a kernel serves one solve
+    at a time.  :meth:`rows` gives any other row a fit reads.
 
     Every entry of row i sums x_i's products in x_i's stored order.  A CSR
     row that stores each column once and in order sums K(x_i, x_t) as it
@@ -140,23 +142,22 @@ class _Kernel:
     def __init__(self, x, degree: int):
         self.x = x
         self.solved: dict = {}
-        # The left operand of every column and block, prepared once.
+        # The left operand of every row computed, prepared once.
         self._a = csr_rows(x)
         self.degree = degree
-        self.n = x.shape[0]
+        self.n = n = x.shape[0]
+        rows = max(2, _TABLE_BYTES // (8 * n)) if n else 0
         # Overflow is reported below as one error, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.n <= _FULL_GRAM_ROWS:
+            if rows >= n:
                 # One n x n buffer, C-order, in the layout the solver reads.
-                self.full = self.table = _poly_kernel(self._a, x, degree)
-                self.slot = np.arange(self.n, dtype=np.intp)
-                self.diag = np.diag(self.full).copy()
+                self.table = _poly_kernel(self._a, x, degree)
+                self.slot = np.arange(n, dtype=np.intp)
+                self.diag = np.diag(self.table).copy()
             else:
-                self.full = None
                 self._xt = Csr.transposed(x) if sp.issparse(x) else None
-                self.table = np.empty(
-                    (max(2, min(_COLUMN_CACHE, self.n)), self.n))
-                self.slot = np.full(self.n, -1, dtype=np.intp)
+                self.table = np.empty((rows, n))
+                self.slot = np.full(n, -1, dtype=np.intp)
                 self.next = 0
                 if sp.issparse(x):
                     sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
@@ -170,11 +171,14 @@ class _Kernel:
                 f"SMO stage: the degree-{degree} kernel overflows on the "
                 "training rows (feature values too large)")
 
-    def block(self, cols: np.ndarray) -> np.ndarray:
-        """(n, len(cols)) slab of kernel values, Fortran-order."""
-        if self.full is not None:
-            return self.full[cols].T
-        return _poly_kernel(self._a, self.x[cols], self.degree)
+    def rows(self, index) -> np.ndarray:
+        """K(x_i, .) for each row i that ``index`` (a slice or an index
+        array) picks, C-order: copied from the whole Gram, or computed as
+        the table's absent rows are."""
+        if len(self.table) == self.n:
+            return self.table[index]
+        return _poly_kernel(self._a[index], self.x, self.degree,
+                            b_t=self._xt)
 
 
 def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
@@ -189,9 +193,11 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     function sets up the buffers, puts in the table each kernel row the
     loop stops at, computes the bias and raises the iteration-cap warning.
     Every element goes through the same rounded operations as in the plain
-    numpy form (``yg = -y * grad``, masks of the index sets, argmax and min
-    by numpy's rules, NaN included), so alphas, bias, gap and iteration
-    count are the same to the bit.
+    numpy form (``yg = -y * grad``, masks of the index sets, argmax and
+    argmin by numpy's rules, NaN included), so alphas, bias, gap and
+    iteration count are the same to the bit.  A tie keeps the first row's
+    value, sign of zero included: the gap subtracts the value of the first
+    low row at the minimum, so of -0 and +0 the earlier row's.
     """
     n = y.size
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -222,8 +228,7 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
             ctypes.byref(it), want.ctypes.data, _native.SMO_AVX2)) == _ABSENT:
         i, first = want
         # Computed before the table changes, so an error leaves it whole.
-        row = _poly_kernel(kernel._a[i:i + 1], kernel.x, kernel.degree,
-                           b_t=kernel._xt)
+        row = kernel.rows(slice(i, i + 1))
         width = table.shape[0]
         # The next slot, unless it holds the pair's first row.
         put = (kernel.next + (slot[first] == kernel.next)) % width
@@ -463,10 +468,10 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     ``shared`` is a dict owned by a caller that fits several label views of
     one training matrix.  It keeps one ``_Kernel`` per (matrix, degree),
     built by the first view's fit, with every binary problem solved on it,
-    so the Gram matrix is built once and a one-vs-rest problem that recurs
+    so the kernel table is built once and a one-vs-rest problem that recurs
     in another view is solved (and calibrated) once.  The kernel lives as
     long as the dict: a two-layer fit drops it when it returns, so the
-    fitted model holds no Gram matrix.  Without ``shared`` the kernel lives
+    fitted model holds no kernel table.  Without ``shared`` the kernel lives
     for this fit only.
     """
     del seed
@@ -492,7 +497,9 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
             alpha, b, gap, _ = solve_binary(kernel, y_bin, spec.c, spec.tol,
                                             spec.max_iter)
             sv = np.nonzero(alpha > 1e-12)[0]
-            raw = kernel.block(sv) @ (alpha[sv] * y_bin[sv]) + b
+            # Rows transposed, Fortran-order: numpy sums the scores of
+            # every table in the whole Gram's order.
+            raw = kernel.rows(sv).T @ (alpha[sv] * y_bin[sv]) + b
             platt = platt_fit(raw, y == cls)
             if not np.isfinite([b, gap, *platt]).all():
                 raise TrainingError(

@@ -211,9 +211,15 @@ def read_lines(path, newline=None):
 
 
 def csv_rows(path):
-    """Rows of a UTF-8 CSV file (quoted fields may span lines)."""
+    """``(line, row)`` for each record of a UTF-8 CSV file, ``line`` the
+    file line the record starts on: a quoted field may span lines, so it is
+    the line after the previous record's last."""
+    reader = csv.reader(read_lines(path, newline=""))
+    line = 1
     try:
-        yield from csv.reader(read_lines(path, newline=""))
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -230,7 +236,7 @@ def load_csv(path, label_column: str,
     order.  Blank lines are skipped.
     """
     reader = csv_rows(path)
-    header = next(reader, None)
+    _, header = next(reader, (None, None))
     if header is None:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in header]
@@ -242,7 +248,7 @@ def load_csv(path, label_column: str,
     if extra:
         raise DataError(f"{path}: unexpected column(s) {sorted(extra)}")
     rows: list[tuple[int, list[str]]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):

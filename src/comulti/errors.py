@@ -12,7 +12,12 @@ class ComultiError(Exception):
 
 
 class ConfigError(ComultiError):
-    """Invalid experiment configuration, CLI flags or config file."""
+    """Invalid experiment configuration, CLI flags or config file.  ``key``
+    is the config key whose value is at fault, when one is."""
+
+    def __init__(self, message: str, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class DataError(ComultiError):

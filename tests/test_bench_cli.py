@@ -760,8 +760,58 @@ def test_cli_classifier_spec_out_of_range_is_config_error(
     conf.write_text(f"dataset.path = {blobs_csv}\n{line}\n")
     assert main(["run", "--config", str(conf)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {line.split(' = ')[0]} must be ")
+    assert err.startswith(
+        f"config error: {conf}:2: {line.split(' = ')[0]} must be ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("bogus = 1", "unknown config key 'bogus'"),
+    ("no equals sign", "expected 'key = value'"),
+    ("split = abc", "bad numeric value 'abc' for split"),
+    ("delta_per_factor = maybe", "bad boolean 'maybe' for delta_per_factor"),
+    ("thresholds.binary = a,b", "bad threshold list"),
+    ("thresholds.q9 = 1", "unknown threshold layer 'q9'"),
+    ("split = 1.5", "split must be in (0,1), got 1.5"),
+    ("smo.c = 0", "smo.c must be > 0, got 0.0"),
+    ("seed = -1", "seed must be a finite number >= 0, got -1"),
+    ("dataset.format = sparse", "sparse datasets need a labels file"),
+])
+def test_config_file_errors_name_the_file_and_line(blobs_csv, tmp_path,
+                                                   capsys, line, message):
+    # The second file of a grid, its line 3: each error of a file's text
+    # says where it is.
+    good = tmp_path / "a.cfg"
+    good.write_text(f"dataset.path = {blobs_csv}\n")
+    bad = tmp_path / "b.cfg"
+    bad.write_text(f"dataset.path = {blobs_csv}\n# set below\n{line}\n")
+    assert main(["grid", str(good), str(bad)]) == 1
+    assert capsys.readouterr().err == f"config error: {bad}:3: {message}\n"
+
+
+def test_flag_errors_over_a_config_file_name_no_file(blobs_csv, tmp_path,
+                                                     capsys):
+    conf = tmp_path / "a.cfg"
+    conf.write_text(f"dataset.path = {blobs_csv}\nsplit = 1.5\n")
+    # A flag's value replaces the file's, errors and all.
+    assert load_config(conf, {"split_fraction": 0.5}).split_fraction == 0.5
+    with pytest.raises(ConfigError, match=r"^split must be in \(0,1\), got 2"):
+        load_config(conf, {"split_fraction": 2.0})
+    assert main(["run", "--config", str(conf), "--split", "abc"]) == 1
+    assert capsys.readouterr().err == \
+        "config error: bad numeric value 'abc' for split\n"
+
+
+def test_unreadable_config_file_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"model = cmc\xff\n")
+    for path, reason in [(tmp_path / "missing.cfg", "No such file"),
+                         (tmp_path, "Is a directory"),
+                         (bad, "not valid UTF-8")]:
+        assert main(["grid", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: {reason}"), err
+        assert err.count("\n") == 1
 
 
 def test_spec_counts_reach_the_int64_bound():

@@ -243,7 +243,7 @@ def test_smo_kkt_conditions_hold_at_convergence():
     for c in (0.5, 1.0, 10.0):
         alpha, bias, gap, iters = solve_binary(kernel, y, c, 1e-3, 100_000)
         assert gap < 1e-3
-        _dual_feasible(alpha, y, c, 1e-3, kernel.full)
+        _dual_feasible(alpha, y, c, 1e-3, kernel.table)
 
 
 def test_smo_polynomial_kernel_solves_circle():
@@ -300,11 +300,11 @@ def test_smo_overflowing_kernel_is_training_error(monkeypatch, full_gram_rows,
                                                   value, degree):
     # The kernel overflowed into inf/NaN and the solver ran to its cap
     # with a NaN gap, leaving NaN biases and probabilities.  Both the full
-    # Gram and the column cache stop at the diagonal, without numpy
+    # Gram and a row table stop at the diagonal, without numpy
     # overflow warnings.
     import comulti.classifiers.smo as smo_mod
 
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", full_gram_rows)
+    monkeypatch.setattr(smo_mod, "_TABLE_BYTES", 8 * full_gram_rows**2)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(30, 3))
     x[4, 1] = value
@@ -321,7 +321,7 @@ def test_smo_large_finite_kernel_still_fits(monkeypatch, full_gram_rows):
     # still warns at its iteration cap.
     import comulti.classifiers.smo as smo_mod
 
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", full_gram_rows)
+    monkeypatch.setattr(smo_mod, "_TABLE_BYTES", 8 * full_gram_rows**2)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(30, 3))
     x[4, 1] = 1e150
@@ -349,7 +349,7 @@ def test_smo_column_cache_matches_full_gram(monkeypatch):
     rng = np.random.default_rng(7)
     ds = make_dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
     full = fit(SmoSpec(), ds, seed=0)
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 8)
+    monkeypatch.setattr(smo_mod, "_TABLE_BYTES", 8 * 8**2)
     cached = fit(SmoSpec(), ds, seed=0)
     monkeypatch.undo()
     # both paths converge to KKT-feasible solutions; last-ulp kernel

@@ -1,4 +1,5 @@
 import csv
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -90,6 +91,21 @@ def test_load_csv_unknown_category(tmp_path):
     p = write(tmp_path / "bad.csv", "size,label\nhuge,a\n")
     schema = FeatureSchema((FeatureSpec("size", "ordinal", ("small", "big")),))
     with pytest.raises(DataError, match="unknown category"):
+        load_csv(p, "label", schema)
+
+
+@pytest.mark.parametrize("last,err", [
+    ("3,zz,p", "5: unknown category 'zz' for feature 'b'"),
+    ("3,x", "5: expected 3 fields"),
+])
+def test_load_csv_errors_name_the_line_after_a_two_line_field(tmp_path,
+                                                              last, err):
+    # The quoted field of line 3 ends on line 4, so the last record starts
+    # on line 5 of the file, not at record 4.
+    p = write(tmp_path / "q.csv", f'a,b,label\n1,"x\ny",p\n2,x,q\n{last}\n')
+    schema = FeatureSchema((FeatureSpec("a"),
+                            FeatureSpec("b", ORDINAL, ("x\ny", "x"))))
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}:{err}')}$"):
         load_csv(p, "label", schema)
 
 

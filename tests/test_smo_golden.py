@@ -8,8 +8,8 @@ rewrite that keeps them all is bit-identical on these inputs.  The second
 half keeps the solver and its kernel as they were first written, in numpy,
 as a reference, and compares the compiled solver's raw results with them
 on random problems and on edge cases: overflowing gradients, argmax ties,
-a column cache that evicts between the two columns of a pair, and solves
-on two threads at once.  The ``test_solver_matches_reference*`` cases and
+a row table that evicts between the two rows of a pair, and solves on two
+threads at once.  The ``test_solver_matches_reference*`` cases and
 the crafted-state tests run under both forms of the solver's row passes
 (the ``form`` fixture): the scalar loops, and the 4-row AVX2 loops where
 the CPU has AVX2.
@@ -54,6 +54,12 @@ def form(request, monkeypatch):
     """Every solve of the test runs its row passes in this form."""
     monkeypatch.setattr(_native, "SMO_AVX2", request.param)
     return request.param
+
+
+def _table_rows(monkeypatch, n, rows):
+    """Kernels of ``n`` training rows get a table of ``rows`` kernel rows
+    (at least 2), filled on demand when that is fewer than ``n``."""
+    monkeypatch.setattr(smo_mod, "_TABLE_BYTES", 8 * n * rows)
 
 
 def _fingerprint(model) -> str:
@@ -119,14 +125,15 @@ GOLDEN = {
     "unsorted_csr_degree3":
         "2720096b7a56b7c615e73bfad3a6f9abc05fdf31132cfe34e64969ca8a773eb5",
     "column_cache_blobs":
-        "ed51bab537771d0364ba92d1793b7bba05231ebc406b465872bbc3c98eb7b4aa",
-    "column_cache_topics":
-        "885e746ac12c505bd8a1fc2368ce431916f96b67daeea2e8534c9f4e4051e2a6",
+        "42b9748ff4320d80150c5ce82db94f5791c7dc6354d63c2f3e28fde80a788f7b",
     "duplicate_csr":
         "24cde68970e5970658fbf1bc0aa701c1d8fd1fee629cfba17db1140cadb0441a",
     "capped_blobs":
         "a041cf5065363f5fd4f1881df620c4d05435fb8b80fce6ffca7a5a7d5d4a4ffa",
 }
+# Rows that store each column once and in order sum every kernel entry of a
+# row table as the whole Gram does, so the on-demand fit is the same model.
+GOLDEN["column_cache_topics"] = GOLDEN["topics_full"]
 
 
 def _case(name):
@@ -150,10 +157,9 @@ def _case(name):
 def test_smo_fingerprint(monkeypatch, name):
     ds, spec = _case(name)
     if name.startswith("column_cache"):
-        # Every kernel column is computed on demand, and the small cache
+        # Every kernel row is computed on demand, and the small table
         # keeps evicting.
-        monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
-        monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", 16)
+        _table_rows(monkeypatch, ds.x.shape[0], 16)
     if name.startswith("capped"):
         with pytest.warns(RuntimeWarning, match="iteration cap"):
             model = fit(spec, ds, seed=0)
@@ -221,7 +227,9 @@ def _reference_solve(kernel, y, c, tol, max_iter):
         i = int(np.argmax(up_vals))
         m_val = up_vals[i]
         low_vals = np.where(low, yg, np.inf)
-        gap = m_val - low_vals.min()
+        # The first low row's value, as argmax takes i: NaN first, and of
+        # -0 and +0 the earlier row's.
+        gap = m_val - low_vals[np.argmin(low_vals)]
         if gap < tol:
             break
         k_i = kernel.col(i)
@@ -338,8 +346,7 @@ def test_solver_matches_reference(form, seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_solver_matches_reference_column_cache(monkeypatch, form, seed):
     x, y, degree, c = _random_problem(seed)
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
-    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", 8)
+    _table_rows(monkeypatch, y.size, 8)
     want = _reference_solve(_ReferenceKernel(x, degree, 0, 8),
                             y, c, 1e-3, 200_000)
     got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
@@ -351,11 +358,11 @@ def test_solver_matches_reference_column_cache(monkeypatch, form, seed):
 @pytest.mark.parametrize("full_rows,cache", [(6000, 1024), (0, 1), (0, 8)])
 def test_solver_matches_reference_at_the_cap(monkeypatch, form, full_rows,
                                              cache, max_iter):
-    # On the column path each absent column ends a call to C and the next
-    # call goes on, so a capped solve can end right after such a restart.
+    # On a row table each absent row ends a call to C and the next call
+    # goes on, so a capped solve can end right after such a restart.
     x, y, degree, c = _random_problem(4)
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", full_rows)
-    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", cache)
+    if not full_rows:
+        _table_rows(monkeypatch, y.size, cache)
     with pytest.warns(RuntimeWarning):
         want = _reference_solve(_ReferenceKernel(x, degree, full_rows, cache),
                                 y, c, 1e-3, max_iter)
@@ -374,8 +381,7 @@ def test_failing_column_leaves_the_kernel_whole(monkeypatch, fail_at):
     # An error computing a column ends the solve with that error, and the
     # kernel's table and slots still hold only the columns they name.
     x, y, degree, c = _random_problem(1)
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
-    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", 2)
+    _table_rows(monkeypatch, y.size, 2)
     kernel = smo_mod._Kernel(x, degree)
     real, calls = smo_mod._poly_kernel, []
     error = _ColumnFailed("no column")
@@ -467,8 +473,7 @@ def test_solver_matches_reference_tiny_column_cache(monkeypatch, form, seed,
     # With 1 or 2 cached columns, fetching column j evicts column i, which
     # the solver still reads.
     x, y, degree, c = _random_problem(seed)
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
-    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", cache)
+    _table_rows(monkeypatch, y.size, cache)
     want = _reference_solve(_ReferenceKernel(x, degree, 0, cache),
                             y, c, 1e-3, 200_000)
     got = smo_mod.solve_binary(smo_mod._Kernel(x, degree), y, c, 1e-3,
@@ -480,20 +485,21 @@ def test_solver_matches_reference_tiny_column_cache(monkeypatch, form, seed,
 @pytest.mark.parametrize("n", range(1, 10))
 def test_avx2_passes_match_scalar_on_every_tail(monkeypatch, n):
     # Every n mod 4 rows that the scalar loop takes after the 4-row blocks,
-    # and n < 4, where no block runs at all.  The forms are compared with
-    # each other: on a +/-0 tie for lo (n = 2, seed 6) both keep the first
-    # row's zero, where the numpy reference's min() keeps another.
+    # and n < 4, where no block runs at all.  Each form is compared with
+    # the reference; on a +/-0 tie for lo (n = 2, seed 6) all three keep
+    # the first row's zero.
     for seed in range(8):
         rng = np.random.default_rng([n, seed])
         x = rng.normal(size=(n, 2)) if seed % 2 else \
             rng.integers(0, 3, size=(n, 2)).astype(float)
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        got = []
+        degree = 1 + seed % 3
+        want = _reference_solve(_ReferenceKernel(x, degree, 6000, 1024),
+                                y, 1.0, 1e-3, 200_000)
         for form in (0, 1):
             monkeypatch.setattr(_native, "SMO_AVX2", form)
-            got.append(smo_mod.solve_binary(
-                smo_mod._Kernel(x, 1 + seed % 3), y, 1.0, 1e-3, 200_000))
-        _assert_same_solution(*got)
+            _assert_same_solution(smo_mod.solve_binary(
+                smo_mod._Kernel(x, degree), y, 1.0, 1e-3, 200_000), want)
 
 
 def _solve_on_zero_kernel(y, alpha, grad, form, max_iter=10, diag=None,
@@ -573,8 +579,7 @@ def test_row_table_of_width_2_under_avx2_solves_as_the_full_gram(monkeypatch):
     monkeypatch.setattr(_native, "SMO_AVX2", 0)
     want = smo_mod.solve_binary(smo_mod._Kernel(x, 2), y, 1.0, 1e-3, 200_000)
     monkeypatch.setattr(_native, "SMO_AVX2", 1)
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
-    monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", 2)
+    _table_rows(monkeypatch, x.shape[0], 2)
     kernel = smo_mod._Kernel(x, 2)
     got = smo_mod.solve_binary(kernel, y, 1.0, 1e-3, 200_000)
     assert kernel.table.shape[0] == 2 and x.shape[0] % 4 and want[3] > 100
@@ -582,15 +587,15 @@ def test_row_table_of_width_2_under_avx2_solves_as_the_full_gram(monkeypatch):
 
 
 def test_solver_on_two_threads_matches_serial(monkeypatch):
-    # One problem on a full Gram, one on a column table that solve_binary
+    # One problem on a full Gram, one on a row table that solve_binary
     # fills between calls to C, solved at the same time.
     rng = np.random.default_rng(11)
     x = rng.normal(size=(400, 6))
     y = np.where(rng.random(400) < 0.3, 1.0, -1.0)
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 300)
+    _table_rows(monkeypatch, 300, 300)
     problems = [(smo_mod._Kernel(x[:300], 2), y[:300], 1.0),
                 (smo_mod._Kernel(x, 1), -y, 10.0)]
-    assert problems[0][0].full is not None and problems[1][0].full is None
+    assert [len(k.table) for k, _, _ in problems] == [300, 225]
     serial = [smo_mod.solve_binary(k, yy, c, 1e-3, 200_000)
               for k, yy, c in problems]
     start = threading.Barrier(2)

@@ -31,7 +31,7 @@ from comulti.dataset import Dataset, FeatureSchema, class_stats
 from comulti.errors import DataError
 
 from conftest import duplicate_csr_dataset
-from test_smo_golden import _assert_same_solution
+from test_smo_golden import _assert_same_solution, _fingerprint, _table_rows
 
 LAYOUTS = ["sorted", "unsorted", "duplicates", "zeros"]
 
@@ -94,7 +94,7 @@ def _check_kernel(a, b, degree):
 
 def _check_gram(x, degree):
     """A full Gram matrix has the reference's values, row-major."""
-    got = smo_mod._Kernel(x, degree).full
+    got = smo_mod._Kernel(x, degree).table
     assert got.flags.c_contiguous
     _assert_bits(got, _reference_kernel(x, x, degree, order="C"))
 
@@ -155,19 +155,32 @@ def test_full_gram_is_built_in_one_buffer(sparse):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kernel.full.flags.c_contiguous
+    assert kernel.table.shape == (2000, 2000)
+    assert kernel.table.flags.c_contiguous
     assert gram_bytes <= peak < 1.25 * gram_bytes
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 100, 1499, 1500])
+def test_table_stays_within_its_byte_budget(monkeypatch, rows):
+    # 1 500 training rows: short of the whole Gram the table holds as many
+    # rows as the budget takes, never fewer than the pair's 2, so its bytes
+    # stay within the budget at any row count, not only below a threshold.
+    n = 1500
+    budget = 8 * n * rows
+    monkeypatch.setattr(smo_mod, "_TABLE_BYTES", budget)
+    kernel = smo_mod._Kernel(np.ones((n, 2)), 2)
+    assert kernel.table.nbytes <= max(budget, 2 * 8 * n)
+    assert kernel.table.shape == (min(n, max(2, rows)), n)
+    assert (kernel.slot >= 0).all() == (rows == n)
 
 
 def _row_tables(monkeypatch, x, degree, y, widths):
     """Each kernel after one solve of ``y``: the full Gram, then a row
     table of each width, and the solutions."""
     out = []
-    for full_rows, width in [(smo_mod._FULL_GRAM_ROWS, None),
-                             *((0, w) for w in widths)]:
-        monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", full_rows)
+    for width in (None, *widths):
         if width is not None:
-            monkeypatch.setattr(smo_mod, "_COLUMN_CACHE", width)
+            _table_rows(monkeypatch, x.shape[0], width)
         kernel = smo_mod._Kernel(x, degree)
         out.append((kernel, smo_mod.solve_binary(kernel, y, 1.0, 1e-3,
                                                  200_000)))
@@ -175,18 +188,32 @@ def _row_tables(monkeypatch, x, degree, y, widths):
     return out
 
 
+def _quarter_topics():
+    return sparse_topics(tuple(max(4, n // 4) for n in MULTISKEW_SIZES),
+                         seed=0)
+
+
 def test_row_tables_solve_canonical_rows_as_the_full_gram(monkeypatch):
     # Rows that store each column once and in order: row i and column i of
     # the Gram are the same bits, so every table width gives one solution.
-    ds = sparse_topics(tuple(max(4, n // 4) for n in MULTISKEW_SIZES),
-                       seed=0)
+    ds = _quarter_topics()
     assert ds.x.has_canonical_format
     y = np.where(ds.y == 0, 1.0, -1.0)
     (full, want), *rows = _row_tables(monkeypatch, ds.x, 2, y, (16, 2))
-    assert full.full is not None and want[3] > 100
+    assert len(full.table) == ds.x.shape[0] and want[3] > 100
     for kernel, got in rows:
-        assert kernel.full is None
+        assert len(kernel.table) < ds.x.shape[0]
         _assert_same_solution(got, want)
+
+
+def test_row_tables_fit_canonical_rows_as_the_full_gram(monkeypatch):
+    # The Platt scores read the support vectors' rows of any table laid out
+    # as the whole Gram's, so the fitted model is the same document.
+    ds = _quarter_topics()
+    want = _fingerprint(fit(SmoSpec(), ds, seed=0))
+    for width in (16, 2):
+        _table_rows(monkeypatch, ds.x.shape[0], width)
+        assert _fingerprint(fit(SmoSpec(), ds, seed=0)) == want
 
 
 @pytest.mark.parametrize("layout", ["duplicates", "unsorted"])
@@ -306,7 +333,7 @@ def test_transposed_operands_hold_no_scipy_copy(monkeypatch):
     # training rows are read only by sparse_product: each keeps its intp
     # index and values, and no scipy matrix with int32 indices beside them.
     model, train = _sparse_model("sorted", 2)
-    monkeypatch.setattr(smo_mod, "_FULL_GRAM_ROWS", 0)
+    monkeypatch.setattr(smo_mod, "_TABLE_BYTES", 0)
     kernel = smo_mod._Kernel(train, 2)
     for bt, b in ((model._sv_t, model.sv_x), (kernel._xt, train)):
         assert bt.m is None and bt.shape == b.shape[::-1]
