@@ -37,6 +37,7 @@ from .dataset import (
     FeatureSpec,
     NUMERIC,
     ORDINAL,
+    child_seeds,
     class_stats,
     load_csv,
     load_sparse,
@@ -60,8 +61,8 @@ SAMPLINGS = ("none", "over", "under", "over-under")
 FORMATS = ("csv", "sparse")
 
 _TWO_LAYER = {"cmc": CmcModel, "cmcm": CmcmModel}
-_THRESHOLD_LAYERS = tuple(name for model in _TWO_LAYER.values()
-                          for name, _ in model.LAYERS)
+_MODEL_OF_LAYER = {name: kind for kind, model in _TWO_LAYER.items()
+                   for name, _ in model.LAYERS}
 
 
 def _keyed(key: str, default=MISSING):
@@ -144,13 +145,31 @@ class ExperimentConfig:
         if self.majority_override is not None and not self.majority_override:
             raise ConfigError("the majority override names no class",
                               "majority")
-        for layer in self.thresholds:
-            if layer not in _THRESHOLD_LAYERS:
-                raise ConfigError(f"unknown threshold layer {layer!r}",
-                                  f"thresholds.{layer}")
+        self._check_thresholds()
         for cls in dict.fromkeys(f.metadata["cls"] for f in fields(self)
                                  if "cls" in f.metadata):
             self.build(cls)
+
+    def _check_thresholds(self):
+        """Each ``thresholds.<layer>`` names a layer of the configured model
+        (of either two-layer model under ``auto``) and gives one value in
+        (0, 1] per stage of the recipe."""
+        stages = len(default_stage_specs())
+        for layer, values in self.thresholds.items():
+            key, owner = f"thresholds.{layer}", _MODEL_OF_LAYER.get(layer)
+            if owner is None:
+                raise ConfigError(f"unknown threshold layer {layer!r}", key)
+            if self.model not in (owner, "auto"):
+                raise ConfigError(f"{key} is a layer of model {owner}; model "
+                                  f"{self.model} has no such layer", key)
+            try:
+                StageThresholds(values)
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}", key) from None
+            if len(values) != stages:
+                raise ConfigError(f"{key} needs {stages} values, one per "
+                                  f"stage of the recipe, got {len(values)}",
+                                  key)
 
     def build(self, cls, **extra):
         """A classifier spec or sampler config set from the fields that
@@ -381,6 +400,23 @@ class RunResult:
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
 
+    def cells(self) -> dict:
+        return self.report.cells()
+
+    def to_text(self) -> str:
+        """Header, train/test sizes and wall clock, report, routing."""
+        lines = [
+            f"dataset: {self.config['dataset_path']}   model: "
+            f"{self.resolved_model}   sampling: {self.config['sampling']}   "
+            f"seed: {self.seed}",
+            f"train/test: {self.n_train_sampled} (from {self.n_train}) / "
+            f"{self.n_test}   {self.duration_s:.2f}s",
+            self.report.to_text(),
+        ]
+        if self.routing:
+            lines.append(f"routing: {self.routing}")
+        return "\n".join(lines)
+
 
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -417,16 +453,14 @@ def run_experiment(cfg: ExperimentConfig, ds: Optional[Dataset] = None,
         ds_train = ds.take(train_idx)
         ds_test = ds.take(test_idx)
     with _Stage("sampling"):
-        sample_seeds = np.random.SeedSequence(seed).spawn(3)
+        smote_seed, under_seed, fit_seed = child_seeds(seed, 3)
         n_train_raw = ds_train.n_instances
         if cfg.sampling in ("over", "over-under"):
-            ds_train = smote(ds_train, stats, cfg.build(
-                SmoteConfig, seed=int(sample_seeds[0].generate_state(1)[0])))
+            ds_train = smote(ds_train, stats,
+                             cfg.build(SmoteConfig, seed=smote_seed))
         if cfg.sampling in ("under", "over-under"):
             ds_train = undersample(ds_train, stats, cfg.build(
-                UndersampleConfig,
-                seed=int(sample_seeds[1].generate_state(1)[0])))
-    fit_seed = int(sample_seeds[2].generate_state(1)[0])
+                UndersampleConfig, seed=under_seed))
     with _Stage("fit"):
         model_kind = cfg.model
         if model_kind == "auto":
@@ -495,7 +529,11 @@ class MultiSeedResult:
                 for name, key in REPORTED}
 
     def to_text(self) -> str:
-        return cells_text(self.cells())
+        """A header line, then the mean and spread of each measure."""
+        return (f"dataset: {self.config['dataset_path']}   model: "
+                f"{self.runs[0].resolved_model}   sampling: "
+                f"{self.config['sampling']}   seeds: {self.config['seeds']}\n"
+                + cells_text(self.cells()))
 
     def to_dict(self) -> dict:
         return {
@@ -518,13 +556,14 @@ def run_many(cfg: ExperimentConfig) -> MultiSeedResult:
     return MultiSeedResult(cfg.to_dict(), runs)
 
 
+def run(cfg: ExperimentConfig) -> RunResult | MultiSeedResult:
+    """``cfg.seeds`` runs, or one; ``run_experiment`` is looked up at call
+    time, so a wrapped one is used."""
+    return run_many(cfg) if cfg.seeds > 1 else run_experiment(cfg)
+
+
 # ---------------------------------------------------------------------------
 # Grids
-
-def _cell_from_result(result) -> dict:
-    if isinstance(result, RunResult):
-        return result.report.cells()
-    return result.cells()
 
 
 @dataclass(frozen=True)
@@ -574,8 +613,7 @@ def run_grid(cfgs: Sequence[ExperimentConfig], workers: int = 1) -> GridResult:
 
     def one(cfg: ExperimentConfig):
         try:
-            result = run_many(cfg) if cfg.seeds > 1 else run_experiment(cfg)
-            return result, None
+            return run(cfg), None
         except (ComultiError, OSError) as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
@@ -590,7 +628,7 @@ def run_grid(cfgs: Sequence[ExperimentConfig], workers: int = 1) -> GridResult:
         columns.append(cfg.display_name)
         results.append(result)
         errors.append(err)
-        cells.append(_cell_from_result(result) if err is None else
+        cells.append(result.cells() if err is None else
                      {name: "ERR" for name, _ in REPORTED})
     return GridResult(tuple(columns), tuple(cells), tuple(results),
                       tuple(errors))

@@ -73,10 +73,17 @@ class Classifier:
 
     spec: ClassifierSpec
     space: tuple[str, ...]
+    n_features: int
 
     @property
     def n_labels(self) -> int:
         return len(self.space)
+
+    def _check_width(self, x) -> None:
+        """A batch ``x`` must have the columns the model was fitted on."""
+        if x.shape[1] != self.n_features:
+            raise DataError(f"input has {x.shape[1]} features, model expects "
+                            f"{self.n_features}")
 
     def predict_proba_batch(self, x) -> np.ndarray:
         raise NotImplementedError

@@ -132,9 +132,7 @@ class TrainedForest(Classifier):
                                self.n_features)
 
     def predict_proba_batch(self, x) -> np.ndarray:
-        if x.shape[1] != self.n_features:
-            raise DataError(f"input has {x.shape[1]} features, model expects "
-                            f"{self.n_features}")
+        self._check_width(x)
         x = csr_rows(x)
         counts = np.zeros((x.shape[0], self._table.n_labels))
         if isinstance(x, Csr):

@@ -355,9 +355,7 @@ class TrainedSmo(Classifier):
                             self.platt_b, self.kkt_gaps)
 
     def decision_scores(self, x) -> np.ndarray:
-        if x.shape[1] != self.n_features:
-            raise DataError(f"input has {x.shape[1]} features, model expects "
-                            f"{self.n_features}")
+        self._check_width(x)
         gram = _poly_kernel(x, self.sv_x, self.spec.degree, b_t=self._sv_t)
         # One product per label, which numpy sums as a dot product for one
         # row and a matrix-vector product for more; a product over every

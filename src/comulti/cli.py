@@ -21,9 +21,8 @@ from .bench import (
     load_config,
     load_dataset,
     parse_field,
-    run_experiment,
+    run,
     run_grid,
-    run_many,
 )
 from .dataset import class_stats, write_csv, write_sparse
 from .errors import ComultiError, ConfigError, DataError, TrainingError
@@ -94,32 +93,8 @@ def _emit(text: str, out_path):
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.seeds > 1:
-        result = run_many(cfg)
-        if args.json:
-            _emit(result.to_json(), args.out)
-        else:
-            lines = [f"dataset: {cfg.dataset_path}   "
-                     f"model: {result.runs[0].resolved_model}   "
-                     f"sampling: {cfg.sampling}   seeds: {cfg.seeds}",
-                     result.to_text()]
-            _emit("\n".join(lines), args.out)
-    else:
-        result = run_experiment(cfg)
-        if args.json:
-            _emit(result.to_json(), args.out)
-        else:
-            lines = [
-                f"dataset: {cfg.dataset_path}   model: {result.resolved_model}"
-                f"   sampling: {cfg.sampling}   seed: {result.seed}",
-                f"train/test: {result.n_train_sampled} (from {result.n_train})"
-                f" / {result.n_test}   {result.duration_s:.2f}s",
-                result.report.to_text(),
-            ]
-            if result.routing:
-                lines.append(f"routing: {result.routing}")
-            _emit("\n".join(lines), args.out)
+    result = run(_config_from_args(args))
+    _emit(result.to_json() if args.json else result.to_text(), args.out)
     return 0
 
 

@@ -493,6 +493,13 @@ def write_sparse(ds: Dataset, matrix_path, labels_path) -> None:
 # Splitting and class statistics
 
 
+def child_seeds(seed: int, n: int) -> list[int]:
+    """``n`` independent integer seeds spawned from ``seed``, so what each
+    one seeds does not depend on the order the others are used in."""
+    return [int(child.generate_state(1)[0])
+            for child in np.random.SeedSequence(seed).spawn(n)]
+
+
 def split_indices(
     ds: Dataset, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:

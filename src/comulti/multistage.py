@@ -31,7 +31,7 @@ from .classifiers import (
     default_stage_specs,
 )
 from ._native import csr_rows
-from .dataset import ClassStats, Dataset, make_view
+from .dataset import ClassStats, Dataset, child_seeds, make_view
 from .errors import ConfigError, DataError, reading
 
 Stage = Union[Classifier, CombinerSpec]  # a stage of a multistage model
@@ -201,15 +201,14 @@ def fit_multistage(specs: Sequence[ClassifierSpec], thresholds: StageThresholds,
         raise ConfigError("at least one stage spec is required")
     if len(thresholds) != len(specs):
         raise ConfigError(f"{len(specs)} specs but {len(thresholds)} thresholds")
-    children = np.random.SeedSequence(seed).spawn(len(specs))
+    seeds = child_seeds(seed, len(specs))
     stages: list[Stage] = []
     for s, spec in enumerate(specs):
         if isinstance(spec, CombinerSpec):
             _check_references(spec, s)
             stages.append(spec)
         else:
-            child_seed = int(children[s].generate_state(1)[0])
-            stages.append(classifiers.fit(spec, ds, child_seed, shared))
+            stages.append(classifiers.fit(spec, ds, seeds[s], shared))
     return MultistageModel(stages, thresholds)
 
 
@@ -283,9 +282,9 @@ class TwoLayerModel:
         unknown = set(thresholds) - {name for name, _ in cls.LAYERS}
         if unknown:
             raise ConfigError(f"a {cls.KIND} model has no layer {min(unknown)!r}")
-        seeds = np.random.SeedSequence(seed).spawn(len(cls.LAYERS))
         ones, shared = StageThresholds.ones(len(specs)), {}
         return [(make_view(stats, kind),
                  dict(specs=specs, thresholds=thresholds.get(name, ones),
-                      seed=int(child.generate_state(1)[0]), shared=shared))
-                for (name, kind), child in zip(cls.LAYERS, seeds)]
+                      seed=child, shared=shared))
+                for (name, kind), child in zip(
+                    cls.LAYERS, child_seeds(seed, len(cls.LAYERS)))]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import comulti
-from comulti import bench
+from comulti import bench, metrics
 from comulti.bench import (
     ExperimentConfig,
     auto_select,
@@ -104,7 +104,7 @@ dataset.format = sparse
 dataset.label_column = grade
 dataset.labels_path = d.labels
 dataset.schema = schema.json
-model = cmcm
+model = auto
 sampling = over-under
 split = 0.75
 seed = 9
@@ -147,7 +147,7 @@ def test_config_to_dict_golden_every_key():
         '{"c":0.5,"dataset_format":"sparse","dataset_path":"d.sparse",'
         '"degree":2,"delta":0.01,"label_column":"grade",'
         '"labels_path":"d.labels","majority_override":["a","b"],'
-        '"max_iter":1000,"model":"cmcm","name":"every key",'
+        '"max_iter":1000,"model":"auto","name":"every key",'
         '"per_factor_delta":true,"sampling":"over-under",'
         '"schema_path":"schema.json","seed":9,"seeds":3,"smote_k":4,'
         '"smote_rate":2.5,"split_fraction":0.75,"thresholds":{'
@@ -370,6 +370,52 @@ def test_run_many_aggregates(blobs_csv):
     vals = [r.report.macro_f1 for r in res.runs]
     assert summary["macro_f1"]["mean"] == pytest.approx(np.mean(vals))
     assert summary["macro_f1"]["std"] == pytest.approx(np.std(vals))
+
+
+def test_run_is_one_run_or_the_seeds_runs(blobs_csv):
+    one = bench.run(small_cfg(blobs_csv, model="cmc"))
+    assert isinstance(one, bench.RunResult)
+    assert one.to_json() == run_experiment(small_cfg(blobs_csv,
+                                                     model="cmc")).to_json()
+    assert one.cells() == one.report.cells()
+    cfg = small_cfg(blobs_csv, model="cmc", seeds=2)
+    many = bench.run(cfg)
+    assert isinstance(many, bench.MultiSeedResult)
+    assert many.to_json() == run_many(cfg).to_json()
+
+
+def test_run_looks_up_run_experiment_when_called(blobs_csv, monkeypatch):
+    # Wrappers of run_experiment (perfbench's among them) replace the
+    # module's name, so run and run_many must reach it through that name.
+    calls = []
+
+    def wrapped(cfg, *args, _real=bench.run_experiment, **kwargs):
+        calls.append(cfg.seeds)
+        return _real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_experiment", wrapped)
+    bench.run(small_cfg(blobs_csv, model="baseline-rf"))
+    bench.run(small_cfg(blobs_csv, model="baseline-rf", seeds=2))
+    assert calls == [1, 2, 2]
+
+
+def test_results_print_themselves(blobs_csv):
+    one = bench.run(small_cfg(blobs_csv, model="cmc", sampling="under",
+                              seed=3))
+    head, sizes, *rest = one.to_text().split("\n")
+    assert head == (f"dataset: {blobs_csv}   model: cmc   sampling: under   "
+                    "seed: 3")
+    assert sizes == (f"train/test: {one.n_train_sampled} (from {one.n_train})"
+                     f" / {one.n_test}   {one.duration_s:.2f}s")
+    assert rest == one.report.to_text().split("\n") + [
+        f"routing: {one.routing}"]
+    rf = bench.run(small_cfg(blobs_csv, model="baseline-rf"))
+    assert rf.routing == {} and "routing" not in rf.to_text()
+    many = bench.run(small_cfg(blobs_csv, model="auto", seeds=2))
+    head, *rows = many.to_text().split("\n")
+    assert head == (f"dataset: {blobs_csv}   model: cmc   sampling: none   "
+                    "seeds: 2")
+    assert "\n".join(rows) == metrics.cells_text(many.cells())
 
 
 def test_run_experiment_baseline_smo_fits_the_configured_spec(
@@ -787,6 +833,45 @@ def test_config_file_errors_name_the_file_and_line(blobs_csv, tmp_path,
     bad.write_text(f"dataset.path = {blobs_csv}\n# set below\n{line}\n")
     assert main(["grid", str(good), str(bad)]) == 1
     assert capsys.readouterr().err == f"config error: {bad}:3: {message}\n"
+
+
+@pytest.mark.parametrize("model,line,message", [
+    ("cmc", "thresholds.binary = 2, 1, 1",
+     "thresholds.binary: threshold 2.0 outside (0, 1]"),
+    ("cmc", "thresholds.binary = 0.5, 1",
+     "thresholds.binary needs 3 values, one per stage of the recipe, got 2"),
+    ("cmc", "thresholds.m1 = 0.5",
+     "thresholds.m1 is a layer of model cmcm; model cmc has no such layer"),
+    ("cmcm", "thresholds.multi = 0.5, 1, 1",
+     "thresholds.multi is a layer of model cmc; model cmcm has no such layer"),
+    ("baseline-rf", "thresholds.binary = 0.5, 1, 1",
+     "thresholds.binary is a layer of model cmc; model baseline-rf has no "
+     "such layer"),
+    ("baseline-smo", "thresholds.b = 0.5, 1, 1",
+     "thresholds.b is a layer of model cmcm; model baseline-smo has no "
+     "such layer"),
+    ("auto", "thresholds.q9 = 0.5, 1, 1", "unknown threshold layer 'q9'"),
+])
+def test_thresholds_are_checked_when_the_config_is_read(tmp_path, capsys,
+                                                        model, line, message):
+    # The dataset does not exist: each error comes before it is read (a
+    # data error would exit 2), and names the file and line at fault.
+    conf = tmp_path / "t.cfg"
+    conf.write_text(f"dataset.path = {tmp_path / 'missing.csv'}\n"
+                    f"model = {model}\n{line}\n")
+    assert main(["run", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == f"config error: {conf}:3: {message}\n"
+
+
+def test_auto_takes_either_models_thresholds():
+    cfg = ExperimentConfig(dataset_path="x", model="auto",
+                           thresholds={"binary": (0.5, 1.0, 1.0),
+                                       "m3": (0.4, 1.0, 1.0)})
+    assert set(cfg.thresholds) == {"binary", "m3"}
+    with pytest.raises(ConfigError, match="model cmc has no such layer") as e:
+        ExperimentConfig(dataset_path="x", model="cmc",
+                         thresholds={"m3": (0.4, 1.0, 1.0)})
+    assert e.value.key == "thresholds.m3"
 
 
 def test_flag_errors_over_a_config_file_name_no_file(blobs_csv, tmp_path,

@@ -116,6 +116,17 @@ def test_forest_probabilities_are_vote_fractions():
             model.predict_proba_batch(np.zeros((1, width)))
 
 
+@pytest.mark.parametrize("spec", [ForestSpec(trees=3), SmoSpec()])
+def test_input_width_is_checked_with_one_message(spec):
+    rng = np.random.default_rng(4)
+    model = fit(spec, make_dataset(rng.normal(size=(30, 3)),
+                                   np.arange(30) % 2), seed=0)
+    for x in (np.zeros((2, 2)), sp.csr_matrix((2, 4))):
+        with pytest.raises(DataError, match=rf"^input has {x.shape[1]} "
+                                            r"features, model expects 3$"):
+            model.predict_proba_batch(x)
+
+
 def test_forest_predicts_on_threads_as_serially():
     # The walk runs without the GIL; 6 threads on one forest, started
     # together and switching often, must give the serial bytes.  Three walk

@@ -22,6 +22,7 @@ from comulti.dataset import (
     FeatureSchema,
     FeatureSpec,
     apply_view,
+    child_seeds,
     class_stats,
     first_appearance,
     load_csv,
@@ -498,6 +499,36 @@ def test_dataset_rejects_nan_and_shape_mismatch():
     with pytest.raises(DataError, match="rows"):
         Dataset(FeatureSchema.numeric(1), np.zeros((2, 1)), np.array([0]),
                 ("a",))
+
+
+def test_dataset_equals_tells_each_difference():
+    x = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+    ds = make_dataset(x, [0, 1, 0])
+    csr = Dataset(ds.schema, sp.csr_matrix(x), ds.y, ds.labels)
+    assert ds.equals(make_dataset(x.copy(), [0, 1, 0]))
+    assert csr.equals(Dataset(ds.schema, sp.csr_matrix(x), ds.y, ds.labels))
+    renamed = FeatureSchema((FeatureSpec("p"), FeatureSpec("q")))
+    moved = sp.csr_matrix(x)
+    moved.data = moved.data + 1.0  # the same pattern, other values
+    others = {
+        "labels": make_dataset(x, [0, 1, 0], labels=("a", "b")),
+        "schema": make_dataset(x, [0, 1, 0], schema=renamed),
+        "shape": make_dataset(x[:2], [0, 1]),
+        "y": make_dataset(x, [1, 0, 0]),
+        "sparse against dense": csr,
+    }
+    for what, other in others.items():
+        assert not ds.equals(other), what
+        assert not other.equals(ds), what
+    assert not csr.equals(Dataset(ds.schema, moved, ds.y, ds.labels))
+
+
+def test_child_seeds_are_spawned_children():
+    # The seeds of a run's sampling and fit, and of each layer and stage.
+    spawned = [int(c.generate_state(1)[0])
+               for c in np.random.SeedSequence(7).spawn(4)]
+    assert child_seeds(7, 4) == spawned
+    assert child_seeds(7, 2) == spawned[:2] and child_seeds(7, 0) == []
 
 
 def test_first_appearance_orders_and_codes():

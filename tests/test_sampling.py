@@ -130,6 +130,14 @@ def test_smote_stochastic_rate_rounding():
     assert total / (30 * 10) == pytest.approx(1.5, abs=0.15)
 
 
+def test_smote_that_draws_no_row_returns_its_input():
+    ds = skewed([30, 10, 4])
+    st = class_stats(ds)
+    # Each of the 14 minority rows gets a synthetic row with probability
+    # 1e-9; seed 0 draws none.
+    assert smote(ds, st, SmoteConfig(rate=1e-9, seed=0)) is ds
+
+
 def test_smote_deterministic_per_seed():
     ds = skewed([25, 8], seed=6)
     st = class_stats(ds)
