@@ -1,7 +1,9 @@
 /* The compiled loops of comulti, in file order; this is the one list of
  * them (smo and forest are modules of comulti.classifiers):
- *   smo_solve         the SMO working-pair loop of smo.solve_binary;
- *   sparse_product    the sparse kernel product of smo._poly_kernel;
+ *   smo_solve         the SMO working-pair loop of smo.solve_binary, which
+ *                     computes each training kernel row it lacks;
+ *   sparse_product    the kernel product of every training kernel row and
+ *                     of smo._poly_kernel's sparse operands;
  *   forest_counts     the walk of forest.TrainedForest.predict_proba_batch
  *                     over dense or CSR rows;
  *   grow_tree         the tree grower of forest.fit_forest;
@@ -11,9 +13,12 @@
  *   smo_avx2          1 when the CPU has AVX2, read once by _native.py;
  *   smo_lane          the lane of 4 that each pass below ends on;
  *   smo_choose_avx2   smo_solve's choice of j, 4 rows at a time;
- *   smo_update_avx2   smo_solve's gradient update and pick, 4 rows at a time.
+ *   smo_update_avx2   smo_solve's gradient update and pick, 4 rows at a time;
+ *   kernel_diag       the training kernel's diagonal, for smo._Kernel;
+ *   kernel_rows       training kernel rows, for fit_smo's Platt scores;
+ *   kernel_entries    (v + 1)^degree of smo._poly_kernel's products.
  * New functions go at the end, so that those above keep their addresses;
- * the compiler emits smo_solve after the last two, which it calls.
+ * the compiler emits smo_solve after the two AVX2 passes, which it calls.
  *
  * Plain C with no Python API: _native.py compiles this file at import and
  * calls it through ctypes, which releases the GIL for each call.  The
@@ -39,9 +44,97 @@
 enum {
     SMO_CONVERGED = 0, /* the gap dropped below tol */
     SMO_EMPTY_SET = 1, /* up or low became empty; the gap is 0 */
-    SMO_CAP = 2,       /* ran max_iter iterations */
-    SMO_ABSENT = 3     /* a row of the working pair is not in the table */
+    SMO_CAP = 2        /* ran max_iter iterations */
 };
+
+/* The training kernel of one smo._Kernel, bound once: K(x_i, x_t) =
+ * (x_i . x_t + 1)^degree over its n training rows, stored as CSR (xp, xi,
+ * xx) and transposed (tp, ti, tx), both checked by csr_check.  Row i,
+ * K(x_i, .) for every t, is the n doubles at table + slot[i] * n, or
+ * absent while slot[i] < 0; the table has room for width rows, and an
+ * absent row the solver reads goes into slot next.  diag[i] is K(x_i,
+ * x_i) as row i holds it. */
+struct smo_kernel {
+    ptrdiff_t n, degree, width, next;
+    const ptrdiff_t *xp, *xi;
+    const double *xx;
+    const ptrdiff_t *tp, *ti;
+    const double *tx;
+    double *table, *diag;
+    ptrdiff_t *slot;
+};
+
+void sparse_product(ptrdiff_t n_rows, ptrdiff_t n_out, const ptrdiff_t *ap,
+                    const ptrdiff_t *ai, const double *ax, const ptrdiff_t *bp,
+                    const ptrdiff_t *bi, const double *bx, double *out);
+
+/* The kernel entry of a product v: (v + 1)^degree, the power as v + 1
+ * times itself degree - 1 times, left to right (so v + 1 squared for
+ * degree 2, as numpy squares it), which rounds the same on every CPU;
+ * numpy's ** of degree 3 and up calls a pow that depends on the CPU
+ * (SVML's under AVX-512).  Each static helper is always inlined, so none
+ * is emitted ahead of smo_solve and moves it. */
+static inline __attribute__((always_inline))
+double smo_entry(double v, ptrdiff_t degree)
+{
+    const double base = v + 1.0;
+    double out = base;
+    for (ptrdiff_t d = 1; d < degree; d++)
+        out = out * base;
+    return out;
+}
+
+/* The count products at v, in place, as kernel entries by smo_entry's
+ * rule, 4 at a time so that the compiler vectorizes a block whole (GCC's
+ * -O2 vectorizes no loop that needs a scalar tail), then one at a time. */
+static inline __attribute__((always_inline))
+void smo_entries(double *v, ptrdiff_t count, ptrdiff_t degree)
+{
+    ptrdiff_t t = 0;
+    for (; t + 4 <= count; t += 4) {
+        double base[4], out[4];
+        for (int l = 0; l < 4; l++)
+            out[l] = base[l] = v[t + l] + 1.0;
+        for (ptrdiff_t d = 1; d < degree; d++)
+            for (int l = 0; l < 4; l++)
+                out[l] = out[l] * base[l];
+        for (int l = 0; l < 4; l++)
+            v[t + l] = out[l];
+    }
+    for (; t < count; t++)
+        v[t] = smo_entry(v[t], degree);
+}
+
+/* Row i of the kernel into out: x_i against the transposed rows by
+ * sparse_product, summed in x_i's stored order, then smo_entries. */
+static inline __attribute__((always_inline))
+void smo_row(const struct smo_kernel *k, ptrdiff_t i, double *out)
+{
+    memset(out, 0, k->n * sizeof *out);
+    sparse_product(1, k->n, k->xp + i, k->xi, k->xx, k->tp, k->ti, k->tx,
+                   out);
+    smo_entries(out, k->n, k->degree);
+}
+
+/* Row i in the table: if it is absent, computed into slot next, or the
+ * slot after when next holds row keep, which the caller still reads; the
+ * row that held that slot becomes absent. */
+static inline __attribute__((always_inline))
+const double *smo_fetch(struct smo_kernel *k, ptrdiff_t i, ptrdiff_t keep)
+{
+    if (k->slot[i] < 0) {
+        ptrdiff_t put = k->next;
+        if (k->slot[keep] == put)
+            put = (put + 1) % k->width;
+        k->next = (put + 1) % k->width;
+        for (ptrdiff_t t = 0; t < k->n; t++)
+            if (k->slot[t] == put)
+                k->slot[t] = -1;
+        smo_row(k, i, k->table + put * k->n);
+        k->slot[i] = put;
+    }
+    return k->table + k->slot[i] * k->n;
+}
 
 /* The first index of a working pair: i, the argmax of yg over up rows, at
  * value m_val, and lo, the min of yg over low rows, each NaN-sticky. */
@@ -92,20 +185,14 @@ ptrdiff_t smo_update_avx2(ptrdiff_t n, const double *y, const double *neg_y,
 
 /* Solve one binary problem from the state the caller set up.
  *
- * y, neg_y: labels (+/-1) and their negation, which is passed in because
- * the compiler may rewrite (-y[t]) * grad[t] as -(y[t] * grad[t]), and that
- * flips the sign bit of a NaN product.  diag: kernel diagonal.
- * table, slot: kernel row i, K(x_i, x_t) for every t, is the n doubles at
- * table + slot[i] * n, absent when slot[i] < 0 (a full Gram matrix is the
- * table, slot[i] == i).  The solver reads row i as column i, which by the
- * kernel's symmetry holds the same values.
- * alpha, grad, up, low: the multipliers, the dual gradient and the
- * index-set flags, updated in place.  yg: n doubles of scratch.  *it_io:
- * the iterations done, read and written; on return *gap_out is the last
- * violation gap.  SMO_ABSENT: row want[0] of the pair whose first index
- * is want[1] is absent, and nothing of that iteration has changed; once
- * the row is in, a call with the same arrays goes on from there, since
- * each call takes its first pick as the update pass takes it.
+ * k: the kernel; the solver reads row i as column i, which by the kernel's
+ * symmetry holds the same values, and puts each absent row it reads in
+ * the table.  y, neg_y: labels (+/-1) and their negation, which is passed
+ * in because the compiler may rewrite (-y[t]) * grad[t] as -(y[t] *
+ * grad[t]), and that flips the sign bit of a NaN product.  alpha, grad,
+ * up, low: the multipliers, the dual gradient and the index-set flags,
+ * updated in place.  yg: n doubles of scratch.  On return *gap_out is the
+ * last violation gap and *it_out the iterations done.
  *
  * The gap is m_val - lo, where i is the first up row at the maximum of yg
  * and lo the value of the first low row at its minimum: a tie keeps the
@@ -119,14 +206,14 @@ ptrdiff_t smo_update_avx2(ptrdiff_t n, const double *y, const double *neg_y,
  * at a time, up to n rounded down to a multiple of 4, with the same picks,
  * and the scalar loop below goes on from there.
  */
-int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
-              const double *diag, const double *table, const ptrdiff_t *slot,
+int smo_solve(struct smo_kernel *k, const double *y, const double *neg_y,
               double c, double tol, long long max_iter,
               double *alpha, double *grad, unsigned char *up,
               unsigned char *low, double *yg,
-              double *gap_out, long long *it_io, ptrdiff_t *want,
-              int avx2)
+              double *gap_out, long long *it_out, int avx2)
 {
+    const ptrdiff_t n = k->n;
+    const double *diag = k->diag;
     const double eps = 1e-12;
     const double top = c - eps;
     ptrdiff_t n_up = 0, n_low = 0;
@@ -143,7 +230,7 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
         smo_pick_row(&pick, t, g, up[t], low[t]);
     }
     double gap = INFINITY;
-    long long it = *it_io;
+    long long it = 0;
     int status = SMO_CAP;
     while (it < max_iter) {
         if (!n_up || !n_low) {
@@ -159,12 +246,7 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
             break;
         }
 
-        if (slot[i] < 0) {
-            want[0] = want[1] = i;
-            status = SMO_ABSENT;
-            break;
-        }
-        const double *k_i = table + slot[i] * n;
+        const double *k_i = smo_fetch(k, i, i);
         /* Second-order selection among violators (low rows below m_val):
          * the largest decrease (m_val - yg)^2 / quad of the dual objective
          * for the pair (i, t).  Any other row scores -inf, which is never
@@ -190,13 +272,7 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
             }
         }
 
-        if (slot[j] < 0) {
-            want[0] = j;
-            want[1] = i;
-            status = SMO_ABSENT;
-            break;
-        }
-        const double *k_j = table + slot[j] * n;
+        const double *k_j = smo_fetch(k, j, i);
         const double yi = y[i], yj = y[j];
         const double gi = grad[i], gj = grad[j];
         const double old_ai = alpha[i], old_aj = alpha[j];
@@ -298,7 +374,7 @@ int smo_solve(ptrdiff_t n, const double *y, const double *neg_y,
         }
     }
     *gap_out = gap;
-    *it_io = it;
+    *it_out = it;
     return status;
 }
 
@@ -923,3 +999,61 @@ ptrdiff_t smo_update_avx2(ptrdiff_t n, const double *y, const double *neg_y,
     return n4;
 }
 #endif
+
+/* ---------------------------------------------------------------------
+ * The training kernel's other entry points, and the kernel entries of
+ * smo._poly_kernel's products, after the AVX2 passes so that every
+ * function above keeps its address.
+ *
+ * kernel_diag: diag[i] = K(x_i, x_i) for every row, as row i holds it.
+ * sparse_product sums that entry from each stored value of x_i, in stored
+ * order, times each of x_i's stored values in the same column, in stored
+ * order: the run of row i in that column of the transposed rows, whose
+ * rows ascend and keep each row's stored order.  So does this loop, which
+ * finds the run by bisection instead of computing the row.
+ */
+void kernel_diag(struct smo_kernel *k)
+{
+    for (ptrdiff_t i = 0; i < k->n; i++) {
+        double sum = 0.0;
+        for (ptrdiff_t a = k->xp[i]; a < k->xp[i + 1]; a++) {
+            const ptrdiff_t end = k->tp[k->xi[a] + 1];
+            ptrdiff_t lo = k->tp[k->xi[a]], hi = end;
+            while (lo < hi) {
+                const ptrdiff_t mid = lo + (hi - lo) / 2;
+                if (k->ti[mid] < i)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            for (; lo < end && k->ti[lo] == i; lo++) {
+                const double p = k->xx[a] * k->tx[lo];
+                sum = isnan(p) ? p : sum + p;
+            }
+        }
+        k->diag[i] = smo_entry(sum, k->degree);
+    }
+}
+
+/* kernel_rows: kernel row index[r] into the n doubles at out + r * n, for
+ * each of count rows: copied from the table, or computed as smo_solve
+ * computes an absent row, without putting it in the table.  The caller
+ * has checked that every index is a row. */
+void kernel_rows(const struct smo_kernel *k, ptrdiff_t count,
+                 const ptrdiff_t *index, double *out)
+{
+    for (ptrdiff_t r = 0; r < count; r++) {
+        const ptrdiff_t s = k->slot[index[r]];
+        if (s >= 0)
+            memcpy(out + r * k->n, k->table + s * k->n, k->n * sizeof *out);
+        else
+            smo_row(k, index[r], out + r * k->n);
+    }
+}
+
+/* kernel_entries: the count products at v, in place, as kernel entries
+ * (smo_entries). */
+void kernel_entries(ptrdiff_t count, ptrdiff_t degree, double *v)
+{
+    smo_entries(v, count, degree);
+}

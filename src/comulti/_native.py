@@ -45,6 +45,21 @@ _TAG = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode())
 LIBRARY = SOURCE.parent / "__pycache__" / f"_native-{_TAG.hexdigest()}.so"
 
 
+class SmoKernel(ctypes.Structure):
+    """``struct smo_kernel``: the training kernel of one ``smo._Kernel``,
+    bound once.  Its sizes and degree, the slot the next absent row takes,
+    the addresses of the training rows' and their transpose's ``Csr.at``,
+    and of the kernel table, the diagonal and the slots.  It holds raw
+    pointers, so its owner keeps the arrays alive; ``smo_solve`` writes
+    ``next``, the table and the slots."""
+
+    _fields_ = [(name, ctypes.c_ssize_t)
+                for name in ("n", "degree", "width", "next")] + \
+               [(name, ctypes.c_void_p)
+                for name in ("xp", "xi", "xx", "tp", "ti", "tx", "table",
+                             "diag", "slot")]
+
+
 class ForestTable(ctypes.Structure):
     """``struct forest_table``: a forest's sizes, the first record of each
     tree (``intp``) and the address of its records (``forest.NODE``).  It
@@ -165,13 +180,19 @@ def _load_library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(LIBRARY))
     ptr, f64, i64, size = (ctypes.c_void_p, ctypes.c_double,
                             ctypes.c_longlong, ctypes.c_ssize_t)
+    kernel = ctypes.POINTER(SmoKernel)
     lib.smo_solve.restype = ctypes.c_int
     lib.smo_solve.argtypes = [
-        size, ptr, ptr, ptr, ptr,  # n, y, neg_y, diag, table
-        ptr, f64, f64, i64,  # slot, c, tol, max_iter
+        kernel, ptr, ptr, f64, f64, i64,  # y, neg_y, c, tol, max_iter
         ptr, ptr, ptr, ptr, ptr,  # alpha, grad, up, low, yg
-        ctypes.POINTER(f64), ctypes.POINTER(i64), ptr,  # gap, iterations, want
+        ctypes.POINTER(f64), ctypes.POINTER(i64),  # gap, iterations
         ctypes.c_int]  # avx2
+    lib.kernel_diag.restype = None
+    lib.kernel_diag.argtypes = [kernel]
+    lib.kernel_rows.restype = None
+    lib.kernel_rows.argtypes = [kernel, size, ptr, ptr]  # count, index, out
+    lib.kernel_entries.restype = None
+    lib.kernel_entries.argtypes = [size, size, ptr]  # count, degree, values
     lib.smo_avx2.restype = ctypes.c_int
     lib.smo_avx2.argtypes = []
     lib.sparse_product.restype = None

@@ -606,10 +606,13 @@ class GridResult:
 
 
 def run_grid(cfgs: Sequence[ExperimentConfig], workers: int = 1) -> GridResult:
-    """Run several configs as table columns; a failing cell becomes an error
-    marker and the rest of the grid still completes."""
+    """Run several configs as table columns, on ``workers`` threads (at
+    least 1); a failing cell becomes an error marker and the rest of the
+    grid still completes."""
     if not cfgs:
         raise ConfigError("a grid needs at least one config")
+    if workers < 1:
+        raise ConfigError(f"a grid needs at least 1 worker, got {workers}")
 
     def one(cfg: ExperimentConfig):
         try:

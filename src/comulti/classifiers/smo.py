@@ -9,37 +9,45 @@ Decision scores are mapped to probabilities by a per-class logistic (Platt)
 fit on the training scores, then normalized across classes.
 
 Every kernel value a fit reads is a kernel row, K(x_i, .), and the
-solver uses row i as column i.  The rows live in one C-order table of at
-most ``_TABLE_BYTES``: when every row fits, the table is the whole Gram
-matrix, the kernel product as written, so the build holds one Gram-size
-array; otherwise it holds as many rows as fit, at least the pair's 2,
-computed when the solver stops at one it lacks, and the Platt scores read
-freshly computed rows laid out as the whole Gram's.  A sparse row is x_i
-times the transposed training matrix, so it reads the training entries of
-the columns x_i stores, not every entry.  Fits of several label views of
-one training matrix share one ``_Kernel``, which keeps every binary problem
+solver uses row i as column i.  The training kernel lives behind
+:mod:`.._native`, bound once per ``_Kernel``: the training rows as CSR (a
+dense matrix is read through its CSR form) and their transpose, and a
+C-order table of ``min(n, _TABLE_BYTES // (8 n))`` rows, at least 2.  The
+solver computes each row it lacks itself, x_i times the transposed rows
+by ``sparse_product`` (it reads the training entries of the columns x_i
+stores, not every entry), then ``+ 1`` and the power; when the table is
+full it takes the place of the row that went in first.  One C routine
+computes the diagonal as those rows hold it, and one hands the Platt
+scores every support vector's row, from the table or computed.  Each
+entry is summed in a fixed order, so a fit does not depend on the BLAS
+thread count or on the table's size.  Fits of several label views of one
+training matrix share one ``_Kernel``, which keeps every binary problem
 solved on it (the ``shared`` argument of :func:`fit_smo`): the first
-view's fit builds the table, which lives until the caller drops
-``shared``, and a one-vs-rest problem that two views pose is solved and
-calibrated once, its iteration-cap warning, if any, raised once.
+view's fit builds it, it lives until the caller drops ``shared``, and a
+one-vs-rest problem that two views pose is solved and calibrated once,
+its iteration-cap warning, if any, raised once.
 
-The solver's iterations run in C, and so does the kernel product of two
-sparse matrices: the loop of :func:`solve_binary` and ``sparse_product``
-are compiled at import, with the forest's tree grower and walk, by
-:mod:`.._native`, and run without the GIL.  An iteration makes two passes
-over the rows: the second-order choice of the pair's second index, which
-skips rows that are not violators, and one pass that updates the gradient
-and takes the next iteration's first index and gap.  On a CPU with AVX2
+The solver's iterations run in C, and so does every training kernel row
+and the kernel product of two sparse matrices: the loop of
+:func:`solve_binary`, the kernel and ``sparse_product`` are compiled at
+import, with the forest's tree grower and walk, by :mod:`.._native`, and
+run without the GIL.  An iteration makes two passes over the rows: the
+second-order choice of the pair's second index, which skips rows that are
+not violators, and one pass that updates the gradient and takes the next
+iteration's first index and gap.  On a CPU with AVX2
 (``_native.SMO_AVX2``, read once at import) both passes take 4 rows at a
 time, rounding each row as the scalar loop does and making the same picks,
-so a fit has the same bits on any x86-64 CPU.  The product is
-scipy's own loop, so a sparse kernel has the bits of
-``(a @ b.T).toarray()``; a fitted model transposes sparse support vectors
-once, not on every prediction.  Every sparse left operand, also one
-multiplied by scipy against dense support vectors, is read as a ``Csr``,
-converted to CSR and checked in C once, so a malformed CSR, CSC or COO
-batch is a ``ValueError``; a model hands its ``Csr`` down, so a batch it
-took in is not checked again.
+so a fit has the same bits on any x86-64 CPU.  The product is scipy's own
+loop, so a sparse kernel has the bits of ``(a @ b.T).toarray()``; the
+power is repeated multiplication, which rounds the same on every CPU
+(``kernel_entries``, also for predictions).  A fitted model transposes
+sparse support vectors once, not on every prediction.  Every sparse left
+operand, also one multiplied by scipy against dense support vectors, is
+read as a ``Csr``, converted to CSR and checked in C once, so a malformed
+CSR, CSC or COO batch is a ``ValueError``; a model hands its ``Csr`` down,
+so a batch it took in is not checked again.  A dense batch is multiplied
+by BLAS, whose sums, and so the last bits of a dense model's scores,
+depend on its thread count.
 
 How a model predicts, for one row as for a batch.  The kernel of the rows
 against every support vector is computed once.  Each label's scores are
@@ -67,25 +75,19 @@ from .. import _native
 from .._native import LIB, Csr, address, csr_rows
 from .base import Classifier, SmoSpec
 
-# smo_solve's statuses: it ran max_iter iterations (SMO_CAP), or a row of
-# the working pair is not in the table (SMO_ABSENT).
-_CAP, _ABSENT = 2, 3
+_CAP = 2  # smo_solve's status when it ran max_iter iterations
 
 
-# The kernel table's size in bytes: the whole Gram matrix up to 6 000
-# training rows, and above as many rows of n doubles as fit, at least 2
-# (360 rows at 100 000 training rows).  A table of rows sums every kernel
-# entry as the whole Gram does where rows store each column once and in
-# order (canonical CSR), so such a fit has the same bits under any budget;
-# a dense row is a vector product where the whole Gram is one matrix
-# product, and rounds some entries differently, so moving the budget moves
-# dense fits above it in the last bits.
+# The kernel table's size in bytes: every training row up to 6 000 rows,
+# and above as many rows of n doubles as fit, at least 2 (360 rows at
+# 100 000 training rows).  Rows are computed as the solver reads them, so
+# the budget moves how often a row is computed, not its bits.
 _TABLE_BYTES = 8 * 6000**2
 
 
 def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
-    """(a . b + 1)^degree as a dense array of its own; absent sparse entries
-    are 0.
+    """(a . b + 1)^degree as a dense array of its own, for prediction;
+    absent sparse entries are 0.
 
     A sparse ``a`` is read as a ``Csr`` whatever ``b`` is, since C and
     scipy both read where its arrays point; the caller may hand one in,
@@ -93,8 +95,8 @@ def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
     as scipy's ``(a @ b.T).toarray()`` of the CSR form of ``a`` (scipy
     multiplies a CSC ``a`` in another order); ``b_t`` is ``b.T`` as a
     ``Csr``, or None.  Dense and mixed operands multiply as ``a @ b.T``,
-    with a sparse ``a`` in CSR.  The ``+ 1`` and the power are applied in
-    place on the fresh product.
+    with a sparse ``a`` in CSR.  ``kernel_entries`` then applies the ``+
+    1`` and the power in place on the fresh product, as to a training row.
     """
     a = csr_rows(a)
     if isinstance(a, Csr) and sp.issparse(b):
@@ -107,78 +109,67 @@ def _poly_kernel(a, b, degree: int, b_t: Optional[Csr] = None) -> np.ndarray:
         LIB.sparse_product(a.shape[0], bt.shape[1], *a.at, *bt.at,
                            address(prod))
     else:
-        prod = np.asarray((a.m if isinstance(a, Csr) else a) @ b.T,
-                          dtype=np.float64)
-    prod += 1.0
-    if degree != 1:
-        prod **= degree
+        prod = np.ascontiguousarray(
+            (a.m if isinstance(a, Csr) else a) @ b.T, dtype=np.float64)
+    LIB.kernel_entries(prod.size, degree, address(prod))
     return prod
 
 
 class _Kernel:
-    """Kernel rows over one training matrix, all by :func:`_poly_kernel`
-    (in C for a sparse matrix), and the binary problems solved on them:
-    ``solved`` maps ``(c, tol, max_iter, y_bin.tobytes())`` to ``(alpha,
-    bias, gap, platt)``.  It holds the matrix itself, so the matrix's id,
-    its key in a ``shared`` dict, cannot be reused while it lives.
+    """The training kernel over one matrix, in C, and the binary problems
+    solved on it: ``solved`` maps ``(c, tol, max_iter, y_bin.tobytes())``
+    to ``(alpha, bias, gap, platt)``.  It holds the matrix itself, so the
+    matrix's id, its key in a ``shared`` dict, cannot be reused while it
+    lives.
 
-    Row i is ``table[slot[i]]``, K(x_i, .), or absent if ``slot[i] < 0``;
-    the solver reads it as column i.  The table holds ``min(n,
-    _TABLE_BYTES // (8 n))`` rows, at least 2.  When that is n, it is the
-    whole Gram matrix, one product, and ``diag`` its diagonal.  Otherwise
-    :func:`solve_binary` fills its slots first-in first-out (``next``
-    first), each row x_i against ``_xt``, the transposed training matrix
-    (None for dense rows), and ``diag`` is ``(|x_i|^2 + 1)^degree``.  The
-    table changes between the solver's calls, so a kernel serves one solve
-    at a time.  :meth:`rows` gives any other row a fit reads.
+    ``state`` is the ``_native.SmoKernel`` bound to the training rows in
+    CSR, their transpose, ``table``, ``slot`` and ``diag``.  Row i is
+    ``table[slot[i]]``, K(x_i, .), or absent if ``slot[i] < 0``; the
+    solver reads it as column i.  The table holds ``min(n, _TABLE_BYTES //
+    (8 n))`` rows, at least 2, empty until :func:`solve_binary` computes
+    the rows it reads.  It changes during a solve, so a kernel serves one
+    solve at a time.  ``diag`` is computed here, each entry as its row
+    holds it; :meth:`rows` gives any row a fit reads.
 
     Every entry of row i sums x_i's products in x_i's stored order.  A CSR
-    row that stores each column once and in order sums K(x_i, x_t) as it
-    sums K(x_t, x_i), so the Gram is symmetric to the bit; one that stores
-    a column twice, or out of order, may round the two differently, and the
-    solver reads row i's.
+    row that stores each column once and in order (as a dense row's CSR
+    form does) sums K(x_i, x_t) as it sums K(x_t, x_i), so the kernel is
+    symmetric to the bit; one that stores a column twice, or out of order,
+    may round the two differently, and the solver reads row i's.
     """
 
     def __init__(self, x, degree: int):
         self.x = x
         self.solved: dict = {}
-        # The left operand of every row computed, prepared once.
-        self._a = csr_rows(x)
         self.degree = degree
         self.n = n = x.shape[0]
-        rows = max(2, _TABLE_BYTES // (8 * n)) if n else 0
-        # Overflow is reported below as one error, not as numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if rows >= n:
-                # One n x n buffer, C-order, in the layout the solver reads.
-                self.table = _poly_kernel(self._a, x, degree)
-                self.slot = np.arange(n, dtype=np.intp)
-                self.diag = np.diag(self.table).copy()
-            else:
-                self._xt = Csr.transposed(x) if sp.issparse(x) else None
-                self.table = np.empty((rows, n))
-                self.slot = np.full(n, -1, dtype=np.intp)
-                self.next = 0
-                if sp.issparse(x):
-                    sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
-                else:
-                    sq = (x * x).sum(axis=1)
-                self.diag = (sq + 1.0) ** degree
+        self._x = Csr(x if sp.issparse(x) else sp.csr_matrix(x))
+        self._xt = Csr.transposed(self._x.m)
+        width = min(n, max(2, _TABLE_BYTES // (8 * n))) if n else 0
+        self.table = np.empty((width, n))
+        self.slot = np.full(n, -1, dtype=np.intp)
+        self.diag = np.empty(n)
+        self.state = _native.SmoKernel(
+            n, degree, width, 0, *self._x.at, *self._xt.at,
+            *map(address, (self.table, self.diag, self.slot)))
+        LIB.kernel_diag(self.state)
         # |x_i . x_j| <= max(|x_i|^2, |x_j|^2) (Cauchy-Schwarz), so a finite
-        # diagonal bounds every kernel entry, computed now or on demand.
+        # diagonal bounds every kernel entry.
         if not np.isfinite(self.diag).all():
             raise TrainingError(
                 f"SMO stage: the degree-{degree} kernel overflows on the "
                 "training rows (feature values too large)")
 
     def rows(self, index) -> np.ndarray:
-        """K(x_i, .) for each row i that ``index`` (a slice or an index
-        array) picks, C-order: copied from the whole Gram, or computed as
-        the table's absent rows are."""
-        if len(self.table) == self.n:
-            return self.table[index]
-        return _poly_kernel(self._a[index], self.x, self.degree,
-                            b_t=self._xt)
+        """K(x_i, .) for each row i of the index array ``index``, C-order:
+        copied from the table, or computed as the table's absent rows
+        are."""
+        index = np.ascontiguousarray(index, dtype=np.intp)
+        if index.size and not 0 <= index.min() <= index.max() < self.n:
+            raise IndexError(f"kernel rows out of 0..{self.n - 1}")
+        out = np.empty((index.size, self.n))
+        LIB.kernel_rows(self.state, index.size, address(index), address(out))
+        return out
 
 
 def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
@@ -189,21 +180,21 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     maximal violating pair with a second-order choice of the second index;
     convergence means the violation gap dropped below ``tol``.
 
-    The iterations run in C (``_native.c``, see :mod:`.._native`); this
-    function sets up the buffers, puts in the table each kernel row the
-    loop stops at, computes the bias and raises the iteration-cap warning.
-    Every element goes through the same rounded operations as in the plain
-    numpy form (``yg = -y * grad``, masks of the index sets, argmax and
-    argmin by numpy's rules, NaN included), so alphas, bias, gap and
-    iteration count are the same to the bit.  A tie keeps the first row's
-    value, sign of zero included: the gap subtracts the value of the first
-    low row at the minimum, so of -0 and +0 the earlier row's.
+    The iterations run in C (``_native.c``, see :mod:`.._native`), which
+    computes each kernel row it lacks into the kernel's table; this
+    function sets up the buffers, computes the bias and raises the
+    iteration-cap warning.  Every element goes through the same rounded
+    operations as in the plain numpy form (``yg = -y * grad``, masks of
+    the index sets, argmax and argmin by numpy's rules, NaN included), so
+    alphas, bias, gap and iteration count are the same to the bit.  A tie
+    keeps the first row's value, sign of zero included: the gap subtracts
+    the value of the first low row at the minimum, so of -0 and +0 the
+    earlier row's.
     """
     n = y.size
     y = np.ascontiguousarray(y, dtype=np.float64)
-    diag = np.ascontiguousarray(kernel.diag, dtype=np.float64)
-    # C reads n entries of each array, and n of each Gram row.
-    if y.shape != (n,) or diag.shape != (n,):
+    # C reads n entries of each array, and n of each kernel row.
+    if y.shape != (kernel.n,):
         raise ValueError(f"SMO: {n} labels for a kernel of {kernel.n} rows")
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
@@ -217,25 +208,12 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
     neg_y = -y
     yg = np.empty(n)
     gap, it = ctypes.c_double(), ctypes.c_longlong()
-    table, slot = kernel.table, kernel.slot
-    want = np.empty(2, dtype=np.intp)  # the absent row, the pair's first
     # The arrays stay bound to names until the call returns.
-    while (status := LIB.smo_solve(
-            n, y.ctypes.data, neg_y.ctypes.data, diag.ctypes.data,
-            table.ctypes.data, slot.ctypes.data, c, tol, max_iter,
-            alpha.ctypes.data, grad.ctypes.data, up.ctypes.data,
-            low.ctypes.data, yg.ctypes.data, ctypes.byref(gap),
-            ctypes.byref(it), want.ctypes.data, _native.SMO_AVX2)) == _ABSENT:
-        i, first = want
-        # Computed before the table changes, so an error leaves it whole.
-        row = kernel.rows(slice(i, i + 1))
-        width = table.shape[0]
-        # The next slot, unless it holds the pair's first row.
-        put = (kernel.next + (slot[first] == kernel.next)) % width
-        kernel.next = (put + 1) % width
-        slot[slot == put] = -1
-        table[put] = row.ravel()
-        slot[i] = put
+    status = LIB.smo_solve(
+        kernel.state, y.ctypes.data, neg_y.ctypes.data, c, tol, max_iter,
+        alpha.ctypes.data, grad.ctypes.data, up.ctypes.data, low.ctypes.data,
+        yg.ctypes.data, ctypes.byref(gap), ctypes.byref(it),
+        _native.SMO_AVX2)
     gap, it = gap.value, it.value
     if status == _CAP:
         warnings.warn(
@@ -466,11 +444,11 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
     ``shared`` is a dict owned by a caller that fits several label views of
     one training matrix.  It keeps one ``_Kernel`` per (matrix, degree),
     built by the first view's fit, with every binary problem solved on it,
-    so the kernel table is built once and a one-vs-rest problem that recurs
-    in another view is solved (and calibrated) once.  The kernel lives as
-    long as the dict: a two-layer fit drops it when it returns, so the
-    fitted model holds no kernel table.  Without ``shared`` the kernel lives
-    for this fit only.
+    so a kernel row the table holds is computed once for every view and a
+    one-vs-rest problem that recurs in another view is solved (and
+    calibrated) once.  The kernel lives as long as the dict: a two-layer
+    fit drops it when it returns, so the fitted model holds no kernel
+    table.  Without ``shared`` the kernel lives for this fit only.
     """
     del seed
     n_classes = len(space)
@@ -495,8 +473,8 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
             alpha, b, gap, _ = solve_binary(kernel, y_bin, spec.c, spec.tol,
                                             spec.max_iter)
             sv = np.nonzero(alpha > 1e-12)[0]
-            # Rows transposed, Fortran-order: numpy sums the scores of
-            # every table in the whole Gram's order.
+            # The rows transposed, Fortran-order, times the coefficients:
+            # one matrix-vector product, whatever the table holds.
             raw = kernel.rows(sv).T @ (alpha[sv] * y_bin[sv]) + b
             platt = platt_fit(raw, y == cls)
             if not np.isfinite([b, gap, *platt]).all():

@@ -86,10 +86,13 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _emit(text: str, out_path):
+    """Write ``text`` and a final newline, if it lacks one, to ``out_path``
+    or stdout: the same bytes either way."""
+    text = text if text.endswith("\n") else text + "\n"
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _cmd_run(args) -> int:

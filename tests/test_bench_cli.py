@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -480,6 +481,12 @@ def test_run_grid_requires_configs():
         run_grid([])
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_grid_requires_a_worker(blobs_csv, workers):
+    with pytest.raises(ConfigError, match="at least 1 worker"):
+        run_grid([small_cfg(blobs_csv)], workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -614,6 +621,42 @@ def test_cli_grid(blobs_csv, tmp_path, capsys):
     assert main(["grid", str(c1), str(c2)]) == 0
     out = capsys.readouterr().out
     assert "Measure" in out and "G-Mean" in out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_grid_without_a_worker_is_config_error(blobs_csv, tmp_path,
+                                                   capsys, workers):
+    conf = tmp_path / "rf.conf"
+    conf.write_text(f"dataset.path = {blobs_csv}\nmodel = baseline-rf\n"
+                    "forest.trees = 2\n")
+    assert main(["grid", str(conf), "--workers", workers]) == 1
+    _one_line_error(capsys, "config error:")
+
+
+# The duration that ends a single-seed run's train/test line.
+DURATION = re.compile(rb"\d+\.\d\ds$", re.M)
+
+
+@pytest.mark.parametrize("command", [
+    "run", "run --json", "run --seeds 2", "run --seeds 2 --json", "grid",
+    "grid --json", "profile"])
+def test_cli_out_writes_the_bytes_stdout_gets(blobs_csv, tmp_path,
+                                              capsysbinary, command):
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"dataset.path = {blobs_csv}\nmodel = cmc\n"
+                    "forest.trees = 5\n")
+    name, *flags = command.split()
+    argv = {"run": ["run", "--config", str(conf)],
+            "grid": ["grid", str(conf)],
+            "profile": ["profile", "--dataset", str(blobs_csv)]}[name] + flags
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    written = out.read_bytes()
+    assert written.endswith(b"\n")
+    assert DURATION.sub(b"", written) == DURATION.sub(b"", printed)
 
 
 def test_console_script_installed():

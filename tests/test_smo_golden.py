@@ -5,11 +5,12 @@ canonical JSON (``TrainedSmo.to_dict()``, sorted keys).  A change to the
 solver, the Gram matrix or the Platt fit that moves a multiplier, a bias,
 a KKT gap or a calibration parameter by one bit changes a fingerprint, so a
 rewrite that keeps them all is bit-identical on these inputs.  The second
-half keeps the solver and its kernel as they were first written, in numpy,
-as a reference, and compares the compiled solver's raw results with them
-on random problems and on edge cases: overflowing gradients, argmax ties,
-a row table that evicts between the two rows of a pair, and solves on two
-threads at once.  The ``test_solver_matches_reference*`` cases and
+half keeps the solver as it was first written, in numpy, with its kernel
+on the rows' CSR form, as a reference, and compares the compiled solver's
+raw results with them on random problems and on edge cases: overflowing
+gradients, argmax ties, a row table that evicts between the two rows of a
+pair, and solves on two threads at once.  Last, a dense fit in two
+processes, at 1 and 2 BLAS threads, gives one model.  The ``test_solver_matches_reference*`` cases and
 the crafted-state tests run under both forms of the solver's row passes
 (the ``form`` fixture): the scalar loops, and the 4-row AVX2 loops where
 the CPU has AVX2.
@@ -18,13 +19,18 @@ the CPU has AVX2.
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import comulti
 from comulti import _native
 from comulti.classifiers import SmoSpec, fit
 from comulti.classifiers import smo as smo_mod
@@ -111,7 +117,7 @@ GOLDEN = {
     "rule_grid":
         "66efa2d2dac53bb63df7e82ca86c5698056d0b559dbd23727c192e197f535835",
     "gaussian_blobs":
-        "a88db66659b261b44bd556ece85b66f1aa5d9dabd158ce2d8706ea266073555e",
+        "1d0833187f11342dbfc0d8f7069297bd4a883c41f368f6cd3c5c991188b68546",
     "topics_full":
         "a31046fafa8470f189ac16b950b2c7242b6d38b3770a821be99821f77a23ca09",
     "topics_binary":
@@ -124,15 +130,14 @@ GOLDEN = {
         "e69b8e30ad9f88799d75e573e790a26a0514b6cf1ed19b04218b019f441bf7bc",
     "unsorted_csr_degree3":
         "2720096b7a56b7c615e73bfad3a6f9abc05fdf31132cfe34e64969ca8a773eb5",
-    "column_cache_blobs":
-        "42b9748ff4320d80150c5ce82db94f5791c7dc6354d63c2f3e28fde80a788f7b",
     "duplicate_csr":
         "24cde68970e5970658fbf1bc0aa701c1d8fd1fee629cfba17db1140cadb0441a",
     "capped_blobs":
-        "a041cf5065363f5fd4f1881df620c4d05435fb8b80fce6ffca7a5a7d5d4a4ffa",
+        "0dcd7661e96550c687c9bc5f423466e8228f45746e37f4882676671f5f86daf0",
 }
-# Rows that store each column once and in order sum every kernel entry of a
-# row table as the whole Gram does, so the on-demand fit is the same model.
+# A row is computed alike whatever the table holds, so a fit on a table
+# that keeps evicting is the same model.
+GOLDEN["column_cache_blobs"] = GOLDEN["gaussian_blobs"]
 GOLDEN["column_cache_topics"] = GOLDEN["topics_full"]
 
 
@@ -180,19 +185,15 @@ def test_topic_views_cover_every_kind():
 
 class _ReferenceKernel:
     def __init__(self, x, degree, full_rows, cache_size):
-        self.x = x
+        # Rows in their CSR form, which the solver's kernel rows multiply;
+        # the diagonal is read off the whole Gram, as row i holds it.
+        self.x = x = sp.csr_matrix(x)
         self.degree = degree
         self.cache_size = cache_size
-        if x.shape[0] <= full_rows:
-            self.full = smo_mod._poly_kernel(x, x, degree)
-            self.diag = np.diag(self.full).copy()
-        else:
+        self.full = smo_mod._poly_kernel(x, x, degree)
+        self.diag = np.diag(self.full).copy()
+        if x.shape[0] > full_rows:
             self.full = None
-            if sp.issparse(x):
-                sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
-            else:
-                sq = (x * x).sum(axis=1)
-            self.diag = (sq + 1.0) ** degree
             self._cache = {}
 
     def col(self, i):
@@ -358,8 +359,8 @@ def test_solver_matches_reference_column_cache(monkeypatch, form, seed):
 @pytest.mark.parametrize("full_rows,cache", [(6000, 1024), (0, 1), (0, 8)])
 def test_solver_matches_reference_at_the_cap(monkeypatch, form, full_rows,
                                              cache, max_iter):
-    # On a row table each absent row ends a call to C and the next call
-    # goes on, so a capped solve can end right after such a restart.
+    # On a row table the solver computes absent rows as it goes, so a
+    # capped solve can end right after computing one.
     x, y, degree, c = _random_problem(4)
     if not full_rows:
         _table_rows(monkeypatch, y.size, cache)
@@ -372,37 +373,23 @@ def test_solver_matches_reference_at_the_cap(monkeypatch, form, full_rows,
     _assert_same_solution(got, want)
 
 
-class _ColumnFailed(Exception):
-    pass
-
-
-@pytest.mark.parametrize("fail_at", [1, 2, 9])
-def test_failing_column_leaves_the_kernel_whole(monkeypatch, fail_at):
-    # An error computing a column ends the solve with that error, and the
-    # kernel's table and slots still hold only the columns they name.
+@pytest.mark.parametrize("max_iter", [1, 2, 9])
+def test_capped_solve_leaves_the_kernel_whole(monkeypatch, max_iter):
+    # A solve that ends at its cap leaves in the table only the rows its
+    # slots name, each in a slot of its own, and a later solve on the same
+    # kernel goes on from them to the reference's solution.
     x, y, degree, c = _random_problem(1)
     _table_rows(monkeypatch, y.size, 2)
     kernel = smo_mod._Kernel(x, degree)
-    real, calls = smo_mod._poly_kernel, []
-    error = _ColumnFailed("no column")
-
-    def failing(a, b, degree, b_t=None):
-        if a.shape[0] == 1:
-            calls.append(a)
-            if len(calls) == fail_at:
-                raise error
-        return real(a, b, degree, b_t)
-
-    monkeypatch.setattr(smo_mod, "_poly_kernel", failing)
-    with pytest.raises(_ColumnFailed) as raised:
-        smo_mod.solve_binary(kernel, y, c, 1e-3, 200_000)
-    assert raised.value is error
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        smo_mod.solve_binary(kernel, y, c, 1e-3, max_iter)
     held = np.flatnonzero(kernel.slot >= 0)
-    assert len(held) == min(fail_at - 1, 2)
+    assert len(held) == 2
     assert len(set(kernel.slot[held])) == len(held)
+    rows = sp.csr_matrix(x)
     for i in held:
         assert kernel.table[kernel.slot[i]].tobytes() == \
-            real(x[i:i + 1], x, degree).ravel().tobytes()
+            smo_mod._poly_kernel(rows[i], rows, degree).ravel().tobytes()
     want = _reference_solve(_ReferenceKernel(x, degree, 0, 2),
                             y, c, 1e-3, 200_000)
     got = smo_mod.solve_binary(kernel, y, c, 1e-3, 200_000)
@@ -503,26 +490,30 @@ def test_avx2_passes_match_scalar_on_every_tail(monkeypatch, n):
 
 
 def _solve_on_zero_kernel(y, alpha, grad, form, max_iter=10, diag=None,
-                          slot=None):
-    """smo_solve from this state with c = 1, on a kernel table of zeros,
-    with a diagonal of ones and every row in the table unless ``diag`` and
-    ``slot`` say otherwise: (status, iterations, gap, want)."""
+                          held=None):
+    """smo_solve from this state with c = 1, on a kernel whose table holds
+    rows of zeros, with a diagonal of ones and every row in the table
+    unless ``diag`` and ``held`` (the rows in the table) say otherwise; an
+    absent row the solve reads is computed, a row of ones: (status,
+    iterations, gap, rows then in the table)."""
     n, c = y.size, 1.0
+    kernel = smo_mod._Kernel(np.zeros((n, 1)), 1)
+    held = np.arange(n) if held is None else np.asarray(held)
+    kernel.table[:] = 0.0
+    kernel.slot[held] = np.arange(held.size)
+    kernel.state.next = held.size % n
+    if diag is not None:
+        kernel.diag[:] = diag
     pos, neg_y = y > 0, -y
-    diag = np.ones(n) if diag is None else diag
-    slot = np.arange(n, dtype=np.intp) if slot is None else slot
-    table = np.zeros((n, n))
     up = (pos & (alpha < c - 1e-12)) | (~pos & (alpha > 1e-12))
     low = (~pos & (alpha < c - 1e-12)) | (pos & (alpha > 1e-12))
-    yg, want = np.empty(n), np.empty(2, dtype=np.intp)
+    yg = np.empty(n)
     gap, it = ctypes.c_double(), ctypes.c_longlong()
     status = _native.LIB.smo_solve(
-        n, y.ctypes.data, neg_y.ctypes.data, diag.ctypes.data,
-        table.ctypes.data, slot.ctypes.data, c, 1e-3, max_iter,
+        kernel.state, y.ctypes.data, neg_y.ctypes.data, c, 1e-3, max_iter,
         alpha.ctypes.data, grad.ctypes.data, up.ctypes.data, low.ctypes.data,
-        yg.ctypes.data, ctypes.byref(gap), ctypes.byref(it),
-        want.ctypes.data, form)
-    return status, it.value, gap.value, want.tolist()
+        yg.ctypes.data, ctypes.byref(gap), ctypes.byref(it), form)
+    return status, it.value, gap.value, np.flatnonzero(kernel.slot >= 0)
 
 
 def test_signed_zero_ties_keep_the_earlier_row(form):
@@ -558,21 +549,21 @@ def test_nan_scores_choose_the_first_nan_row(form):
     # violator; rows 1 and 6 score inf / finite = inf, and rows 2 and 5,
     # whose quad d_i + d_t overflows too, inf / inf = NaN.  j is row 2, the
     # first NaN: not row 5, the NaN of a lower lane, nor row 6, which comes
-    # after the NaN in its lane.  Every row but i is absent, so the solve
-    # stops at j.
+    # after the NaN in its lane.  Every row but i is absent, so after one
+    # iteration the table holds i and j.
     y = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
     grad = np.array([-1e200, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
     diag = np.array([1.7e308, 1.0, 1.7e308, 1.0, 1.0, 1.7e308, 1.0, 1.0])
-    slot = np.array([0, -1, -1, -1, -1, -1, -1, -1], dtype=np.intp)
-    assert _solve_on_zero_kernel(y, np.zeros(8), grad, form, diag=diag,
-                                 slot=slot)[::3] == (3, [2, 0])
+    status, it, _, held = _solve_on_zero_kernel(
+        y, np.zeros(8), grad, form, max_iter=1, diag=diag, held=[0])
+    assert (status, it, held.tolist()) == (2, 1, [0, 2])
 
 
 @NEEDS_AVX2
 def test_row_table_of_width_2_under_avx2_solves_as_the_full_gram(monkeypatch):
-    # With 2 table rows nearly every iteration stops at an absent row and a
-    # later call resumes it; under the 4-row passes, rows that store each
-    # column once and in order give the scalar full-Gram solution.
+    # With 2 table rows nearly every iteration computes an absent row;
+    # under the 4-row passes, rows that store each column once and in
+    # order give the scalar solution on a table of every row.
     x = _small_topics().x
     assert x.has_canonical_format
     y = np.where(np.arange(x.shape[0]) % 5 == 0, 1.0, -1.0)
@@ -587,8 +578,8 @@ def test_row_table_of_width_2_under_avx2_solves_as_the_full_gram(monkeypatch):
 
 
 def test_solver_on_two_threads_matches_serial(monkeypatch):
-    # One problem on a full Gram, one on a row table that solve_binary
-    # fills between calls to C, solved at the same time.
+    # One problem on a table of every row, one on a row table that evicts,
+    # each filled by its own solve, solved at the same time.
     rng = np.random.default_rng(11)
     x = rng.normal(size=(400, 6))
     y = np.where(rng.random(400) < 0.3, 1.0, -1.0)
@@ -621,3 +612,34 @@ def test_solver_rejects_labels_of_another_length():
     x, y, degree, c = _random_problem(0)
     with pytest.raises(ValueError, match="labels for a kernel of"):
         smo_mod.solve_binary(smo_mod._Kernel(x, degree), y[:-1], c, 1e-3, 10)
+
+
+# A cmc fit on dense rows (benchmark blobs_serve's set-up data: 1 050 rows
+# of 5 features), printing the SHA-256 of its model document.
+BLAS_PROBE = """
+import hashlib, json
+from comulti import class_stats, split
+from comulti.classifiers import CombinerSpec, ForestSpec, SmoSpec
+from comulti.cmc import fit_cmc
+from comulti.datagen import gaussian_blobs
+pool = gaussian_blobs((6000, 1000, 800, 600), separation=5.0, seed=0)
+train, _ = split(pool, 0.125, 0)
+specs = [ForestSpec(trees=20), SmoSpec(), CombinerSpec(left=0, right=1)]
+model = fit_cmc(train, class_stats(train), seed=0, specs=specs)
+text = json.dumps(model.to_dict(), sort_keys=True)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_dense_fit_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS sums a dense product in an order that moves with its
+    # threads; the training kernel is summed in C, in one order.
+    root = str(Path(comulti.__file__).parents[1])
+    fitted = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=root, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        fitted.append(done.stdout.strip())
+    assert len(fitted[0]) == 64 and fitted[0] == fitted[1]

@@ -1,9 +1,10 @@
 """The SMO kernel and calibration, bit for bit against independent forms.
 
-``_poly_kernel``, a full Gram matrix of ``_Kernel`` and a fitted model's
-``decision_scores`` are compared byte for byte with a reference built
-here: ``(a @ b.T).toarray()`` from scipy (or ``a @ b.T`` for dense rows),
-then ``+ 1`` and ``** degree`` in numpy, and one product per label.
+``_poly_kernel``, every kernel row of ``_Kernel`` (on the rows' CSR
+form) and a fitted model's ``decision_scores`` are compared byte for byte
+with a reference built here: ``(a @ b.T).toarray()`` from scipy (or
+``a @ b.T`` for dense rows), then ``+ 1`` and the power as repeated
+multiplication in numpy, and one product per label.
 ``predict_proba_batch`` is compared with the per-label calibration loop,
 copied here: one logistic map per label, then normalization, with a row
 whose every label calibrates to 0 made uniform.  The inputs cover what a
@@ -74,9 +75,11 @@ def _reference_kernel(a, b, degree, order="K"):
     prod = a @ b.T
     if sp.issparse(prod):
         prod = prod.toarray()
-    prod = np.add(np.asarray(prod, dtype=np.float64), 1.0, order=order)
-    if degree != 1:
-        prod **= degree
+    base = np.add(np.asarray(prod, dtype=np.float64), 1.0, order=order)
+    # The power as repeated multiplication, left to right.
+    prod = base.copy(order=order)
+    for _ in range(degree - 1):
+        prod *= base
     return prod
 
 
@@ -93,10 +96,15 @@ def _check_kernel(a, b, degree):
 
 
 def _check_gram(x, degree):
-    """A full Gram matrix has the reference's values, row-major."""
-    got = smo_mod._Kernel(x, degree).table
+    """Every kernel row of a fit, and the diagonal, has the reference's
+    values on the rows' CSR form, row-major."""
+    kernel = smo_mod._Kernel(x, degree)
+    got = kernel.rows(np.arange(x.shape[0]))
     assert got.flags.c_contiguous
-    _assert_bits(got, _reference_kernel(x, x, degree, order="C"))
+    rows = x if sp.issparse(x) else sp.csr_matrix(x)
+    want = _reference_kernel(rows, rows, degree, order="C")
+    _assert_bits(got, want)
+    _assert_bits(kernel.diag, np.diag(want).copy())
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -134,8 +142,7 @@ def test_poly_kernel_on_empty_shapes(shape_a, shape_b, index_dtype):
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_dense_gram_matches_numpy_product(degree):
-    # BLAS may sum a product of a matrix with its own transpose once per
-    # pair and mirror it; the Gram's layout must not rest on that.
+    # Dense rows of any memory layout are read through their CSR form.
     rng = np.random.default_rng(degree + 20)
     x = rng.normal(size=(37, 6)) * 3
     for rows in (x, np.asfortranarray(x), x[:, ::2], x[:1], x[:0]):
@@ -171,7 +178,15 @@ def test_table_stays_within_its_byte_budget(monkeypatch, rows):
     kernel = smo_mod._Kernel(np.ones((n, 2)), 2)
     assert kernel.table.nbytes <= max(budget, 2 * 8 * n)
     assert kernel.table.shape == (min(n, max(2, rows)), n)
-    assert (kernel.slot >= 0).all() == (rows == n)
+    assert (kernel.slot < 0).all()  # filled as a solve reads its rows
+
+
+def test_kernel_rows_out_of_range_is_index_error():
+    # C copies or computes each row an index names, so each is checked.
+    kernel = smo_mod._Kernel(np.ones((5, 2)), 2)
+    for index in ([5], [-1], [0, 7]):
+        with pytest.raises(IndexError, match="out of 0..4"):
+            kernel.rows(index)
 
 
 def _row_tables(monkeypatch, x, degree, y, widths):
@@ -206,10 +221,15 @@ def test_row_tables_solve_canonical_rows_as_the_full_gram(monkeypatch):
         _assert_same_solution(got, want)
 
 
-def test_row_tables_fit_canonical_rows_as_the_full_gram(monkeypatch):
-    # The Platt scores read the support vectors' rows of any table laid out
-    # as the whole Gram's, so the fitted model is the same document.
-    ds = _quarter_topics()
+@pytest.mark.parametrize("rows", ["topics", "blobs", "duplicates"])
+def test_every_table_size_fits_the_same_model(monkeypatch, rows):
+    # A kernel row is computed alike whatever the table holds, and the
+    # Platt scores read the support vectors' rows laid out alike, so the
+    # fitted model is the same document: on canonical sparse rows, dense
+    # rows and rows that store a column twice.
+    ds = {"topics": _quarter_topics,
+          "blobs": lambda: gaussian_blobs((120, 40, 25), seed=0),
+          "duplicates": duplicate_csr_dataset}[rows]()
     want = _fingerprint(fit(SmoSpec(), ds, seed=0))
     for width in (16, 2):
         _table_rows(monkeypatch, ds.x.shape[0], width)
@@ -230,7 +250,9 @@ def test_table_rows_are_kernel_rows(monkeypatch, layout):
         x, x[i:i + 1], 2).ravel().tobytes() for i in range(x.shape[0]))
     for kernel, _ in _row_tables(monkeypatch, x, 2, y, (16,)):
         held = np.flatnonzero(kernel.slot >= 0)
-        assert held.size == min(x.shape[0], kernel.table.shape[0])
+        # A table of every row holds the rows the solve read; one of 16
+        # rows is full.
+        assert 16 <= held.size <= kernel.table.shape[0]
         for i in held:
             assert kernel.table[kernel.slot[i]].tobytes() == \
                 want[i].tobytes()
