@@ -15,7 +15,6 @@
  *   smo_choose_avx2   smo_solve's choice of j, 4 rows at a time;
  *   smo_update_avx2   smo_solve's gradient update and pick, 4 rows at a time;
  *   kernel_diag       the training kernel's diagonal, for smo._Kernel;
- *   kernel_rows       training kernel rows, for fit_smo's Platt scores;
  *   kernel_entries    (v + 1)^degree of smo._poly_kernel's products.
  * New functions go at the end, so that those above keep their addresses;
  * the compiler emits smo_solve after the two AVX2 passes, which it calls.
@@ -191,8 +190,10 @@ ptrdiff_t smo_update_avx2(ptrdiff_t n, const double *y, const double *neg_y,
  * in because the compiler may rewrite (-y[t]) * grad[t] as -(y[t] *
  * grad[t]), and that flips the sign bit of a NaN product.  alpha, grad,
  * up, low: the multipliers, the dual gradient and the index-set flags,
- * updated in place.  yg: n doubles of scratch.  On return *gap_out is the
- * last violation gap and *it_out the iterations done.
+ * updated in place.  yg: n doubles, on return -y * grad of the last
+ * gradient, so y - yg is each row's score without the bias (fit_smo's
+ * Platt scores).  On return *gap_out is the last violation gap and
+ * *it_out the iterations done.
  *
  * The gap is m_val - lo, where i is the first up row at the maximum of yg
  * and lo the value of the first low row at its minimum: a tie keeps the
@@ -1001,7 +1002,7 @@ ptrdiff_t smo_update_avx2(ptrdiff_t n, const double *y, const double *neg_y,
 #endif
 
 /* ---------------------------------------------------------------------
- * The training kernel's other entry points, and the kernel entries of
+ * The training kernel's diagonal, and the kernel entries of
  * smo._poly_kernel's products, after the AVX2 passes so that every
  * function above keeps its address.
  *
@@ -1032,22 +1033,6 @@ void kernel_diag(struct smo_kernel *k)
             }
         }
         k->diag[i] = smo_entry(sum, k->degree);
-    }
-}
-
-/* kernel_rows: kernel row index[r] into the n doubles at out + r * n, for
- * each of count rows: copied from the table, or computed as smo_solve
- * computes an absent row, without putting it in the table.  The caller
- * has checked that every index is a row. */
-void kernel_rows(const struct smo_kernel *k, ptrdiff_t count,
-                 const ptrdiff_t *index, double *out)
-{
-    for (ptrdiff_t r = 0; r < count; r++) {
-        const ptrdiff_t s = k->slot[index[r]];
-        if (s >= 0)
-            memcpy(out + r * k->n, k->table + s * k->n, k->n * sizeof *out);
-        else
-            smo_row(k, index[r], out + r * k->n);
     }
 }
 

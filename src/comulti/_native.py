@@ -189,8 +189,6 @@ def _load_library() -> ctypes.CDLL:
         ctypes.c_int]  # avx2
     lib.kernel_diag.restype = None
     lib.kernel_diag.argtypes = [kernel]
-    lib.kernel_rows.restype = None
-    lib.kernel_rows.argtypes = [kernel, size, ptr, ptr]  # count, index, out
     lib.kernel_entries.restype = None
     lib.kernel_entries.argtypes = [size, size, ptr]  # count, degree, values
     lib.smo_avx2.restype = ctypes.c_int

@@ -169,6 +169,10 @@ class TrainedForest(Classifier):
                                 "non-empty and of one length")
             trees.append(np.rec.fromarrays(
                 [arrays[name] for name in NODE.names], dtype=NODE))
+        if type(doc["trees"]) is not int or doc["trees"] != len(trees):
+            raise DataError(f"forest document: trees must be {len(trees)}, "
+                            "the length of its tree list, got "
+                            f"{doc['trees']!r}")
         return TrainedForest(ForestSpec(trees=doc["trees"]),
                              tuple(doc["space"]), trees, doc["n_features"])
 

@@ -17,15 +17,16 @@ solver computes each row it lacks itself, x_i times the transposed rows
 by ``sparse_product`` (it reads the training entries of the columns x_i
 stores, not every entry), then ``+ 1`` and the power; when the table is
 full it takes the place of the row that went in first.  One C routine
-computes the diagonal as those rows hold it, and one hands the Platt
-scores every support vector's row, from the table or computed.  Each
-entry is summed in a fixed order, so a fit does not depend on the BLAS
-thread count or on the table's size.  Fits of several label views of one
-training matrix share one ``_Kernel``, which keeps every binary problem
-solved on it (the ``shared`` argument of :func:`fit_smo`): the first
-view's fit builds it, it lives until the caller drops ``shared``, and a
-one-vs-rest problem that two views pose is solved and calibrated once,
-its iteration-cap warning, if any, raised once.
+computes the diagonal as those rows hold it.  The Platt scores are the
+solver's own: its gradient holds every training row's score, so no row is
+read after the solve.  Each entry is summed in a fixed order, so a fit
+does not depend on the BLAS thread count or on the table's size.  Fits of
+several label views of one training matrix share one ``_Kernel``, which
+keeps every binary problem solved on it (the ``shared`` argument of
+:func:`fit_smo`): the first view's fit builds it, it lives until the
+caller drops ``shared``, and a one-vs-rest problem that two views pose is
+solved and calibrated once, its iteration-cap warning, if any, raised
+once.
 
 The solver's iterations run in C, and so does every training kernel row
 and the kernel product of two sparse matrices: the loop of
@@ -129,7 +130,7 @@ class _Kernel:
     (8 n))`` rows, at least 2, empty until :func:`solve_binary` computes
     the rows it reads.  It changes during a solve, so a kernel serves one
     solve at a time.  ``diag`` is computed here, each entry as its row
-    holds it; :meth:`rows` gives any row a fit reads.
+    holds it.
 
     Every entry of row i sums x_i's products in x_i's stored order.  A CSR
     row that stores each column once and in order (as a dense row's CSR
@@ -160,25 +161,17 @@ class _Kernel:
                 f"SMO stage: the degree-{degree} kernel overflows on the "
                 "training rows (feature values too large)")
 
-    def rows(self, index) -> np.ndarray:
-        """K(x_i, .) for each row i of the index array ``index``, C-order:
-        copied from the table, or computed as the table's absent rows
-        are."""
-        index = np.ascontiguousarray(index, dtype=np.intp)
-        if index.size and not 0 <= index.min() <= index.max() < self.n:
-            raise IndexError(f"kernel rows out of 0..{self.n - 1}")
-        out = np.empty((index.size, self.n))
-        LIB.kernel_rows(self.state, index.size, address(index), address(out))
-        return out
-
 
 def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
                  max_iter: int):
     """SMO on one binary problem; ``y`` holds +/-1.
 
-    Returns (alpha, bias, kkt_gap, iterations).  The working pair is the
-    maximal violating pair with a second-order choice of the second index;
-    convergence means the violation gap dropped below ``tol``.
+    Returns (alpha, bias, kkt_gap, iterations, scores).  The working pair
+    is the maximal violating pair with a second-order choice of the second
+    index; convergence means the violation gap dropped below ``tol``.
+    ``scores`` is every training row's decision score, ``(y - yg) + bias``:
+    the solver leaves ``yg = -y * grad`` for the last gradient, and
+    ``y_t - yg_t`` is ``sum_i alpha_i y_i K(x_i, x_t)``.
 
     The iterations run in C (``_native.c``, see :mod:`.._native`), which
     computes each kernel row it lacks into the kernel's table; this
@@ -222,14 +215,13 @@ def solve_binary(kernel: _Kernel, y: np.ndarray, c: float, tol: float,
         )
 
     free = (alpha > eps) & (alpha < top)
-    yg = -y * grad  # equals y_i - raw_score_i
     if free.any():
         bias = float(yg[free].mean())
     else:
         hi = yg[up].max() if up.any() else 0.0
         lo = yg[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
-    return alpha, bias, float(max(gap, 0.0)), it
+    return alpha, bias, float(max(gap, 0.0)), it, (y - yg) + bias
 
 
 _PLATT_ITERATIONS = 100  # Newton iterations of platt_fit, at most
@@ -411,15 +403,15 @@ class TrainedSmo(Classifier):
         sv_index = [np.asarray(v, dtype=np.int64) for v in doc["sv_index"]]
         sv_coef = [np.asarray(v, dtype=np.float64) for v in doc["sv_coef"]]
         per_label = [np.asarray(doc[key], dtype=np.float64)
-                     for key in ("bias", "platt_a", "platt_b")]
+                     for key in ("bias", "platt_a", "platt_b", "kkt_gaps")]
         # Prediction indexes with these unchecked.
         if sv.ndim != 2:
             raise DataError("smo_margin model document: sv_x is not a matrix")
         if len(sv_index) != len(space) or len(sv_coef) != len(space) \
                 or any(a.shape != (len(space),) for a in per_label):
             raise DataError("smo_margin model document: sv_index, sv_coef, "
-                            "bias, platt_a and platt_b need one entry per "
-                            f"label ({len(space)})")
+                            "bias, platt_a, platt_b and kkt_gaps need one "
+                            f"entry per label ({len(space)})")
         for label, (index, coef) in enumerate(zip(sv_index, sv_coef)):
             if index.ndim != 1 or coef.shape != index.shape or (index.size and (
                     index.min() < 0 or index.max() >= sv.shape[0])):
@@ -429,9 +421,7 @@ class TrainedSmo(Classifier):
         return TrainedSmo(
             SmoSpec(degree=doc["degree"], c=doc["c"], tol=doc["tol"],
                     max_iter=doc["max_iter"]),
-            space, sv, sv_index, sv_coef, *per_label,
-            np.asarray(doc["kkt_gaps"], dtype=np.float64),
-        )
+            space, sv, sv_index, sv_coef, *per_label)
 
 
 def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
@@ -470,13 +460,9 @@ def fit_smo(spec: SmoSpec, x, y: np.ndarray, space: tuple[str, ...],
         key = (spec.c, spec.tol, spec.max_iter, y_bin.tobytes())
         solved = kernel.solved.get(key)
         if solved is None:
-            alpha, b, gap, _ = solve_binary(kernel, y_bin, spec.c, spec.tol,
-                                            spec.max_iter)
-            sv = np.nonzero(alpha > 1e-12)[0]
-            # The rows transposed, Fortran-order, times the coefficients:
-            # one matrix-vector product, whatever the table holds.
-            raw = kernel.rows(sv).T @ (alpha[sv] * y_bin[sv]) + b
-            platt = platt_fit(raw, y == cls)
+            alpha, b, gap, _, scores = solve_binary(
+                kernel, y_bin, spec.c, spec.tol, spec.max_iter)
+            platt = platt_fit(scores, y == cls)
             if not np.isfinite([b, gap, *platt]).all():
                 raise TrainingError(
                     f"SMO stage: the problem for label {space[cls]!r} has a "

@@ -14,7 +14,8 @@ from comulti.classifiers import (
     default_stage_specs,
     fit,
 )
-from comulti.classifiers.smo import _Kernel, fit_smo, platt_fit, solve_binary
+from comulti.classifiers.smo import (_Kernel, _poly_kernel, fit_smo,
+                                     platt_fit, solve_binary)
 from comulti.errors import ConfigError, DataError, TrainingError
 from comulti.multistage import MultistageModel, StageThresholds
 
@@ -251,10 +252,16 @@ def test_smo_kkt_conditions_hold_at_convergence():
     x = np.vstack([rng.normal(size=(20, 3)), rng.normal(size=(20, 3)) + 1.5])
     y = np.array([1.0] * 20 + [-1.0] * 20)
     kernel = _Kernel(x, degree=1)
+    rows = sp.csr_matrix(x)
+    gram = _poly_kernel(rows, rows, 1)
     for c in (0.5, 1.0, 10.0):
-        alpha, bias, gap, iters = solve_binary(kernel, y, c, 1e-3, 100_000)
+        alpha, bias, gap, iters, scores = solve_binary(kernel, y, c, 1e-3,
+                                                       100_000)
         assert gap < 1e-3
-        _dual_feasible(alpha, y, c, 1e-3, kernel.rows(np.arange(40)))
+        _dual_feasible(alpha, y, c, 1e-3, gram)
+        # The scores are the model's decision values on its training rows.
+        np.testing.assert_allclose(scores, gram @ (alpha * y) + bias,
+                                   rtol=0, atol=1e-9)
 
 
 def test_smo_polynomial_kernel_solves_circle():

@@ -112,12 +112,22 @@ def _break_missing_forest(doc, tree, inner, leaf):
     del doc["forest"]
 
 
+def _break_tree_count(doc, tree, inner, leaf):
+    # Loaded, it predicted with the trees listed and saved this count.
+    doc["trees"] = 100
+
+
+def _break_tree_count_type(doc, tree, inner, leaf):
+    doc["trees"] = float(len(doc["forest"]))
+
+
 @pytest.mark.parametrize("breaker", [
     _break_vote_high, _break_vote_negative, _break_feature,
     _break_child_negative, _break_child_backward, _break_child_self_loop,
     _break_child_past_tree, _break_lengths, _break_empty_tree,
     _break_no_trees, _break_n_features, _break_node_id_overflow,
-    _break_missing_vote, _break_missing_forest])
+    _break_missing_vote, _break_missing_forest, _break_tree_count,
+    _break_tree_count_type])
 def test_malformed_forest_document_is_data_error(breaker):
     doc = model_to_dict(_noisy_forest())
     tree = doc["forest"][0]
@@ -300,10 +310,18 @@ def _smo_class_missing(doc):
     doc["sv_index"].pop()
 
 
+def _smo_gaps_short(doc):
+    doc["kkt_gaps"] = doc["kkt_gaps"][:1]
+
+
+def _smo_gaps_nested(doc):
+    doc["kkt_gaps"] = [doc["kkt_gaps"]]
+
+
 @pytest.mark.parametrize("breaker", [
     _smo_missing_key, _smo_bad_value, _smo_sv_index_past_end,
     _smo_sv_index_negative, _smo_bias_short, _smo_platt_short,
-    _smo_coef_short, _smo_class_missing])
+    _smo_coef_short, _smo_class_missing, _smo_gaps_short, _smo_gaps_nested])
 def test_malformed_smo_document_is_data_error_at_load(breaker):
     doc = _smo_doc()
     model_from_dict(json.loads(json.dumps(doc)))  # the unbroken one loads

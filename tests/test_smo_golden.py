@@ -7,7 +7,8 @@ a KKT gap or a calibration parameter by one bit changes a fingerprint, so a
 rewrite that keeps them all is bit-identical on these inputs.  The second
 half keeps the solver as it was first written, in numpy, with its kernel
 on the rows' CSR form, as a reference, and compares the compiled solver's
-raw results with them on random problems and on edge cases: overflowing
+raw results with them, the training scores that the Platt fit reads
+included, on random problems and on edge cases: overflowing
 gradients, argmax ties, a row table that evicts between the two rows of a
 pair, and solves on two threads at once.  Last, a dense fit in two
 processes, at 1 and 2 BLAS threads, gives one model.  The ``test_solver_matches_reference*`` cases and
@@ -115,25 +116,25 @@ def _blobs():
 
 GOLDEN = {
     "rule_grid":
-        "66efa2d2dac53bb63df7e82ca86c5698056d0b559dbd23727c192e197f535835",
+        "c912a8589b3533c154500411ebf48591820079f52ea8e86d2c89ea7deefe7d66",
     "gaussian_blobs":
-        "1d0833187f11342dbfc0d8f7069297bd4a883c41f368f6cd3c5c991188b68546",
+        "5f8c41976e2ebdef2ac33e08e56f09ff96c79dceffa2b9374df5f25e3b1f4daf",
     "topics_full":
-        "a31046fafa8470f189ac16b950b2c7242b6d38b3770a821be99821f77a23ca09",
+        "087de24d5cad19067e85c6abd469239319a2968d60472215fdb0f3c700af7f17",
     "topics_binary":
-        "f451ef0352beb2926ea8c0f1b2e55689e5a5123b936156231417b8881d0756c4",
+        "2abd3a2fbca140fa934549651f4f58cb479323ab47b55d259f46d32fce444189",
     "topics_maj_cluster":
-        "3c2353c994ac004aa8e4bf28df7fd307ea8dbea67aa7adb58e94a2ff41f51ddb",
+        "9b32034b6dc019eb0b3a441ef099cd0346455aa29db7c040db707f2a4fc687f0",
     "topics_min_cluster":
-        "e31023915f5d89925af4f6b1f11864d9f19bf6bd09cd3563585c04a39c3e63cc",
+        "7e7be286c0111afeb3720f166fc15ba48d6b8b2f4568924008d629c3099871ad",
     "unsorted_csr_degree2":
-        "e69b8e30ad9f88799d75e573e790a26a0514b6cf1ed19b04218b019f441bf7bc",
+        "22dd5c9c520a229f9cb99636c57af2debd592cac9a916c680ead667efc38c77a",
     "unsorted_csr_degree3":
-        "2720096b7a56b7c615e73bfad3a6f9abc05fdf31132cfe34e64969ca8a773eb5",
+        "e8d968d790d562c5e45b328222d28c4396ca76885c7240dbd353f2132acc25af",
     "duplicate_csr":
-        "24cde68970e5970658fbf1bc0aa701c1d8fd1fee629cfba17db1140cadb0441a",
+        "03c8902c597c6eca7757de540ce5694772329601afc897c6cbedb7ea99d7ea35",
     "capped_blobs":
-        "0dcd7661e96550c687c9bc5f423466e8228f45746e37f4882676671f5f86daf0",
+        "6152d22a54ff556d2d7c65d5cbfc74befa2e39cdfdcbf0bef12b2ce9e1582662",
 }
 # A row is computed alike whatever the table holds, so a fit on a table
 # that keeps evicting is the same model.
@@ -297,7 +298,7 @@ def _reference_solve(kernel, y, c, tol, max_iter):
         hi = yg[up].max() if up.any() else 0.0
         lo = yg[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
-    return alpha, bias, float(max(gap, 0.0)), it
+    return alpha, bias, float(max(gap, 0.0)), it, (y - yg) + bias
 
 
 def _random_problem(seed):
@@ -332,6 +333,7 @@ def _assert_same_solution(got, want):
     assert _bits(got[1]) == _bits(want[1])
     assert _bits(got[2]) == _bits(want[2])
     assert got[3] == want[3]
+    assert got[4].tobytes() == want[4].tobytes()  # the Platt scores
 
 
 @pytest.mark.parametrize("seed", range(24))

@@ -17,6 +17,7 @@ labels.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,14 +97,25 @@ def _check_kernel(a, b, degree):
 
 
 def _check_gram(x, degree):
-    """Every kernel row of a fit, and the diagonal, has the reference's
-    values on the rows' CSR form, row-major."""
+    """Every kernel row a solve computes, and the diagonal, has the
+    reference's values on the rows' CSR form.  One solve of one iteration
+    per row, with that row the only positive, puts it in a table of every
+    row, since the first iteration's pair starts at the lone up row (on
+    two or more rows: one row alone has no pair)."""
+    n = x.shape[0]
     kernel = smo_mod._Kernel(x, degree)
-    got = kernel.rows(np.arange(x.shape[0]))
-    assert got.flags.c_contiguous
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the cap of 1
+        for i in range(n):
+            y = -np.ones(n)
+            y[i] = 1.0
+            smo_mod.solve_binary(kernel, y, 1.0, 1e-3, 1)
+    assert len(kernel.table) == n
+    assert (kernel.slot >= 0).all() if n > 1 else (kernel.slot < 0).all()
     rows = x if sp.issparse(x) else sp.csr_matrix(x)
     want = _reference_kernel(rows, rows, degree, order="C")
-    _assert_bits(got, want)
+    for i in np.flatnonzero(kernel.slot >= 0):
+        _assert_bits(kernel.table[kernel.slot[i]], want[i])
     _assert_bits(kernel.diag, np.diag(want).copy())
 
 
@@ -181,14 +193,6 @@ def test_table_stays_within_its_byte_budget(monkeypatch, rows):
     assert (kernel.slot < 0).all()  # filled as a solve reads its rows
 
 
-def test_kernel_rows_out_of_range_is_index_error():
-    # C copies or computes each row an index names, so each is checked.
-    kernel = smo_mod._Kernel(np.ones((5, 2)), 2)
-    for index in ([5], [-1], [0, 7]):
-        with pytest.raises(IndexError, match="out of 0..4"):
-            kernel.rows(index)
-
-
 def _row_tables(monkeypatch, x, degree, y, widths):
     """Each kernel after one solve of ``y``: the full Gram, then a row
     table of each width, and the solutions."""
@@ -224,9 +228,9 @@ def test_row_tables_solve_canonical_rows_as_the_full_gram(monkeypatch):
 @pytest.mark.parametrize("rows", ["topics", "blobs", "duplicates"])
 def test_every_table_size_fits_the_same_model(monkeypatch, rows):
     # A kernel row is computed alike whatever the table holds, and the
-    # Platt scores read the support vectors' rows laid out alike, so the
-    # fitted model is the same document: on canonical sparse rows, dense
-    # rows and rows that store a column twice.
+    # Platt scores are the solver's gradient, which every row updates
+    # alike, so the fitted model is the same document: on canonical sparse
+    # rows, dense rows and rows that store a column twice.
     ds = {"topics": _quarter_topics,
           "blobs": lambda: gaussian_blobs((120, 40, 25), seed=0),
           "duplicates": duplicate_csr_dataset}[rows]()
